@@ -5,10 +5,10 @@
   pairwise metrics and influence-uniformity scores are 1.
 - fig2-correlation: across a grid of compression levels and seeds, mean
   retrieval precision correlates strongly with mean influence uniformity.
-- theorem1 (optional, slow): gradient noise flattens the influence
+- theorem1 (optional): gradient noise flattens the influence
   distribution of a planted outlier — the median max-softmax mass on the
   outlier's influence vector strictly decreases as sigma grows. Pass
-  --theorem1 to include it (~2 minutes: 60 DP runs plus leave-one-out
+  --theorem1 to include it (~10 s: 60 DP runs plus batched leave-one-out
   retraining).
 
 Run:  python3 demos/04_experiments.py [--theorem1]
@@ -29,7 +29,7 @@ def show(result) -> None:
 def main() -> None:
     parser = argparse.ArgumentParser()
     parser.add_argument("--theorem1", action="store_true",
-                        help="also run the slow planted-outlier experiment")
+                        help="also run the planted-outlier experiment")
     args = parser.parse_args()
 
     print("theorem2 (full compression => fairness and uniform influence):")

@@ -15,7 +15,15 @@ from .metrics import (
 )
 from .repr_store import EmbeddingSet, Manifest, TokenMatrix, load_set, mean_pool
 from .synth import SynthSpec, gen_classification_data, gen_parallel_set, plant_outlier
-from .trainer import Checkpoint, LabeledDataset, ModelSpec, TrainConfig, evaluate, train
+from .trainer import (
+    Checkpoint,
+    LabeledDataset,
+    ModelSpec,
+    TrainConfig,
+    evaluate,
+    train,
+    train_many,
+)
 
 __all__ = [
     "Checkpoint",
@@ -50,6 +58,7 @@ __all__ = [
     "spearman_rho",
     "tracin_cp",
     "train",
+    "train_many",
 ]
 
 __version__ = "0.1.0"

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import math
 import sys
 from pathlib import Path
@@ -163,9 +164,8 @@ def cmd_synth(args) -> int:
     embedding_set, _ = gen_parallel_set(spec)
     manifest = Manifest()
     for lang, matrix in zip(embedding_set.languages, embedding_set.matrices):
-        path = out / f"{lang}.emb"
-        write_embeddings(path, matrix)
-        manifest.add(lang, embedding_set.layer, path)
+        write_embeddings(out / f"{lang}.emb", matrix)
+        manifest.add(lang, embedding_set.layer, f"{lang}.emb")  # relative to the manifest
     manifest.write(out / "manifest.tsv")
     dataset = gen_classification_data(spec)
     write_embeddings(out / "features.emb", dataset.features)
@@ -255,6 +255,10 @@ def cmd_experiment(args) -> int:
     kwargs = {}
     if args.config:
         values = read_config(args.config, EXPERIMENT_SCHEMA)
+        accepted = inspect.signature(experiments.EXPERIMENTS[args.name]).parameters
+        unknown = [key for key in values if key not in accepted]
+        if unknown:
+            raise ConfigError(f"{args.config}: {args.name} does not take {', '.join(unknown)}")
         if "seeds" in values:
             values["seeds"] = [int(s) for s in values["seeds"].split(",")]
         kwargs = values

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -30,16 +30,14 @@ from . import metrics
 from .errors import UndefinedMarginError
 from .influence import (
     CheckpointSet,
-    event_probability,
     influence_profile,
     interpretability_margin,
+    loo_probabilities,
     self_influence,
     softmax,
 )
 from .synth import SynthSpec, gen_classification_data, gen_parallel_set, plant_outlier
 from .trainer import LabeledDataset, ModelSpec, TrainConfig, evaluate, train
-
-EXPERIMENT_NAMES = ("theorem1", "theorem2", "fig2-correlation")
 
 
 @dataclass
@@ -149,11 +147,9 @@ def planted_influence_margin(
     planted_index: int,
     num_languages: int,
     model: ModelSpec,
-    config: TrainConfig,
+    cks: CheckpointSet,
 ) -> float:
     """Max softmax probability in the planted example's influence vector."""
-    result = train(dataset, model, config)
-    cks = CheckpointSet.last_k(result.checkpoints, 3)
     tuple_index = planted_index // num_languages
     anchor = planted_index % num_languages
     profile = influence_profile(
@@ -167,6 +163,7 @@ def loo_margin(
     planted_index: int,
     model: ModelSpec,
     config: TrainConfig,
+    cks: CheckpointSet,
     noise_seeds: list[int] | None,
     candidates: int = 8,
 ) -> float | None:
@@ -176,29 +173,10 @@ def loo_margin(
     planted point. The dominant example (p_d) and runner-up (p_2) are the
     two training points whose coupled leave-one-out removal lowers that
     probability the most, searched over the planted example plus the
-    top-`candidates` points by checkpoint self-influence. Returns None
-    when no two removals lower the probability (the margin premise fails).
+    top-`candidates` points by self-influence over `cks`, the checkpoints
+    of the full-data run under `config`. Returns None when no two removals
+    lower the probability (the margin premise fails).
     """
-    eval_point = dataset.features[planted_index]
-    event_class = int(dataset.labels[planted_index])
-
-    def avg_prob(exclude: int | None) -> float:
-        seeds = noise_seeds or [None]
-        values = []
-        for ns in seeds:
-            run_cfg = config if ns is None else replace(config, noise_seed=ns)
-            values.append(
-                event_probability(
-                    train(dataset, model, run_cfg, exclude_index=exclude).theta,
-                    model, eval_point, event_class,
-                )
-            )
-        return float(np.mean(values))
-
-    p = avg_prob(None)
-    # shortlist by checkpoint-based self-influence on the full-data run
-    result = train(dataset, model, config)
-    cks = CheckpointSet.last_k(result.checkpoints, 3)
     self_scores = sorted(
         (
             (self_influence((dataset.features[i], int(dataset.labels[i])), cks, model), i)
@@ -206,9 +184,13 @@ def loo_margin(
         ),
         reverse=True,
     )
-    shortlist = {i for _, i in self_scores[:candidates]} | {planted_index}
-    loo_probs = sorted(avg_prob(i) for i in shortlist)
-    p_d, p_2 = loo_probs[0], loo_probs[1]
+    shortlist = sorted({i for _, i in self_scores[:candidates]} | {planted_index})
+    probs = loo_probabilities(
+        dataset, model, config, [None, *shortlist],
+        dataset.features[planted_index], int(dataset.labels[planted_index]), noise_seeds,
+    )
+    p = probs[0]
+    p_d, p_2 = sorted(probs[1:])[:2]
     try:
         return interpretability_margin(p, p_d, p_2)
     except UndefinedMarginError:
@@ -244,7 +226,8 @@ def run_theorem1(
                 base_lr=base_lr, total_steps=total_steps, batch_size=batch_size,
                 seed=seed, noise_multiplier=sigma,
             )
-            margin = planted_influence_margin(dataset, planted, num_languages, model, config)
+            cks = CheckpointSet.last_k(train(dataset, model, config).checkpoints, 3)
+            margin = planted_influence_margin(dataset, planted, num_languages, model, cks)
             margins[sigma].append(margin)
             row = {"seed": seed, "sigma": sigma, "margin": format(margin, ".17g")}
             if include_loo:
@@ -252,7 +235,7 @@ def run_theorem1(
                     None if sigma == 0.0
                     else [seed * 1000 + j for j in range(loo_noise_seeds)]
                 )
-                margin_eps = loo_margin(dataset, planted, model, config, noise_seeds)
+                margin_eps = loo_margin(dataset, planted, model, config, cks, noise_seeds)
                 if margin_eps is not None:
                     eps_i[sigma].append(margin_eps)
                 row["epsilon_i"] = "" if margin_eps is None else format(margin_eps, ".17g")
@@ -327,11 +310,15 @@ def run_fig2_correlation(
     )
 
 
+EXPERIMENTS = {
+    "theorem1": run_theorem1,
+    "theorem2": run_theorem2,
+    "fig2-correlation": run_fig2_correlation,
+}
+EXPERIMENT_NAMES = tuple(EXPERIMENTS)
+
+
 def run_experiment(name: str, **kwargs) -> ExperimentResult:
-    if name == "theorem1":
-        return run_theorem1(**kwargs)
-    if name == "theorem2":
-        return run_theorem2(**kwargs)
-    if name == "fig2-correlation":
-        return run_fig2_correlation(**kwargs)
-    raise ValueError(f"unknown experiment {name!r}")
+    if name not in EXPERIMENTS:
+        raise ValueError(f"unknown experiment {name!r}")
+    return EXPERIMENTS[name](**kwargs)

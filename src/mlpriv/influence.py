@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +24,7 @@ from .trainer import (
     ModelSpec,
     TrainConfig,
     grad,
-    train,
+    train_many,
     _forward_batch,
 )
 
@@ -49,6 +49,8 @@ class CheckpointSet:
 
     @classmethod
     def last_k(cls, checkpoints: list[Checkpoint], k: int = 3) -> "CheckpointSet":
+        if k < 1:
+            raise ValueError(f"need k >= 1 checkpoints, got {k}")
         return cls(tuple(checkpoints[-k:]))
 
 
@@ -136,14 +138,26 @@ def event_probability(
     return float(probs[0, event_class])
 
 
-def _drop_example(dataset: LabeledDataset, index: int) -> LabeledDataset:
-    keep = np.ones(len(dataset), dtype=bool)
-    keep[index] = False
-    return LabeledDataset(
-        features=dataset.features[keep],
-        labels=dataset.labels[keep],
-        languages=tuple(np.array(dataset.languages)[keep]),
-    )
+def loo_probabilities(
+    dataset: LabeledDataset,
+    spec: ModelSpec,
+    config: TrainConfig,
+    exclusions: list[int | None],
+    eval_point: np.ndarray,
+    event_class: int,
+    noise_seeds: list[int] | None = None,
+) -> np.ndarray:
+    """P(event at eval_point) after coupled retraining without each example.
+
+    Entry k trains with exclusions[k] left out (None keeps every example),
+    averaged over noise_seeds when given. Every retrain shares config's
+    batch stream, so the removed example is the only varying factor between
+    entries; all of them run as one batched ``train_many`` call.
+    """
+    seeds = list(noise_seeds) if noise_seeds else [None]
+    runs = train_many(dataset, spec, config, [(e, ns) for e in exclusions for ns in seeds])
+    probs = np.array([event_probability(run.theta, spec, eval_point, event_class) for run in runs])
+    return probs.reshape(len(exclusions), len(seeds)).mean(axis=1)
 
 
 def loo_influence(
@@ -168,24 +182,10 @@ def loo_influence(
         raise ValueError("dataset must have >= 2 examples")
     if not 0 <= x_index < len(dataset):
         raise IndexError(f"x_index {x_index} out of range")
-
-    def prob(exclude: int | None) -> float:
-        if noise_seeds:
-            values = [
-                event_probability(
-                    train(dataset, spec, replace(config, noise_seed=ns),
-                          exclude_index=exclude).theta,
-                    spec, eval_point, event_class,
-                )
-                for ns in noise_seeds
-            ]
-            return float(np.mean(values))
-        return event_probability(
-            train(dataset, spec, config, exclude_index=exclude).theta,
-            spec, eval_point, event_class,
-        )
-
-    return prob(None) - prob(x_index)
+    p, p_without = loo_probabilities(
+        dataset, spec, config, [None, x_index], eval_point, event_class, noise_seeds
+    )
+    return float(p - p_without)
 
 
 def interpretability_margin(p: float, p_d: float, p_2: float) -> float:

@@ -4,7 +4,9 @@ The model is softmax cross-entropy over a linear or one-hidden-layer tanh
 network with a flat parameter vector (layer-major, row-major within layer).
 Per-sample gradients are clipped to an L2 threshold, summed, noised with a
 seeded Gaussian, and averaged; learning rates follow linear warmup then
-linear decay; checkpoints are taken at a fixed step interval.
+linear decay; checkpoints are taken at a fixed step interval. One loop,
+``train_many``, trains a stack of coupled runs that share the batch stream;
+``train`` is its single-run case.
 
 Checkpoint files use the "CKPT1" format: magic ``CKPT1``, u32-LE step,
 f64-LE learning rate, u32-LE parameter count, then float64-LE parameters.
@@ -32,6 +34,10 @@ from .errors import (
 CKPT_MAGIC = b"CKPT1"
 
 DIVERGENCE_LOSS_CAP = 1e6
+
+NOISE_BLOCK = 32  # steps of Gaussian noise drawn per generator call
+
+Variant = tuple[int | None, int | None]  # (exclude_index, noise_seed)
 
 
 @dataclass(frozen=True)
@@ -82,6 +88,8 @@ class TrainConfig:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.warmup_steps < 0 or self.warmup_steps >= self.total_steps:
             raise ValueError("need 0 <= warmup_steps < total_steps")
+        if self.checkpoint_interval < 1:
+            raise ValueError("checkpoint_interval must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -120,8 +128,21 @@ class LabeledDataset:
 class TrainResult:
     theta: np.ndarray
     checkpoints: list[Checkpoint]
-    log: list[dict]  # per step: step, lr, loss, accuracy
     sigma: float
+    lrs: list[float]         # per step, steps 1..T
+    losses: np.ndarray       # (T,) mean loss over the batch kept at each step
+    accuracies: np.ndarray   # (T,)
+
+    @property
+    def log(self) -> list[dict]:
+        """Per step: step, lr, loss, accuracy."""
+        return [
+            {"step": step, "lr": lr, "loss": loss, "accuracy": acc}
+            for step, lr, loss, acc in zip(
+                range(1, len(self.lrs) + 1), self.lrs,
+                self.losses.tolist(), self.accuracies.tolist(),
+            )
+        ]
 
 
 def init_theta(spec: ModelSpec, seed: int = 0, scale: float = 0.1) -> np.ndarray:
@@ -130,21 +151,23 @@ def init_theta(spec: ModelSpec, seed: int = 0, scale: float = 0.1) -> np.ndarray
 
 
 def _unpack(spec: ModelSpec, theta: np.ndarray):
+    """Layer views of one flat parameter vector (P,) or of a stack (R, P)."""
     d, h, c = spec.input_dim, spec.hidden_dim, spec.num_classes
     theta = np.asarray(theta, dtype=np.float64)
-    if theta.shape != (spec.num_params,):
+    if theta.ndim not in (1, 2) or theta.shape[-1] != spec.num_params:
         raise ShapeMismatchError(
             f"theta has {theta.shape}, spec needs ({spec.num_params},)"
         )
+    lead = theta.shape[:-1]
     if h == 0:
-        W = theta[: c * d].reshape(c, d)
-        b = theta[c * d :]
+        W = theta[..., : c * d].reshape(*lead, c, d)
+        b = theta[..., c * d :]
         return W, b
     o = 0
-    W1 = theta[o : o + h * d].reshape(h, d); o += h * d
-    b1 = theta[o : o + h]; o += h
-    W2 = theta[o : o + c * h].reshape(c, h); o += c * h
-    b2 = theta[o:]
+    W1 = theta[..., o : o + h * d].reshape(*lead, h, d); o += h * d
+    b1 = theta[..., o : o + h]; o += h
+    W2 = theta[..., o : o + c * h].reshape(*lead, c, h); o += c * h
+    b2 = theta[..., o:]
     return W1, b1, W2, b2
 
 
@@ -154,14 +177,53 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return exp / exp.sum(axis=-1, keepdims=True)
 
 
+def _dense(inputs: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """inputs @ W^T: (B, k) x (n, k) -> (B, n); for a stack of R weight
+    matrices (R, n, k), inputs (B, k) or (B, R, k) -> (B, R, n)."""
+    if W.ndim == 2:
+        return inputs @ W.T
+    R, n, k = W.shape
+    if inputs.ndim == 2:  # inputs shared by every run: one matrix product
+        return (inputs @ W.reshape(R * n, k).T).reshape(-1, R, n)
+    return np.matmul(inputs.swapaxes(0, 1), W.swapaxes(1, 2)).swapaxes(0, 1)
+
+
+def _outer_sum(S: np.ndarray, inputs: np.ndarray) -> np.ndarray:
+    """Per-run sum over the batch of outer(S_b, inputs_b), flattened row-major:
+    S (B, R, n) with inputs (B, k) or (B, R, k) -> (R, n * k)."""
+    B, R, n = S.shape
+    if inputs.ndim == 2:
+        return (S.reshape(B, R * n).T @ inputs).reshape(R, -1)
+    return np.matmul(S.transpose(1, 2, 0), inputs.swapaxes(0, 1)).reshape(R, -1)
+
+
 def _forward_batch(spec: ModelSpec, theta: np.ndarray, X: np.ndarray):
-    """Returns (probs (B,c), hidden activations or None)."""
+    """Returns (probs, hidden activations or None): (B, c) and (B, h) for one
+    parameter vector, (B, R, c) and (B, R, h) for a stack of R."""
     if spec.hidden_dim == 0:
         W, b = _unpack(spec, theta)
-        return _softmax(X @ W.T + b), None
+        return _softmax(_dense(X, W) + b), None
     W1, b1, W2, b2 = _unpack(spec, theta)
-    A = np.tanh(X @ W1.T + b1)
-    return _softmax(A @ W2.T + b2), A
+    A = np.tanh(_dense(X, W1) + b1)
+    return _softmax(_dense(A, W2) + b2), A
+
+
+def _backward(spec: ModelSpec, theta: np.ndarray, X: np.ndarray, y: np.ndarray):
+    """Forward pass plus the loss derivative at each dense layer's output.
+
+    Returns (probs, A, delta, dZ): delta = dloss/dlogits, and for the tanh
+    model A = hidden activations and dZ = dloss/d(hidden pre-activation),
+    else None. Shapes follow ``_forward_batch``. The per-example gradient of
+    a dense layer is outer(derivative, [input; 1]).
+    """
+    probs, A = _forward_batch(spec, theta, X)
+    delta = probs.copy()
+    delta[np.arange(len(y)), ..., y] -= 1.0
+    if spec.hidden_dim == 0:
+        return probs, None, delta, None
+    W2 = _unpack(spec, theta)[2]
+    dZ = _dense(delta, W2.swapaxes(-1, -2)) * (1.0 - A**2)
+    return probs, A, delta, dZ
 
 
 def forward_loss(spec: ModelSpec, theta: np.ndarray, x: np.ndarray, y: int):
@@ -182,15 +244,11 @@ def grad_batch(spec: ModelSpec, theta: np.ndarray, X: np.ndarray, y: np.ndarray)
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     B = X.shape[0]
-    probs, A = _forward_batch(spec, theta, X)
-    D = probs.copy()
-    D[np.arange(B), y] -= 1.0  # dloss/dlogits
+    _, A, D, dZ = _backward(spec, theta, X, y)
     if spec.hidden_dim == 0:
         dW = np.einsum("bc,bd->bcd", D, X)
         return np.concatenate([dW.reshape(B, -1), D], axis=1)
-    W1, b1, W2, b2 = _unpack(spec, theta)
     dW2 = np.einsum("bc,bh->bch", D, A)
-    dZ = (D @ W2) * (1.0 - A**2)
     dW1 = np.einsum("bh,bd->bhd", dZ, X)
     return np.concatenate([dW1.reshape(B, -1), dZ, dW2.reshape(B, -1), D], axis=1)
 
@@ -303,56 +361,134 @@ def train(
     the excluded example is dropped from any batch containing it, so the
     two trajectories differ only through that example's contributions.
     """
-    if config.batch_size > len(dataset):
+    return train_many(dataset, spec, config, [(exclude_index, None)])[0]
+
+
+def _which_run(variants: list[Variant], r: int) -> str:
+    return f" in run {r} (variant {variants[r]})" if len(variants) > 1 else ""
+
+
+def train_many(
+    dataset: LabeledDataset,
+    spec: ModelSpec,
+    config: TrainConfig,
+    variants: list[Variant],
+) -> list[TrainResult]:
+    """Train one coupled run per variant (exclude_index, noise_seed) at once.
+
+    Row r equals ``train(dataset, spec, replace(config, noise_seed=ns),
+    exclude_index=e)`` for variants[r] = (e, ns), with ns = None keeping
+    config.noise_seed. All runs share the initial parameters and one batch
+    draw per step; a run's excluded example is masked out of each batch
+    that holds it and its gradient mean divides by the examples it kept.
+    Each run keeps its own noise generator. Per-example gradients are never
+    formed: a dense layer's gradient is outer(delta, [a; 1]), whose norm is
+    |delta| * sqrt(|a|^2 + 1) (Goodfellow 2015, arXiv 1510.01799), so the
+    clip factors come from per-layer norms and the clipped sum of each layer
+    is one matrix product.
+    """
+    variants = list(variants)
+    N = len(dataset)
+    if not variants:
+        raise ValueError("need at least one variant")
+    if config.batch_size > N:
         raise ValueError("batch_size exceeds dataset size")
     if spec.input_dim != dataset.features.shape[1]:
         raise ShapeMismatchError("model input_dim does not match dataset")
-    sigma = resolve_sigma(config, len(dataset))
-    C = config.clip_threshold
-    B = config.batch_size
+    if dataset.labels.max() >= spec.num_classes:
+        raise ShapeMismatchError(
+            f"label {dataset.labels.max()} outside [0, {spec.num_classes}) of the model"
+        )
+    for exclude, _ in variants:
+        if exclude is not None and not 0 <= exclude < N:
+            raise IndexError(f"exclude_index {exclude} out of range")
+    sigma = resolve_sigma(config, N)
+    C, B, T = config.clip_threshold, config.batch_size, config.total_steps
+    R, P = len(variants), spec.num_params
 
     batch_ss, noise_ss = np.random.SeedSequence(config.seed).spawn(2)
     batch_rng = np.random.default_rng(batch_ss)
-    if config.noise_seed is not None:
-        noise_rng = np.random.default_rng(config.noise_seed)
-    else:
-        noise_rng = np.random.default_rng(noise_ss)
+    noise_rngs = []
+    for _, noise_seed in variants:
+        if noise_seed is None:
+            noise_seed = config.noise_seed
+        noise_rngs.append(np.random.default_rng(noise_ss if noise_seed is None else noise_seed))
+    noise = np.empty((R, NOISE_BLOCK, P))
+    excluded = np.array([-1 if e is None else e for e, _ in variants])
 
-    state = OptimizerState.init(init_theta(spec, seed=config.seed))
-    checkpoints: list[Checkpoint] = []
-    log: list[dict] = []
-    N = len(dataset)
+    state = OptimizerState.init(np.tile(init_theta(spec, seed=config.seed), (R, 1)))
+    losses = np.empty((T, R))
+    accuracies = np.empty((T, R))
+    lrs: list[float] = []
+    snapshots: list[tuple[int, float, np.ndarray]] = []
 
-    for step in range(1, config.total_steps + 1):
+    for step in range(1, T + 1):
         idx = batch_rng.choice(N, size=B, replace=False)
-        if exclude_index is not None:
-            idx = idx[idx != exclude_index]
+        keep = idx[:, None] != excluded  # (B, R)
+        count = keep.sum(axis=0)
+        if not count.all():
+            raise EmptyBatchError(
+                f"step {step}: run {int(np.argmin(count))} excludes every example of its batch"
+            )
         X = dataset.features[idx]
         y = dataset.labels[idx]
-        batch_len = len(idx)
-        probs, _ = _forward_batch(spec, state.theta, X)
-        p_true = np.maximum(probs[np.arange(batch_len), y], np.finfo(np.float64).tiny)
-        loss = float(-np.log(p_true).mean())
-        acc = float((probs.argmax(axis=1) == y).mean())
-        if not np.isfinite(loss) or loss > DIVERGENCE_LOSS_CAP:
-            raise DivergenceError(step, f"loss = {loss}")
+        probs, A, delta, dZ = _backward(spec, state.theta, X, y)
+        p_true = np.maximum(probs[np.arange(B), :, y], np.finfo(np.float64).tiny)
+        loss = np.where(keep, -np.log(p_true), 0.0).sum(axis=0) / count
+        acc = ((probs.argmax(axis=2) == y[:, None]) & keep).sum(axis=0) / count
+        bad = ~(loss <= DIVERGENCE_LOSS_CAP)  # also catches nan
+        if bad.any():
+            r = int(np.argmax(bad))
+            raise DivergenceError(step, f"loss = {loss[r]}{_which_run(variants, r)}")
 
-        per_sample = grad_batch(spec, state.theta, X, y)
-        norms = np.linalg.norm(per_sample, axis=1)
-        scale = np.minimum(1.0, C / np.maximum(norms, np.finfo(np.float64).tiny))
-        clipped = per_sample * scale[:, None]
-        noisy = dp_aggregate(clipped, sigma, C, batch_len, noise_rng)
+        x_sq = (X * X).sum(axis=1)[:, None] + 1.0
+        if A is None:
+            norm_sq = (delta * delta).sum(axis=2) * x_sq
+        else:
+            norm_sq = (delta * delta).sum(axis=2) * ((A * A).sum(axis=2) + 1.0) \
+                + (dZ * dZ).sum(axis=2) * x_sq
+        scale = np.minimum(1.0, C / np.maximum(np.sqrt(norm_sq), np.finfo(np.float64).tiny))
+        scale = (scale * keep)[:, :, None]
+        sd = delta * scale
+        if A is None:
+            parts = [_outer_sum(sd, X), sd.sum(axis=0)]
+        else:
+            sz = dZ * scale
+            parts = [_outer_sum(sz, X), sz.sum(axis=0), _outer_sum(sd, A), sd.sum(axis=0)]
+        total = np.concatenate(parts, axis=1)
+        if sigma > 0:
+            j = (step - 1) % NOISE_BLOCK
+            if j == 0:  # blocks of draws continue each generator's stream exactly
+                block = noise[:, : min(NOISE_BLOCK, T - step + 1)]
+                for r, rng in enumerate(noise_rngs):
+                    rng.standard_normal(out=block[r])
+            total += sigma * C * noise[:, j]
+        noisy = total / count[:, None]
 
         eta = lr_at(step, config)
         state = optimizer_step(state, noisy, eta, config)
-        if not np.all(np.isfinite(state.theta)):
-            raise DivergenceError(step, "non-finite parameters")
+        finite = np.isfinite(state.theta).all(axis=1)
+        if not finite.all():
+            r = int(np.argmin(finite))
+            raise DivergenceError(step, f"non-finite parameters{_which_run(variants, r)}")
 
-        log.append({"step": step, "lr": eta, "loss": loss, "accuracy": acc})
+        losses[step - 1] = loss
+        accuracies[step - 1] = acc
+        lrs.append(eta)
         if step % config.checkpoint_interval == 0:
-            checkpoints.append(Checkpoint(step=step, theta=state.theta.copy(), eta=eta))
+            snapshots.append((step, eta, state.theta.copy()))
 
-    return TrainResult(theta=state.theta, checkpoints=checkpoints, log=log, sigma=sigma)
+    return [
+        TrainResult(
+            theta=state.theta[r].copy(),
+            checkpoints=[Checkpoint(step=s, theta=th[r].copy(), eta=eta) for s, eta, th in snapshots],
+            sigma=sigma,
+            lrs=lrs,
+            losses=losses[:, r],
+            accuracies=accuracies[:, r],
+        )
+        for r in range(R)
+    ]
 
 
 def evaluate(

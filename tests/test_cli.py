@@ -73,6 +73,13 @@ class TestSynthCommand:
         cfg = write_config(tmp_path / "bad.cfg", num_languages=1, tuples=4, dim=4)
         assert main(["synth", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
 
+    def test_relative_out_feeds_metrics(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path / "synth.cfg", num_languages=2, tuples=6, dim=3, seed=0)
+        assert main(["synth", "--config", cfg, "--out", "data/"]) == EXIT_OK
+        assert main(["metrics", "--manifest", "data/manifest.tsv", "--metrics", "cka",
+                     "--out", "m.csv"]) == EXIT_OK
+
 
 class TestMetricsCommand:
     def test_identity_sets_give_aggregate_one(self, synth_dir, tmp_path):
@@ -161,6 +168,15 @@ class TestTrainCommand:
                      "--out", str(tmp_path / "run")])
         assert code == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("overrides", [
+        dict(checkpoint_interval=0),
+        dict(num_classes=1),  # the lambda = 1 set has labels 0 and 1
+    ], ids=["checkpoint_interval_0", "num_classes_below_labels"])
+    def test_malformed_config_exits_2(self, synth_dir, tmp_path, capsys, overrides):
+        code, _ = self.run_train(synth_dir, tmp_path, **overrides)
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("error:")
+
 
 class TestInfluenceCommand:
     def test_lambda_one_infu_rows_are_one(self, synth_dir, tmp_path):
@@ -189,6 +205,17 @@ class TestInfluenceCommand:
         code = main(["influence", "--checkpoints", str(run), "--data", str(synth_dir),
                      "--out", str(tmp_path / "influence.csv"), "--last", "1"])
         assert code == EXIT_OK
+
+    def test_last_zero_exits_2(self, synth_dir, tmp_path):
+        cfg = write_config(tmp_path / "train.cfg", base_lr=0.1, total_steps=200,
+                           batch_size=8, seed=0)
+        run = tmp_path / "run"
+        assert main(["train", "--config", cfg, "--data", str(synth_dir),
+                     "--out", str(run)]) == EXIT_OK
+        code = main(["influence", "--checkpoints", str(run), "--data", str(synth_dir),
+                     "--out", str(tmp_path / "influence.csv"), "--last", "0"])
+        assert code == EXIT_VALIDATION
+        assert not (tmp_path / "influence.csv").exists()
 
     def test_empty_checkpoint_dir_exits_2(self, synth_dir, tmp_path):
         empty = tmp_path / "empty"
@@ -235,6 +262,17 @@ class TestExperimentCommand:
         )
         assert summary["verdict"] == "pass"
         assert float(summary["loss_variance"]) == 0.0
+
+    @pytest.mark.parametrize("name, key", [
+        ("theorem2", "batch_size = 16"),
+        ("theorem1", "seed = 3"),
+    ])
+    def test_key_the_experiment_does_not_take_exits_2(self, tmp_path, capsys, name, key):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(key + "\n")
+        code = main(["experiment", name, "--config", str(cfg), "--out", str(tmp_path / "exp")])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_unknown_name_exits_2(self, tmp_path):
         code = main(["experiment", "nonsense", "--out", str(tmp_path / "exp")])

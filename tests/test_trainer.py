@@ -2,14 +2,16 @@
 schedules, the full loop, and the CKPT1 checkpoint format."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mlpriv.accountant import sigma_for
 from mlpriv.errors import (
+    DivergenceError,
     EmptyBatchError,
     FormatError,
     NonFiniteError,
@@ -34,6 +36,7 @@ from mlpriv.trainer import (
     read_checkpoint,
     resolve_sigma,
     train,
+    train_many,
     write_checkpoint,
 )
 
@@ -235,6 +238,33 @@ class TestTrainLoop:
             assert ckpt.step == step
             np.testing.assert_allclose(ckpt.theta, theta, atol=1e-12)
 
+    def test_coupled_exclusion_reduces_to_plain_sgd(self):
+        """A leave-one-out run must track a minibatch SGD loop that draws the
+        same batches and averages over the examples left in each one."""
+        dataset = make_dataset(n=12, d=3, c=3, seed=6)
+        model = ModelSpec(input_dim=3, hidden_dim=0, num_classes=3)
+        cfg = TrainConfig(base_lr=0.05, total_steps=120, batch_size=4, seed=2,
+                          warmup_steps=10, clip_threshold=1e6, noise_multiplier=0.0,
+                          weight_decay=0.0, optimizer="sgd", checkpoint_interval=1)
+        excluded = 5
+        result = train(dataset, model, cfg, exclude_index=excluded)
+
+        batch_ss, _ = np.random.SeedSequence(cfg.seed).spawn(2)
+        rng = np.random.default_rng(batch_ss)
+        theta = init_theta(model, seed=cfg.seed)
+        dropped = 0
+        for step in range(1, cfg.total_steps + 1):
+            idx = rng.choice(len(dataset), size=cfg.batch_size, replace=False)
+            kept = [i for i in idx if i != excluded]
+            dropped += len(idx) - len(kept)
+            mean_grad = np.mean(
+                [grad(model, theta, (dataset.features[i], int(dataset.labels[i]))) for i in kept],
+                axis=0,
+            )
+            theta = theta - lr_at(step, cfg) * mean_grad
+            np.testing.assert_allclose(result.checkpoints[step - 1].theta, theta, atol=1e-12)
+        assert dropped > 0
+
     def test_checkpoint_cadence(self):
         dataset = make_dataset()
         model = ModelSpec(input_dim=3, hidden_dim=0, num_classes=3)
@@ -310,6 +340,93 @@ class TestTrainLoop:
             train(dataset, wrong, TrainConfig(base_lr=0.1, total_steps=10, batch_size=2,
                                               seed=0, warmup_steps=0))
 
+    def test_labels_outside_model_classes_rejected(self):
+        dataset = make_dataset(n=12, c=3)
+        assert dataset.labels.max() == 2
+        cfg = TrainConfig(base_lr=0.1, total_steps=10, batch_size=4, seed=0, warmup_steps=0)
+        with pytest.raises(ShapeMismatchError):
+            train(dataset, ModelSpec(input_dim=3, hidden_dim=0, num_classes=2), cfg)
+
+    def test_exclude_index_out_of_range_rejected(self):
+        dataset = make_dataset(n=12)
+        model = ModelSpec(input_dim=3, hidden_dim=0, num_classes=3)
+        cfg = TrainConfig(base_lr=0.1, total_steps=10, batch_size=4, seed=0, warmup_steps=0)
+        with pytest.raises(IndexError):
+            train(dataset, model, cfg, exclude_index=12)
+
+
+class TestTrainMany:
+    """train_many runs coupled variants side by side; each row must be the
+    run that train() gives for that variant alone."""
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.8], ids=["sigma0", "noisy"])
+    @pytest.mark.parametrize("optimizer", ["sgd", "adamw"])
+    @pytest.mark.parametrize("hidden", [0, 4], ids=["linear", "tanh"])
+    @settings(max_examples=8, deadline=None)
+    @given(
+        variants=st.lists(
+            st.tuples(st.none() | st.integers(0, 11), st.none() | st.integers(0, 2**31 - 1)),
+            min_size=1, max_size=4,
+        ),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @example(variants=[(None, None)], seed=0)
+    @example(variants=[(None, None), (3, None), (None, 5), (3, 5)], seed=1)
+    def test_rows_match_single_runs(self, hidden, optimizer, sigma, variants, seed):
+        dataset = make_dataset(n=12, seed=seed % 1000)
+        model = ModelSpec(input_dim=3, hidden_dim=hidden, num_classes=3)
+        cfg = TrainConfig(base_lr=0.1, total_steps=45, batch_size=4, seed=seed,
+                          warmup_steps=5, clip_threshold=0.5, noise_multiplier=sigma,
+                          optimizer=optimizer, checkpoint_interval=10)
+        rows = train_many(dataset, model, cfg, variants)
+        assert len(rows) == len(variants)
+        for (exclude, noise_seed), row in zip(variants, rows):
+            single = train(dataset, model, replace(cfg, noise_seed=noise_seed),
+                           exclude_index=exclude)
+            np.testing.assert_allclose(row.theta, single.theta, rtol=0, atol=1e-12)
+            assert [c.step for c in row.checkpoints] == [c.step for c in single.checkpoints]
+            for a, b in zip(row.checkpoints, single.checkpoints):
+                assert a.eta == b.eta
+                np.testing.assert_allclose(a.theta, b.theta, rtol=0, atol=1e-12)
+            assert [(r["step"], r["lr"]) for r in row.log] == [(r["step"], r["lr"]) for r in single.log]
+            for key in ("loss", "accuracy"):
+                np.testing.assert_allclose([r[key] for r in row.log], [r[key] for r in single.log],
+                                           rtol=0, atol=1e-12)
+            assert row.sigma == single.sigma
+
+    def test_seeded_rerun_is_byte_identical(self):
+        dataset = make_dataset(n=16, seed=2)
+        model = ModelSpec(input_dim=3, hidden_dim=4, num_classes=3)
+        cfg = TrainConfig(base_lr=0.1, total_steps=64, batch_size=5, seed=9,
+                          noise_multiplier=1.0, checkpoint_interval=16)
+        variants = [(None, None), (4, None), (None, 11), (4, 11), (7, 12)]
+
+        def digest(rows):
+            return [
+                (row.theta.tobytes(), [c.theta.tobytes() for c in row.checkpoints],
+                 [(r["loss"], r["accuracy"]) for r in row.log])
+                for row in rows
+            ]
+
+        assert digest(train_many(dataset, model, cfg, variants)) == \
+            digest(train_many(dataset, model, cfg, variants))
+
+    def test_empty_masked_batch_is_typed_error(self):
+        dataset = make_dataset(n=4)
+        model = ModelSpec(input_dim=3, hidden_dim=0, num_classes=3)
+        cfg = TrainConfig(base_lr=0.1, total_steps=50, batch_size=1, seed=0, warmup_steps=0)
+        with pytest.raises(EmptyBatchError):
+            train_many(dataset, model, cfg, [(None, None), (0, None)])
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_divergence_names_the_run(self):
+        dataset = make_dataset(n=12)
+        model = ModelSpec(input_dim=3, hidden_dim=0, num_classes=3)
+        cfg = TrainConfig(base_lr=1e300, total_steps=20, batch_size=4, seed=0,
+                          warmup_steps=0, optimizer="sgd", clip_threshold=1e6)
+        with pytest.raises(DivergenceError, match="in run 0"):
+            train_many(dataset, model, cfg, [(None, None), (1, None)])
+
 
 class TestEvaluate:
     def test_zero_theta_tie_rule(self):
@@ -384,6 +501,8 @@ class TestValidation:
             TrainConfig(base_lr=0.1, total_steps=10, batch_size=2, seed=0, optimizer="rmsprop")
         with pytest.raises(ValueError):
             TrainConfig(base_lr=0.1, total_steps=10, batch_size=2, seed=0, warmup_steps=10)
+        with pytest.raises(ValueError):
+            TrainConfig(base_lr=0.1, total_steps=10, batch_size=2, seed=0, checkpoint_interval=0)
 
     def test_model_spec_invariants(self):
         with pytest.raises(ValueError):

@@ -13,11 +13,12 @@ and bisection for the smallest noise multiplier meeting a target epsilon.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 from .errors import DomainError, EmptyOrdersError, UnboundedError, UnsatisfiableError
 
@@ -41,13 +42,15 @@ class MechanismParams:
     def __post_init__(self):
         if not 0.0 < self.q <= 1.0:
             raise DomainError(f"sampling rate q must be in (0, 1], got {self.q}")
-        if self.sigma <= 0.0:
+        if not self.sigma > 0.0:
             raise DomainError(f"sigma must be > 0, got {self.sigma}")
-        if self.steps < 1:
-            raise DomainError(f"steps must be >= 1, got {self.steps}")
+        if not 1 <= self.steps <= sys.float_info.max:
+            raise DomainError(f"steps must be in [1, {sys.float_info.max:g}], got {self.steps}")
         if not 0.0 < self.delta < 1.0:
             raise DomainError(f"delta must be in (0, 1), got {self.delta}")
         orders = tuple(self.orders)
+        if not orders:
+            raise EmptyOrdersError("need at least one Renyi order")
         if any(a <= 1 for a in orders) or list(orders) != sorted(set(orders)):
             raise DomainError("orders must be strictly ascending and all > 1")
         object.__setattr__(self, "orders", orders)
@@ -75,20 +78,12 @@ def rdp_step(q: float, sigma: float, alpha: int) -> float:
         return 0.0
     if not 0.0 < q <= 1.0:
         raise DomainError(f"q must be in [0, 1], got {q}")
-    if sigma <= 0.0:
+    if not sigma > 0.0:
         raise DomainError(f"sigma must be > 0, got {sigma}")
     alpha = int(alpha)
     if alpha < 2:
         raise DomainError(f"alpha must be an integer >= 2, got {alpha}")
-
-    if q == 1.0:
-        return alpha / (2.0 * sigma**2)
-    k = np.arange(alpha + 1)
-    log_binom = gammaln(alpha + 1) - gammaln(k + 1) - gammaln(alpha - k + 1)
-    log_weight = (alpha - k) * math.log1p(-q) + k * math.log(q)
-    log_terms = log_binom + log_weight + k * (k - 1) / (2.0 * sigma**2)
-    value = float(logsumexp(log_terms)) / (alpha - 1)
-    return max(value, 0.0)
+    return rdp_curve(q, sigma, (alpha,))[alpha]
 
 
 def compose(per_step_rdp: float, steps: int) -> float:
@@ -119,28 +114,58 @@ def rdp_to_dp(rdp_at_orders: dict[int, float], delta: float) -> PrivacySpending:
 
 
 @lru_cache(maxsize=4)
-def _binom_table(orders: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cached ln C(alpha, k) table with its k grid and invalid-entry mask."""
-    alphas = np.asarray(orders, dtype=np.float64)[:, None]
-    k = np.arange(int(alphas.max()) + 1, dtype=np.float64)
-    log_binom = gammaln(alphas + 1) - gammaln(k + 1) - gammaln(alphas - k + 1)
-    invalid = k[None, :] > alphas
-    log_binom[invalid] = -np.inf
-    return k, log_binom, invalid
+def _packed_triangle(orders: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """Cached rows k = 0..alpha of every order, laid end to end in flat arrays.
+
+    Returns (starts, lengths, k, alpha - k, k(k-1), ln C(alpha, k)); starts and
+    lengths delimit each order's row for the segmented reductions.
+    """
+    alphas = np.asarray(orders, dtype=np.int64)
+    lengths = alphas + 1
+    starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
+    alpha_flat = np.repeat(alphas, lengths)
+    k = np.arange(int(lengths.sum())) - np.repeat(starts, lengths)
+    log_factorial = gammaln(np.arange(int(alphas.max()) + 2, dtype=np.float64))[1:]
+    log_binom = log_factorial[alpha_flat] - log_factorial[k] - log_factorial[alpha_flat - k]
+    k = k.astype(np.float64)
+    arrays = (starts, lengths, k, alpha_flat - k, k * (k - 1), log_binom)
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 def rdp_curve(q: float, sigma: float, orders: tuple[int, ...]) -> dict[int, float]:
-    """One-step RDP at every order at once (vectorized rdp_step)."""
+    """One-step RDP of the sampled Gaussian mechanism at every order at once.
+
+    The terms of all orders' binomial sums sit in one packed triangle (row
+    k = 0..alpha per order), reduced by a segmented log-sum-exp.
+    """
+    orders = tuple(int(a) for a in orders)
+    two_var = 2.0 * sigma * sigma
+    if two_var == 0.0:  # sigma^2 underflows: the k = 2 term is infinite at every order
+        return dict.fromkeys(orders, math.inf)
     if q == 1.0:
-        return {a: rdp_step(q, sigma, a) for a in orders}
-    alphas = np.asarray(orders, dtype=np.float64)
-    k, log_binom, invalid = _binom_table(tuple(orders))
-    # terms[i, k] = ln C(alpha_i, k) + (alpha_i - k) ln(1-q) + k ln q + k(k-1)/(2 sigma^2)
-    log_weight = (alphas[:, None] - k) * math.log1p(-q) + k * math.log(q)
-    log_weight[invalid] = 0.0  # masked by the -inf binomial entries
-    terms = log_binom + log_weight + k * (k - 1) / (2.0 * sigma**2)
-    values = logsumexp(terms, axis=1) / (alphas - 1)
-    return {int(a): max(float(v), 0.0) for a, v in zip(orders, values)}
+        return {a: a / two_var for a in orders}
+    starts, lengths, k, alpha_minus_k, k_k1, log_binom = _packed_triangle(orders)
+    # terms = ln C(alpha, k) + (alpha - k) ln(1-q) + k ln q + k(k-1)/(2 sigma^2)
+    terms = alpha_minus_k * math.log1p(-q)
+    terms += k * math.log(q)
+    terms += log_binom
+    # a tiny sigma overflows k(k-1)/(2 sigma^2) to inf; such rows are set to inf below
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        terms += k_k1 / two_var
+        top = np.maximum.reduceat(terms, starts)
+        terms -= np.repeat(top, lengths)
+        # each row's largest terms stay out of the sum and enter through log1p
+        # and a tie count, as in scipy's logsumexp, for precision when the sum is near 1
+        is_top = terms == 0.0
+        terms[is_top] = -np.inf
+        np.exp(terms, out=terms)
+        ties = np.add.reduceat(is_top, starts, dtype=np.float64)
+        values = np.log1p(np.add.reduceat(terms, starts) / ties) + np.log(ties) + top
+    values[np.isinf(top)] = np.inf
+    values /= lengths - 2
+    return dict(zip(orders, np.maximum(values, 0.0).tolist()))
 
 
 def epsilon_for(
@@ -170,18 +195,20 @@ def sigma_for(
 
     target_epsilon = inf means non-private training and returns sigma = 0.
     """
-    if math.isinf(target_epsilon):
-        return 0.0
-    if target_epsilon <= 0:
+    if math.isnan(target_epsilon) or target_epsilon <= 0:
         raise DomainError(f"target epsilon must be > 0, got {target_epsilon}")
+    if target_epsilon == math.inf:
+        return 0.0
 
     def eps(sigma: float) -> float:
         return epsilon_for(q, sigma, steps, delta, orders).epsilon
 
-    if eps(hi) > target_epsilon:
-        raise UnsatisfiableError(f"epsilon({hi}) = {eps(hi)} still exceeds {target_epsilon}")
-    if eps(lo) < target_epsilon:
-        raise UnsatisfiableError(f"epsilon({lo}) = {eps(lo)} already below {target_epsilon}")
+    e_hi = eps(hi)
+    if e_hi > target_epsilon:
+        raise UnsatisfiableError(f"epsilon({hi}) = {e_hi} still exceeds {target_epsilon}")
+    e_lo = eps(lo)
+    if e_lo < target_epsilon:
+        raise UnsatisfiableError(f"epsilon({lo}) = {e_lo} already below {target_epsilon}")
 
     low, high = lo, hi  # eps(low) >= target >= eps(high); eps decreasing in sigma
     while True:
@@ -189,8 +216,9 @@ def sigma_for(
         e = eps(mid)
         if abs(e - target_epsilon) <= SIGMA_REL_TOL * target_epsilon:
             # nudge up until the target is actually met, preserving <= contract
-            while eps(mid) > target_epsilon:
+            while e > target_epsilon:
                 mid *= 1.0 + SIGMA_REL_TOL
+                e = eps(mid)
             return mid
         if e > target_epsilon:
             low = mid

@@ -74,7 +74,12 @@ def tracin_cp(z: Example, z_prime: Example, cks: CheckpointSet, spec: ModelSpec)
 
 
 def self_influence(z: Example, cks: CheckpointSet, spec: ModelSpec) -> float:
-    return tracin_cp(z, z, cks, spec)
+    """tracin_cp(z, z, ...) with one gradient per checkpoint."""
+    total = 0.0
+    for ckpt in cks.checkpoints:
+        g = grad(spec, ckpt.theta, z)
+        total += ckpt.eta * float(g @ g)
+    return total
 
 
 def influence_vector(

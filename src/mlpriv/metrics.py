@@ -99,6 +99,17 @@ def retrieval_precision(X: np.ndarray, Y: np.ndarray) -> float:
     return hits / (2 * m)
 
 
+def _power_of_two_scaled(M: np.ndarray) -> np.ndarray:
+    """M scaled by the power of two that brings its largest entry into [0.5, 1).
+
+    The scaling is exact and CKA is scale-invariant, so results whose Gram
+    norms fit in float64 are unchanged; it keeps the fourth powers inside
+    those norms from underflowing (entries near 1e-110) or overflowing.
+    """
+    peak = np.abs(M).max()
+    return M if peak == 0.0 else np.ldexp(M, -np.frexp(peak)[1])
+
+
 def linear_cka(X: np.ndarray, Y: np.ndarray) -> float:
     """Linear CKA between two row-aligned representation matrices.
 
@@ -110,8 +121,8 @@ def linear_cka(X: np.ndarray, Y: np.ndarray) -> float:
         raise ShapeMismatchError(f"row counts differ: {X.shape} vs {Y.shape}")
     if X.shape[0] < 2:
         raise ShapeMismatchError("need at least 2 rows")
-    Xc = X - X.mean(axis=0)
-    Yc = Y - Y.mean(axis=0)
+    Xc = _power_of_two_scaled(X - X.mean(axis=0))
+    Yc = _power_of_two_scaled(Y - Y.mean(axis=0))
     x_norm = np.linalg.norm(Xc.T @ Xc)
     y_norm = np.linalg.norm(Yc.T @ Yc)
     if x_norm == 0.0 or y_norm == 0.0:

@@ -13,6 +13,7 @@ from mlpriv.accountant import (
     PrivacySpending,
     compose,
     epsilon_for,
+    rdp_curve,
     rdp_step,
     rdp_to_dp,
     sigma_for,
@@ -32,6 +33,56 @@ def gaussian_epsilon(sigma: float, delta: float) -> float:
         )
         best = min(best, eps)
     return max(best, 0.0)
+
+
+_LOG_FACTORIAL = [math.lgamma(n + 1) for n in range(max(DEFAULT_ORDERS) + 1)]
+
+
+def binomial_sum_rdp(q: float, sigma: float, alpha: int) -> float:
+    """Independent oracle: one order's binomial sum as a plain Python loop
+    with math.lgamma log-factorials and a max-shifted log-sum-exp."""
+    terms = [
+        _LOG_FACTORIAL[alpha] - _LOG_FACTORIAL[k] - _LOG_FACTORIAL[alpha - k]
+        + (alpha - k) * math.log1p(-q) + k * math.log(q) + k * (k - 1) / (2.0 * sigma * sigma)
+        for k in range(alpha + 1)
+    ]
+    top = max(terms)
+    return max((top + math.log(math.fsum(math.exp(t - top) for t in terms))) / (alpha - 1), 0.0)
+
+
+class TestRdpCurve:
+    @pytest.mark.parametrize("orders", [DEFAULT_ORDERS, (2, 3, 17, 256)], ids=["default", "sparse"])
+    @pytest.mark.parametrize("sigma", [1e-3, 0.5, 3.0, 1e3])
+    @pytest.mark.parametrize("q", [1e-4, 0.01, 0.3, 0.999])
+    def test_matches_per_order_oracle(self, q, sigma, orders):
+        curve = rdp_curve(q, sigma, orders)
+        assert list(curve) == list(orders)
+        for alpha in orders:
+            ref = binomial_sum_rdp(q, sigma, alpha)
+            # ln C(alpha, k) is a difference of log-factorials as large as
+            # ln(alpha!), so two evaluations of (alpha - 1) * rdp can agree only
+            # to rounding of that size; near-zero values cannot agree to 1e-12
+            # relative (q = 1e-4, sigma = 1e3, alpha = 2 gives rdp ~ 1e-14).
+            scale = abs(ref) + _LOG_FACTORIAL[alpha] / (alpha - 1)
+            assert abs(curve[alpha] - ref) <= 1e-12 * scale, (alpha, curve[alpha], ref)
+
+    @pytest.mark.parametrize("q, sigma", [(1e-4, 3.0), (0.3, 0.5), (0.999, 1e3), (1.0, 2.0)])
+    def test_rdp_step_is_one_order_of_the_curve(self, q, sigma):
+        full = rdp_curve(q, sigma, DEFAULT_ORDERS)
+        for alpha in (2, 3, 17, 256, 512):
+            assert rdp_step(q, sigma, alpha) == rdp_curve(q, sigma, (alpha,))[alpha] == full[alpha]
+
+    @pytest.mark.parametrize("sigma", [1e-160, 5e-324])
+    def test_vanishing_sigma_is_unbounded(self, sigma):
+        # 1e-160: k(k-1)/(2 sigma^2) overflows to inf; 5e-324: sigma^2 underflows to 0
+        assert all(v == math.inf for v in rdp_curve(0.01, sigma, DEFAULT_ORDERS).values())
+        with pytest.raises(UnboundedError):
+            epsilon_for(q=0.01, sigma=sigma, steps=1, delta=1e-5)
+
+    def test_overflowing_sigma_square_is_finite(self):
+        spending = epsilon_for(q=0.01, sigma=1e300, steps=100, delta=1e-5)
+        assert math.isfinite(spending.epsilon)
+        assert spending.epsilon == epsilon_for(q=0.01, sigma=math.inf, steps=100, delta=1e-5).epsilon
 
 
 class TestRdpStep:
@@ -158,6 +209,11 @@ class TestSigmaFor:
         with pytest.raises(DomainError):
             sigma_for(0.0, q=0.1, steps=100, delta=1e-5)
 
+    @pytest.mark.parametrize("target", [-math.inf, math.nan])
+    def test_nan_or_negative_infinite_target_rejected(self, target):
+        with pytest.raises(DomainError):
+            sigma_for(target, q=0.1, steps=100, delta=1e-5)
+
 
 class TestDataclasses:
     def test_mechanism_params_validation(self):
@@ -165,6 +221,12 @@ class TestDataclasses:
             MechanismParams(q=0.0, sigma=1.0, steps=1, delta=1e-5)
         with pytest.raises(DomainError):
             MechanismParams(q=0.5, sigma=1.0, steps=1, delta=1e-5, orders=(1, 2))
+        with pytest.raises(DomainError):
+            MechanismParams(q=0.5, sigma=math.nan, steps=1, delta=1e-5)
+        with pytest.raises(DomainError):
+            MechanismParams(q=0.5, sigma=1.0, steps=10**400, delta=1e-5)
+        with pytest.raises(EmptyOrdersError):
+            MechanismParams(q=0.5, sigma=1.0, steps=1, delta=1e-5, orders=())
 
     def test_privacy_spending_validation(self):
         with pytest.raises(DomainError):

@@ -1,10 +1,14 @@
 """Command-line surface: subcommands, config parsing, and exit codes."""
 
+import contextlib
 import csv
+import io
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mlpriv.accountant import epsilon_for, sigma_for
 from mlpriv.cli import (
@@ -21,6 +25,15 @@ from mlpriv.cli import (
 def write_config(path, **kwargs):
     path.write_text("".join(f"{k} = {v}\n" for k, v in kwargs.items()))
     return str(path)
+
+
+EDGE_FLOATS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 2.2250738585072014e-308,
+               1e300, -1e300, 1.0]
+
+
+def fuzz_floats(lo, hi):
+    """Half the time a float in (lo, hi], else an edge value or any float at all."""
+    return st.one_of(st.floats(lo, hi, exclude_min=True), st.sampled_from(EDGE_FLOATS) | st.floats())
 
 
 @pytest.fixture()
@@ -248,6 +261,44 @@ class TestAccountantCommand:
     def test_invalid_domain_exits_2(self):
         assert main(["accountant", "--q", "2.0", "--sigma", "1.0",
                      "--steps", "10", "--delta", "1e-5"]) == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--epsilon", "nan", "target epsilon must be > 0"),
+        ("--epsilon", "-inf", "target epsilon must be > 0"),
+        ("--sigma", "nan", "sigma must be > 0"),
+    ])
+    def test_nan_or_negative_infinite_input_exits_2(self, capsys, flag, value, message):
+        code = main(["accountant", "--q", "0.1", f"{flag}={value}", "--steps", "100", "--delta", "1e-5"])
+        assert code == EXIT_VALIDATION
+        assert message in capsys.readouterr().err
+
+    def test_sigma_whose_square_overflows_gives_finite_epsilon(self, capsys):
+        assert main(["accountant", "--q", "0.1", "--sigma", "1e300",
+                     "--steps", "100", "--delta", "1e-5"]) == EXIT_OK
+        eps, _ = capsys.readouterr().out.strip().split(",")
+        assert math.isfinite(float(eps))
+
+    def test_steps_beyond_float_range_exits_2(self):
+        assert main(["accountant", "--q", "0.1", "--sigma", "1.0",
+                     "--steps", str(10**400), "--delta", "1e-5"]) == EXIT_VALIDATION
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        q=fuzz_floats(0.0, 1.0),
+        noise_flag=st.sampled_from(["--sigma", "--epsilon"]),
+        noise=fuzz_floats(1e-3, 1e3),
+        delta=fuzz_floats(0.0, 1.0),
+        steps=st.integers(-1, 10**4) | st.just(10**400),
+    )
+    def test_fuzzed_inputs_exit_0_or_2(self, q, noise_flag, noise, delta, steps):
+        argv = ["accountant", f"--q={q!r}", f"{noise_flag}={noise!r}",
+                f"--steps={steps}", f"--delta={delta!r}"]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in (EXIT_OK, EXIT_VALIDATION)
+        if code == EXIT_OK:
+            assert len(out.getvalue().splitlines()) == 1
 
 
 class TestExperimentCommand:

@@ -84,6 +84,17 @@ class TestTracinCp:
         g = grad(SPEC, theta, z)
         assert self_influence(z, cks, SPEC) == pytest.approx(0.1 * float(g @ g), abs=1e-15)
 
+    @pytest.mark.parametrize("hidden_dim", [0, 3])
+    def test_self_influence_is_tracin_of_z_with_itself(self, hidden_dim):
+        spec = ModelSpec(input_dim=2, hidden_dim=hidden_dim, num_classes=2)
+        rng = np.random.default_rng(3)
+        cks = CheckpointSet(tuple(
+            Checkpoint(step=100 * (i + 1), theta=rng.standard_normal(spec.num_params), eta=0.1 / (i + 1))
+            for i in range(3)
+        ))
+        z = (np.array([0.5, -1.0]), 1)
+        assert self_influence(z, cks, spec) == tracin_cp(z, z, cks, spec)
+
     def test_self_influence_nonnegative(self):
         rng = np.random.default_rng(1)
         for _ in range(20):

@@ -125,6 +125,13 @@ class TestLinearCka:
         value = linear_cka(rng.standard_normal((8, 3)), rng.standard_normal((8, 5)))
         assert 0.0 <= value <= 1.0
 
+    def test_tiny_scale_matrix_is_not_degenerate(self):
+        # the Gram norm of a 1e-110-scale matrix sums 1e-440 squares
+        X = np.array([[0.0, 1.0], [1.0, 1.0], [1.0, 1.0]])
+        expected = linear_cka(X, X * 2.0)
+        assert linear_cka(X, X * 2.0**-365) == expected
+        assert linear_cka(X * 2.0**-365, X) == expected
+
     @settings(max_examples=30, deadline=None)
     @given(X=finite_matrices, Y=finite_matrices)
     def test_range_and_symmetry(self, X, Y):

@@ -33,8 +33,8 @@ from .influence import (
     influence_profile,
     interpretability_margin,
     loo_probabilities,
-    self_influence,
     softmax,
+    _tracin_gram,
 )
 from .synth import SynthSpec, gen_classification_data, gen_parallel_set, plant_outlier
 from .trainer import LabeledDataset, ModelSpec, TrainConfig, evaluate, train
@@ -178,10 +178,8 @@ def loo_margin(
     lower the probability (the margin premise fails).
     """
     self_scores = sorted(
-        (
-            (self_influence((dataset.features[i], int(dataset.labels[i])), cks, model), i)
-            for i in range(len(dataset))
-        ),
+        zip(np.diag(_tracin_gram(dataset.features, dataset.labels, cks, model)).tolist(),
+            range(len(dataset))),
         reverse=True,
     )
     shortlist = sorted({i for _, i in self_scores[:candidates]} | {planted_index})

@@ -2,7 +2,11 @@
 leave-one-out retraining, and the interpretability-margin estimate.
 
 The checkpoint-based influence of example z on z' is the sum over stored
-checkpoints of the learning-rate-weighted dot product of loss gradients.
+checkpoints of the learning-rate-weighted dot product of loss gradients
+(TracInCP, Pruthi et al. 2020). Every score comes from one Gram kernel that
+never forms a gradient: a dense layer's per-example gradient is
+outer(delta, [a; 1]), so two examples' gradients have the dot product
+(delta_i . delta_j)(a_i . a_j + 1) (Goodfellow 2015, arXiv 1510.01799).
 Influence uniformity maps each anchor's score vector through a softmax and
 averages the base-|L| entropies, so perfectly uniform influence scores give
 exactly 1.
@@ -12,7 +16,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -23,8 +27,8 @@ from .trainer import (
     LabeledDataset,
     ModelSpec,
     TrainConfig,
-    grad,
     train_many,
+    _backward,
     _forward_batch,
 )
 
@@ -33,7 +37,12 @@ Example = tuple[np.ndarray, int]
 
 @dataclass(frozen=True)
 class CheckpointSet:
+    """Checkpoints for TracInCP, with their parameters stacked once as
+    ``thetas`` (K, P) and learning rates as ``etas`` (K,), both read-only."""
+
     checkpoints: tuple[Checkpoint, ...]
+    thetas: np.ndarray = field(init=False, repr=False, compare=False)
+    etas: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         cks = tuple(self.checkpoints)
@@ -46,6 +55,12 @@ class CheckpointSet:
         if any(c.theta.shape != dim for c in cks):
             raise ShapeMismatchError("checkpoints disagree on parameter dimension")
         object.__setattr__(self, "checkpoints", cks)
+        thetas = np.stack([np.asarray(c.theta, dtype=np.float64) for c in cks])
+        etas = np.array([c.eta for c in cks], dtype=np.float64)
+        thetas.flags.writeable = False
+        etas.flags.writeable = False
+        object.__setattr__(self, "thetas", thetas)
+        object.__setattr__(self, "etas", etas)
 
     @classmethod
     def last_k(cls, checkpoints: list[Checkpoint], k: int = 3) -> "CheckpointSet":
@@ -63,23 +78,58 @@ class InfluenceProfile:
     infu: float
 
 
+def _tracin_gram(X: np.ndarray, y: np.ndarray, cks: CheckpointSet, spec: ModelSpec) -> np.ndarray:
+    """TracInCP scores of every pair of examples (X, y): an (n, n) matrix.
+
+    Entry (i, j) is the sum over checkpoints k of eta_k * g_ik . g_jk, with
+    g_ik the loss gradient of example i at checkpoint k. One ``_backward``
+    over the stacked checkpoints gives every layer's output derivatives d,
+    and each dense layer adds (d_i . d_j)(a_i . a_j + 1) for its input a:
+    x for the first layer, the hidden activations for the tanh model's
+    second.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y)
+    if X.ndim != 2 or X.shape[1] != spec.input_dim:
+        raise ShapeMismatchError(f"inputs have {X.shape}, expected (n, {spec.input_dim})")
+    if y.shape != X.shape[:1] or y.dtype.kind not in "iu":
+        raise ShapeMismatchError(
+            f"labels must be {X.shape[0]} integer class indices, got {y.dtype} {y.shape}"
+        )
+    if y.size and not (0 <= y.min() and y.max() < spec.num_classes):
+        raise ShapeMismatchError(
+            f"labels span [{y.min()}, {y.max()}], outside [0, {spec.num_classes})"
+        )
+
+    def grams(V: np.ndarray) -> np.ndarray:
+        """Per-checkpoint Gram matrices (K, n, n) of rows V (n, K, m)."""
+        return np.matmul(V.swapaxes(0, 1), V.transpose(1, 2, 0))
+
+    _, A, delta, dZ = _backward(spec, cks.thetas, X, y)
+    xx = X @ X.T + 1.0
+    weighted = lambda G: np.einsum("k,kij->ij", cks.etas, G)
+    if A is None:
+        return weighted(grams(delta)) * xx
+    return weighted(grams(dZ)) * xx + weighted(grams(delta) * (grams(A) + 1.0))
+
+
+def _stack(examples: list[Example], spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Examples (x, y) as an input matrix (n, input_dim) and a label vector (n,)."""
+    xs = [np.asarray(x, dtype=np.float64) for x, _ in examples]
+    bad = [x.shape for x in xs if x.shape != (spec.input_dim,)]
+    if bad:
+        raise ShapeMismatchError(f"x has {bad[0]}, expected ({spec.input_dim},)")
+    return np.stack(xs), np.array([y for _, y in examples])
+
+
 def tracin_cp(z: Example, z_prime: Example, cks: CheckpointSet, spec: ModelSpec) -> float:
     """Sum over checkpoints of eta_i * grad(theta_i, z) . grad(theta_i, z')."""
-    total = 0.0
-    for ckpt in cks.checkpoints:
-        g = grad(spec, ckpt.theta, z)
-        g_prime = grad(spec, ckpt.theta, z_prime)
-        total += ckpt.eta * float(g @ g_prime)
-    return total
+    return float(_tracin_gram(*_stack([z, z_prime], spec), cks, spec)[0, 1])
 
 
 def self_influence(z: Example, cks: CheckpointSet, spec: ModelSpec) -> float:
-    """tracin_cp(z, z, ...) with one gradient per checkpoint."""
-    total = 0.0
-    for ckpt in cks.checkpoints:
-        g = grad(spec, ckpt.theta, z)
-        total += ckpt.eta * float(g @ g)
-    return total
+    """tracin_cp(z, z, ...): the checkpoint-weighted squared gradient norm of z."""
+    return tracin_cp(z, z, cks, spec)
 
 
 def influence_vector(
@@ -88,13 +138,7 @@ def influence_vector(
     """Influence of tuple member `anchor` on every member, self included."""
     if len(tuple_examples) < 2:
         raise TooFewLanguagesError("a translation tuple needs >= 2 members")
-    z = tuple_examples[anchor]
-    return np.array([tracin_cp(z, z_j, cks, spec) for z_j in tuple_examples])
-
-
-def _entropy_base(p: np.ndarray, base: int) -> float:
-    nz = p[p > 0]
-    return float(-(nz * np.log(nz)).sum() / math.log(base))
+    return _tracin_gram(*_stack(tuple_examples, spec), cks, spec)[anchor]
 
 
 def softmax(scores: np.ndarray) -> np.ndarray:
@@ -109,7 +153,10 @@ def infu_from_scores(scores: np.ndarray) -> float:
     L = scores.shape[0]
     if scores.ndim != 2 or scores.shape != (L, L) or L < 2:
         raise TooFewLanguagesError(f"need a square |L| x |L| matrix with |L| >= 2, got {scores.shape}")
-    return float(np.mean([_entropy_base(softmax(row), L) for row in scores]))
+    exp = np.exp(scores - scores.max(axis=1, keepdims=True))
+    p = exp / exp.sum(axis=1, keepdims=True)
+    plogp = p * np.log(np.where(p > 0, p, 1.0))  # 0 log 0 = 0
+    return float(np.mean(-plogp.sum(axis=1) / math.log(L)))
 
 
 def influence_profile(
@@ -121,11 +168,7 @@ def influence_profile(
     L = len(tuple_examples)
     if L < 2:
         raise TooFewLanguagesError("a translation tuple needs >= 2 members")
-    # per-checkpoint gradients computed once per member, then pairwise dots
-    scores = np.zeros((L, L))
-    for ckpt in cks.checkpoints:
-        G = np.vstack([grad(spec, ckpt.theta, z) for z in tuple_examples])
-        scores += ckpt.eta * (G @ G.T)
+    scores = _tracin_gram(*_stack(tuple_examples, spec), cks, spec)
     return InfluenceProfile(
         tuple_index=tuple_index, scores=scores, infu=infu_from_scores(scores)
     )

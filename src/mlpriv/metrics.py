@@ -13,6 +13,7 @@ languages' point clouds.
 from __future__ import annotations
 
 import csv
+import functools
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -161,8 +162,27 @@ def isoscore(X: np.ndarray) -> float:
     return _clamp_to_range(iota, 0.0, 1.0, "isoscore")
 
 
-def _ranks(a: np.ndarray) -> np.ndarray:
-    return rankdata(a, method="average")
+def _centred_ranks(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Average-tie ranks along the last axis minus their mean, and the L2 norms.
+
+    Average ranks are multiples of 1/2 and so is their mean, (n + 1) / 2. Every
+    partial sum of products of two such vectors is then a multiple of 1/4 of
+    magnitude at most n**3 / 12, exact in float64 in any summation order while
+    that stays below 2**51 (n up to about 300,000): a dot product or norm of
+    these vectors then has the same bits whether a loop, a reduction or a
+    matrix product computes it.
+    """
+    ranks = rankdata(a, method="average", axis=-1)
+    dev = ranks - ranks.mean(axis=-1, keepdims=True)
+    return dev, np.linalg.norm(dev, axis=-1)
+
+
+def _rank_correlation(da: np.ndarray, na: float, db: np.ndarray, nb: float) -> float:
+    """Spearman's rho from two ``_centred_ranks`` results of equal length."""
+    if na == 0.0 or nb == 0.0:
+        warnings.warn("constant rank vector; reporting rho = 0", DegenerateInputWarning)
+        return 0.0
+    return _clamp_to_range(float(da @ db / (na * nb)), -1.0, 1.0, "spearman_rho")
 
 
 def spearman_rho(a: np.ndarray, b: np.ndarray) -> float:
@@ -177,37 +197,34 @@ def spearman_rho(a: np.ndarray, b: np.ndarray) -> float:
         raise LengthMismatchError(f"{a.shape} vs {b.shape}")
     if a.size < 2:
         raise LengthMismatchError("need length >= 2")
-    ra = _ranks(a)
-    rb = _ranks(b)
-    da = ra - ra.mean()
-    db = rb - rb.mean()
-    na = np.linalg.norm(da)
-    nb = np.linalg.norm(db)
-    if na == 0.0 or nb == 0.0:
-        warnings.warn("constant rank vector; reporting rho = 0", DegenerateInputWarning)
-        return 0.0
-    return _clamp_to_range(float(da @ db / (na * nb)), -1.0, 1.0, "spearman_rho")
+    return _rank_correlation(*_centred_ranks(a), *_centred_ranks(b))
 
 
 def _rdm_upper(X: np.ndarray) -> np.ndarray:
-    """Upper triangle (i < j) of the rank-dissimilarity RDM, row-major."""
+    """Upper triangle (i < j) of the rank-dissimilarity RDM, row-major.
+
+    Entry (i, j) is 1 - Spearman's rho between rows i and j, all pairs from
+    one matrix product of the centred row ranks; by ``_centred_ranks`` each
+    entry has the bits of the per-pair dot product. A constant row has no
+    rank correlation: its pairs get rho = 0 with a DegenerateInputWarning.
+    """
     m = X.shape[0]
-    ranks = np.vstack([_ranks(row) for row in X])
-    dev = ranks - ranks.mean(axis=1, keepdims=True)
-    norms = np.linalg.norm(dev, axis=1)
-    out = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            if norms[i] == 0.0 or norms[j] == 0.0:
-                warnings.warn(
-                    "constant row ranks in RDM; treating rho as 0",
-                    DegenerateInputWarning,
-                )
-                rho = 0.0
-            else:
-                rho = float(dev[i] @ dev[j] / (norms[i] * norms[j]))
-            out.append(1.0 - rho)
-    return np.array(out)
+    dev, norms = _centred_ranks(X)
+    iu, ju = np.triu_indices(m, 1)
+    constant = norms == 0.0
+    degenerate = constant[iu] | constant[ju]
+    if degenerate.any():
+        warnings.warn("constant row ranks in RDM; treating rho as 0", DegenerateInputWarning)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rho = (dev @ dev.T)[iu, ju] / (norms[iu] * norms[ju])
+    return 1.0 - np.where(degenerate, 0.0, rho)
+
+
+def _ranked_rdm(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_centred_ranks`` of the RDM triangle: one side of an RSA comparison."""
+    if X.shape[0] < 3:
+        raise TooFewSentencesError(f"RSA needs m >= 3 rows, got {X.shape[0]}")
+    return _centred_ranks(_rdm_upper(X))
 
 
 def rsa_score(X: np.ndarray, Y: np.ndarray) -> float:
@@ -220,9 +237,7 @@ def rsa_score(X: np.ndarray, Y: np.ndarray) -> float:
     Y = np.asarray(Y, dtype=np.float64)
     if X.shape != Y.shape or X.ndim != 2:
         raise ShapeMismatchError(f"shapes {X.shape} vs {Y.shape}")
-    if X.shape[0] < 3:
-        raise TooFewSentencesError(f"RSA needs m >= 3 rows, got {X.shape[0]}")
-    return spearman_rho(_rdm_upper(X), _rdm_upper(Y))
+    return _rank_correlation(*_ranked_rdm(X), *_ranked_rdm(Y))
 
 
 def linguistic_fairness_gap(losses: dict[str, float]) -> tuple[float, float]:
@@ -242,41 +257,38 @@ def pairwise_report(embedding_set: EmbeddingSet, metric: str) -> MetricReport:
     """
     langs = embedding_set.languages
     mats = embedding_set.matrices
-
-    def run(fn, a: int, b: int) -> float:
-        try:
-            return fn(mats[a], mats[b])
-        except Exception as exc:
-            exc.args = (f"{exc} [language pair ({langs[a]}, {langs[b]})]",)
-            raise
-
-    if metric == "retrieval":
-        pairs = {
-            (langs[q], langs[r]): run(retrieval_precision, q, r)
-            for q in range(len(langs))
-            for r in range(len(langs))
-            if q != r
-        }
-        rule = AGG_FULL_OFF_DIAGONAL
-    elif metric in ("cka", "rsa"):
-        fn = linear_cka if metric == "cka" else rsa_score
-        pairs = {
-            (langs[q], langs[r]): run(fn, q, r)
-            for q in range(len(langs))
-            for r in range(q + 1, len(langs))
-        }
-        rule = AGG_UPPER_TRIANGLE
-    elif metric == "isoscore":
-        pooled = isoscore(np.vstack(mats))
+    L = len(langs)
+    if metric == "isoscore":
         return MetricReport(
             metric="isoscore",
             layer=embedding_set.layer,
             per_pair={},
-            aggregate=pooled,
+            aggregate=isoscore(np.vstack(mats)),
             aggregation=AGG_POOLED,
         )
+    if metric == "retrieval":
+        indices = [(q, r) for q in range(L) for r in range(L) if q != r]
+        rule = AGG_FULL_OFF_DIAGONAL
+        value = lambda q, r: retrieval_precision(mats[q], mats[r])
+    elif metric in ("cka", "rsa"):
+        indices = [(q, r) for q in range(L) for r in range(q + 1, L)]
+        rule = AGG_UPPER_TRIANGLE
+        if metric == "cka":
+            value = lambda q, r: linear_cka(mats[q], mats[r])
+        else:
+            # rsa_score(mats[q], mats[r]) with each language's RDM ranked once
+            ranked = functools.cache(lambda q: _ranked_rdm(mats[q]))
+            value = lambda q, r: _rank_correlation(*ranked(q), *ranked(r))
     else:
         raise ValueError(f"unknown metric {metric!r}")
+
+    pairs = {}
+    for q, r in indices:
+        try:
+            pairs[(langs[q], langs[r])] = value(q, r)
+        except Exception as exc:
+            exc.args = (f"{exc} [language pair ({langs[q]}, {langs[r]})]",)
+            raise
 
     # mean in fixed lexicographic (q, r) order for bit-reproducibility
     ordered = [pairs[key] for key in sorted(pairs)]

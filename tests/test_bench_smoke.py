@@ -1,8 +1,11 @@
-"""Smoke test of the benchmark harness: one short theorem1-loo run.
+"""Smoke tests of the benchmark harness: short theorem1-loo and
+compression-sweep runs.
 
-The run checks the batched trainer's leave-one-out retrains against the
-independent reference loop in ``bench/oracles.py`` and proves that the
-harness itself still runs. Its timings are not used.
+The theorem1-loo run checks the batched trainer's leave-one-out retrains
+against the independent reference loop in ``bench/oracles.py``; the
+compression-sweep run checks the four compression metrics and every
+influence profile against the oracles' direct computations. Both prove that
+the harness itself still runs. Their timings are not used.
 """
 
 import json
@@ -13,13 +16,23 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_theorem1_loo_run_is_correct():
+def run_one_second(workload: str) -> dict:
     proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", "theorem1-loo",
+        [sys.executable, "bench/run.py", "--workload", workload,
          "--seconds", "1", "--trace", "0"],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_theorem1_loo_run_is_correct():
+    result = run_one_second("theorem1-loo")
+    assert result["correct"] is True
+    assert result["failed"] == 0
+
+
+def test_compression_sweep_run_is_correct():
+    result = run_one_second("compression-sweep")
     assert result["correct"] is True
     assert result["failed"] == 0

@@ -103,6 +103,95 @@ class TestTracinCp:
             assert self_influence(z, single_ckpt(theta), SPEC) >= 0.0
 
 
+def grad_loop_scores(examples, cks, spec):
+    """sum over checkpoints of eta * grad . grad, one gradient and one pair at a time."""
+    n = len(examples)
+    scores = np.zeros((n, n))
+    for ckpt in cks.checkpoints:
+        grads = [grad(spec, ckpt.theta, z) for z in examples]
+        for i in range(n):
+            for j in range(n):
+                scores[i, j] += ckpt.eta * float(grads[i] @ grads[j])
+    return scores
+
+
+class TestGramKernel:
+    @pytest.mark.parametrize("hidden_dim", [0, 4])
+    @pytest.mark.parametrize("K", [1, 3, 10])
+    @pytest.mark.parametrize("L", [2, 3, 4, 5])
+    def test_matches_per_example_gradient_loop(self, hidden_dim, K, L):
+        spec = ModelSpec(input_dim=3, hidden_dim=hidden_dim, num_classes=3)
+        rng = np.random.default_rng(100 * K + 10 * L + hidden_dim)
+        cks = CheckpointSet(tuple(
+            Checkpoint(step=10 * (k + 1), theta=rng.standard_normal(spec.num_params),
+                       eta=float(rng.uniform(0.01, 0.5)))
+            for k in range(K)
+        ))
+        examples = [(rng.standard_normal(3), int(rng.integers(3))) for _ in range(L)]
+        expected = grad_loop_scores(examples, cks, spec)
+        profile = influence_profile(0, examples, cks, spec)
+        np.testing.assert_allclose(profile.scores, expected, rtol=1e-12, atol=0)
+        for i in range(L):
+            assert self_influence(examples[i], cks, spec) == pytest.approx(expected[i, i], rel=1e-12)
+            for j in range(L):
+                assert tracin_cp(examples[i], examples[j], cks, spec) == pytest.approx(
+                    expected[i, j], rel=1e-12
+                )
+
+    def test_stacked_checkpoints_are_read_only(self):
+        cks = single_ckpt(np.zeros(SPEC.num_params), eta=0.1)
+        assert cks.thetas.shape == (1, SPEC.num_params)
+        assert cks.etas.tolist() == [0.1]
+        with pytest.raises(ValueError):
+            cks.thetas[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            cks.etas[0] = 1.0
+
+
+class TestInfluenceInputs:
+    """Malformed examples raise ShapeMismatchError, as forward_loss does."""
+
+    CKS = single_ckpt(np.linspace(-0.3, 0.3, SPEC.num_params))
+    GOOD = (np.array([1.0, -0.5]), 0)
+
+    @pytest.mark.parametrize("label", [5, 2])
+    def test_label_at_or_above_num_classes_rejected(self, label):
+        bad = (np.array([0.5, 0.5]), label)
+        with pytest.raises(ShapeMismatchError):
+            influence_profile(0, [self.GOOD, bad], self.CKS, SPEC)
+        with pytest.raises(ShapeMismatchError):
+            tracin_cp(self.GOOD, bad, self.CKS, SPEC)
+
+    def test_negative_label_rejected(self):
+        bad = (np.array([0.5, 0.5]), -1)
+        with pytest.raises(ShapeMismatchError):
+            influence_profile(0, [self.GOOD, bad], self.CKS, SPEC)
+        with pytest.raises(ShapeMismatchError):
+            tracin_cp(self.GOOD, bad, self.CKS, SPEC)
+
+    def test_fractional_label_rejected(self):
+        bad = (np.array([0.5, 0.5]), 1.7)
+        with pytest.raises(ShapeMismatchError):
+            influence_profile(0, [self.GOOD, bad], self.CKS, SPEC)
+        with pytest.raises(ShapeMismatchError):
+            tracin_cp(self.GOOD, bad, self.CKS, SPEC)
+        with pytest.raises(ShapeMismatchError):
+            self_influence(bad, self.CKS, SPEC)
+
+    @pytest.mark.parametrize("x", [np.zeros(3), np.zeros(1), np.zeros((2, 1)), np.float64(1.0)])
+    def test_input_of_wrong_shape_rejected(self, x):
+        with pytest.raises(ShapeMismatchError):
+            influence_profile(0, [self.GOOD, (x, 1)], self.CKS, SPEC)
+        with pytest.raises(ShapeMismatchError):
+            tracin_cp((x, 1), self.GOOD, self.CKS, SPEC)
+        with pytest.raises(ShapeMismatchError):
+            influence_vector(0, [self.GOOD, (x, 1)], self.CKS, SPEC)
+
+    def test_numpy_integer_labels_accepted(self):
+        z = (np.array([0.5, 0.5]), np.int64(1))
+        assert tracin_cp(self.GOOD, z, self.CKS, SPEC) == tracin_cp(self.GOOD, (z[0], 1), self.CKS, SPEC)
+
+
 class TestInfluenceVector:
     def test_identical_members_give_constant_vector(self):
         theta = np.random.default_rng(2).standard_normal(SPEC.num_params)
@@ -151,6 +240,18 @@ class TestInfU:
             infu_from_scores(np.zeros((1, 1)))
         with pytest.raises(TooFewLanguagesError):
             infu_from_scores(np.zeros((2, 3)))
+
+    def test_matches_per_anchor_loop_exactly(self):
+        rng = np.random.default_rng(10)
+        for _ in range(50):
+            L = int(rng.integers(2, 6))
+            scores = rng.standard_normal((L, L)) * rng.choice([1e-3, 1.0, 40.0, 800.0])
+            entropies = []
+            for row in scores:
+                p = softmax(row)
+                nz = p[p > 0]
+                entropies.append(float(-(nz * np.log(nz)).sum() / math.log(L)))
+            assert infu_from_scores(scores) == float(np.mean(entropies))
 
     def test_profile_scores_match_pairwise_tracin(self):
         rng = np.random.default_rng(4)

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import rankdata
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -21,6 +22,7 @@ from mlpriv.errors import (
     ZeroNormRowError,
 )
 from mlpriv.metrics import (
+    _rdm_upper,
     AGG_FULL_OFF_DIAGONAL,
     AGG_POOLED,
     AGG_UPPER_TRIANGLE,
@@ -257,6 +259,47 @@ class TestRsa:
             assert -1.0 <= rsa_score(X, Y) <= 1.0
 
 
+def loop_rdm_upper(X):
+    """The RDM triangle one pair at a time: 1 - Spearman's rho of rows i < j."""
+    ranks = np.vstack([rankdata(row, method="average") for row in X])
+    dev = ranks - ranks.mean(axis=1, keepdims=True)
+    norms = [np.linalg.norm(row) for row in dev]
+    out = []
+    for i in range(len(X)):
+        for j in range(i + 1, len(X)):
+            if norms[i] == 0.0 or norms[j] == 0.0:
+                rho = 0.0
+            else:
+                rho = float(dev[i] @ dev[j] / (norms[i] * norms[j]))
+            out.append(1.0 - rho)
+    return np.array(out)
+
+
+class TestRdmUpper:
+    @pytest.mark.parametrize("d", [3, 4, 8])
+    def test_matches_pairwise_loop_bit_for_bit(self, d):
+        # integer values from a small range make ties in nearly every row
+        rng = np.random.default_rng(d)
+        for m in (3, 7, 40):
+            X = rng.integers(-2, 3, size=(m, d)).astype(np.float64)
+            X[0] = 1.0  # a constant row
+            with pytest.warns(DegenerateInputWarning):
+                got = _rdm_upper(X)
+            assert got.tobytes() == loop_rdm_upper(X).tobytes()
+
+    def test_real_valued_rows_match_pairwise_loop_bit_for_bit(self):
+        X = np.random.default_rng(12).standard_normal((30, 8))
+        assert _rdm_upper(X).tobytes() == loop_rdm_upper(X).tobytes()
+
+    def test_constant_rows_give_rho_zero_with_warning(self):
+        X = np.array([[1.0, 1.0, 1.0], [1.0, 2.0, 3.0], [3.0, 2.0, 1.0], [5.0, 5.0, 5.0]])
+        with pytest.warns(DegenerateInputWarning):
+            rdm = _rdm_upper(X)
+        # pairs (0,1) (0,2) (0,3) (1,2) (1,3) (2,3): rho 0 wherever row 0 or 3 takes part
+        assert rdm[[0, 1, 2, 4, 5]].tolist() == [1.0] * 5
+        assert rdm[3] == pytest.approx(2.0, abs=1e-15)
+
+
 class TestFairnessGap:
     def test_equal_losses(self):
         assert linguistic_fairness_gap({"en": 0.3, "fr": 0.3}) == (0.0, 0.0)
@@ -303,6 +346,24 @@ class TestPairwiseReport:
         es = EmbeddingSet(languages=("a", "b", "c"), matrices=(X, X, X))
         for metric in ("retrieval", "cka", "rsa"):
             assert pairwise_report(es, metric).aggregate == pytest.approx(1.0, abs=1e-12)
+
+    def test_rsa_pairs_equal_rsa_score_exactly(self):
+        rng = np.random.default_rng(13)
+        base = rng.standard_normal((30, 6))
+        mats = tuple(base + s * rng.standard_normal((30, 6)) for s in (0.0, 0.3, 1.0, 3.0))
+        es = EmbeddingSet(languages=("en", "de", "fi", "sw"), matrices=mats)
+        report = pairwise_report(es, "rsa")
+        assert len(report.per_pair) == 6
+        for (a, b), value in report.per_pair.items():
+            q, r = es.languages.index(a), es.languages.index(b)
+            assert value == rsa_score(mats[q], mats[r])
+        expected = np.mean([report.per_pair[k] for k in sorted(report.per_pair)])
+        assert report.aggregate == expected
+
+    def test_rsa_too_few_rows_names_a_pair(self):
+        es = EmbeddingSet(languages=("en", "fr"), matrices=(np.eye(2), np.eye(2)))
+        with pytest.raises(TooFewSentencesError, match=r"\(en, fr\)"):
+            pairwise_report(es, "rsa")
 
     def test_unknown_metric_rejected(self, embedding_set):
         with pytest.raises(ValueError):

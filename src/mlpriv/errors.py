@@ -68,7 +68,7 @@ class UnsatisfiableError(MlprivError):
 
 
 class EmptyBatchError(MlprivError):
-    """DP aggregation called with an empty gradient list."""
+    """A training batch holds no example once its exclusion is masked out."""
 
 
 class OutOfRangeError(MlprivError):

@@ -21,7 +21,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ShapeMismatchError, TooFewLanguagesError, UndefinedMarginError
+from .errors import (
+    NonFiniteError,
+    ShapeMismatchError,
+    TooFewLanguagesError,
+    UndefinedMarginError,
+)
 from .trainer import (
     Checkpoint,
     LabeledDataset,
@@ -57,6 +62,12 @@ class CheckpointSet:
         object.__setattr__(self, "checkpoints", cks)
         thetas = np.stack([np.asarray(c.theta, dtype=np.float64) for c in cks])
         etas = np.array([c.eta for c in cks], dtype=np.float64)
+        finite = np.isfinite(thetas).all(axis=1) & np.isfinite(etas)
+        if not finite.all():
+            raise NonFiniteError(
+                f"checkpoint at step {cks[int(np.argmin(finite))].step} has a non-finite "
+                "parameter or learning rate"
+            )
         thetas.flags.writeable = False
         etas.flags.writeable = False
         object.__setattr__(self, "thetas", thetas)
@@ -83,10 +94,8 @@ def _tracin_gram(X: np.ndarray, y: np.ndarray, cks: CheckpointSet, spec: ModelSp
 
     Entry (i, j) is the sum over checkpoints k of eta_k * g_ik . g_jk, with
     g_ik the loss gradient of example i at checkpoint k. One ``_backward``
-    over the stacked checkpoints gives every layer's output derivatives d,
-    and each dense layer adds (d_i . d_j)(a_i . a_j + 1) for its input a:
-    x for the first layer, the hidden activations for the tanh model's
-    second.
+    over the stacked checkpoints gives each dense layer's (d, a) pair, and
+    the layer adds (d_i . d_j)(a_i . a_j + 1) at every checkpoint.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
@@ -101,16 +110,14 @@ def _tracin_gram(X: np.ndarray, y: np.ndarray, cks: CheckpointSet, spec: ModelSp
             f"labels span [{y.min()}, {y.max()}], outside [0, {spec.num_classes})"
         )
 
-    def grams(V: np.ndarray) -> np.ndarray:
-        """Per-checkpoint Gram matrices (K, n, n) of rows V (n, K, m)."""
-        return np.matmul(V.swapaxes(0, 1), V.transpose(1, 2, 0))
+    def gram(V: np.ndarray) -> np.ndarray:
+        """Gram matrix of rows V: (n, n) for an input shared by every
+        checkpoint (n, m), (K, n, n) for per-checkpoint rows (n, K, m)."""
+        V = V.swapaxes(0, -2)
+        return V @ V.swapaxes(-1, -2)
 
-    _, A, delta, dZ = _backward(spec, cks.thetas, X, y)
-    xx = X @ X.T + 1.0
-    weighted = lambda G: np.einsum("k,kij->ij", cks.etas, G)
-    if A is None:
-        return weighted(grams(delta)) * xx
-    return weighted(grams(dZ)) * xx + weighted(grams(delta) * (grams(A) + 1.0))
+    _, layers = _backward(spec, cks.thetas, X, y)
+    return sum(np.einsum("k,kij->ij", cks.etas, gram(d) * (gram(a) + 1.0)) for d, a in layers)
 
 
 def _stack(examples: list[Example], spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:

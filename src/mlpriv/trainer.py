@@ -107,9 +107,21 @@ class LabeledDataset:
 
     def __post_init__(self):
         features = np.asarray(self.features, dtype=np.float64)
-        labels = np.asarray(self.labels, dtype=np.int64)
+        labels = np.asarray(self.labels)
         if features.ndim != 2 or labels.shape != (features.shape[0],):
             raise ShapeMismatchError("features must be (N, d) and labels (N,)")
+        if features.shape[0] == 0:
+            raise ShapeMismatchError("dataset has no examples")
+        if labels.dtype.kind not in "iu":
+            labels = np.asarray(labels, dtype=np.float64)
+            with np.errstate(invalid="ignore"):  # nan, inf and huge values fail the check
+                as_int = labels.astype(np.int64)
+            if not np.array_equal(as_int, labels):
+                raise ShapeMismatchError(
+                    f"labels must be integer class indices, got {labels[as_int != labels][0]}"
+                )
+            labels = as_int
+        labels = labels.astype(np.int64, copy=False)
         if len(self.languages) != features.shape[0]:
             raise ShapeMismatchError("language tags must match example count")
         if not np.all(np.isfinite(features)):
@@ -209,21 +221,24 @@ def _forward_batch(spec: ModelSpec, theta: np.ndarray, X: np.ndarray):
 
 
 def _backward(spec: ModelSpec, theta: np.ndarray, X: np.ndarray, y: np.ndarray):
-    """Forward pass plus the loss derivative at each dense layer's output.
+    """Forward pass plus every dense layer's (d, a) pair, in parameter order.
 
-    Returns (probs, A, delta, dZ): delta = dloss/dlogits, and for the tanh
-    model A = hidden activations and dZ = dloss/d(hidden pre-activation),
-    else None. Shapes follow ``_forward_batch``. The per-example gradient of
-    a dense layer is outer(derivative, [input; 1]).
+    Returns (probs, layers): layers is [(delta, X)] for the linear model and
+    [(dZ, X), (delta, A)] for the tanh model, where d is the loss derivative
+    at the layer's output (delta = dloss/dlogits, dZ = dloss/d(hidden
+    pre-activation)) and a is the layer's input (A = hidden activations).
+    Shapes follow ``_forward_batch``. A layer's parameters are its row-major
+    weights, then its bias, and its per-example gradient is
+    outer(d, [a; 1]): weights outer(d, a), bias d.
     """
     probs, A = _forward_batch(spec, theta, X)
     delta = probs.copy()
     delta[np.arange(len(y)), ..., y] -= 1.0
     if spec.hidden_dim == 0:
-        return probs, None, delta, None
+        return probs, [(delta, X)]
     W2 = _unpack(spec, theta)[2]
     dZ = _dense(delta, W2.swapaxes(-1, -2)) * (1.0 - A**2)
-    return probs, A, delta, dZ
+    return probs, [(dZ, X), (delta, A)]
 
 
 def forward_loss(spec: ModelSpec, theta: np.ndarray, x: np.ndarray, y: int):
@@ -239,56 +254,14 @@ def forward_loss(spec: ModelSpec, theta: np.ndarray, x: np.ndarray, y: int):
     return float(loss), probs
 
 
-def grad_batch(spec: ModelSpec, theta: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Per-sample loss gradients, one flat row per example (B, num_params)."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    B = X.shape[0]
-    _, A, D, dZ = _backward(spec, theta, X, y)
-    if spec.hidden_dim == 0:
-        dW = np.einsum("bc,bd->bcd", D, X)
-        return np.concatenate([dW.reshape(B, -1), D], axis=1)
-    dW2 = np.einsum("bc,bh->bch", D, A)
-    dW1 = np.einsum("bh,bd->bhd", dZ, X)
-    return np.concatenate([dW1.reshape(B, -1), dZ, dW2.reshape(B, -1), D], axis=1)
-
-
 def grad(spec: ModelSpec, theta: np.ndarray, z: tuple[np.ndarray, int]) -> np.ndarray:
     """Analytic gradient of forward_loss at one example z = (x, y)."""
     x, y = z
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (spec.input_dim,):
         raise ShapeMismatchError(f"x has {x.shape}, expected ({spec.input_dim},)")
-    return grad_batch(spec, theta, x[None, :], np.array([y]))[0]
-
-
-def clip(g: np.ndarray, C: float) -> np.ndarray:
-    """Scale g to L2 norm at most C: g * min(1, C / ||g||)."""
-    if C <= 0:
-        raise ValueError("clip threshold must be > 0")
-    norm = np.linalg.norm(g)
-    if norm <= C:
-        return g
-    return g * (C / norm)
-
-
-def dp_aggregate(
-    per_sample_clipped: list[np.ndarray] | np.ndarray,
-    sigma: float,
-    C: float,
-    B: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Noised mean of clipped gradients: (sum g_i + N(0, sigma^2 C^2 I)) / B."""
-    grads = np.asarray(per_sample_clipped, dtype=np.float64)
-    if grads.size == 0:
-        raise EmptyBatchError("no gradients to aggregate")
-    if grads.shape[0] != B:
-        raise ShapeMismatchError(f"got {grads.shape[0]} gradients for batch size {B}")
-    total = grads.sum(axis=0)
-    if sigma > 0:
-        total = total + sigma * C * rng.standard_normal(total.shape)
-    return total / B
+    _, layers = _backward(spec, theta, x[None, :], np.array([y], dtype=np.int64))
+    return np.concatenate([part for d, a in layers for part in (np.outer(d[0], a[0]).ravel(), d[0])])
 
 
 @dataclass
@@ -382,10 +355,10 @@ def train_many(
     draw per step; a run's excluded example is masked out of each batch
     that holds it and its gradient mean divides by the examples it kept.
     Each run keeps its own noise generator. Per-example gradients are never
-    formed: a dense layer's gradient is outer(delta, [a; 1]), whose norm is
-    |delta| * sqrt(|a|^2 + 1) (Goodfellow 2015, arXiv 1510.01799), so the
-    clip factors come from per-layer norms and the clipped sum of each layer
-    is one matrix product.
+    formed: for each (d, a) layer pair of ``_backward`` the gradient is
+    outer(d, [a; 1]), whose norm is |d| * sqrt(|a|^2 + 1) (Goodfellow 2015,
+    arXiv 1510.01799), so the clip factors come from per-layer norms and the
+    clipped sum of each layer is one matrix product.
     """
     variants = list(variants)
     N = len(dataset)
@@ -432,7 +405,7 @@ def train_many(
             )
         X = dataset.features[idx]
         y = dataset.labels[idx]
-        probs, A, delta, dZ = _backward(spec, state.theta, X, y)
+        probs, layers = _backward(spec, state.theta, X, y)
         p_true = np.maximum(probs[np.arange(B), :, y], np.finfo(np.float64).tiny)
         loss = np.where(keep, -np.log(p_true), 0.0).sum(axis=0) / count
         acc = ((probs.argmax(axis=2) == y[:, None]) & keep).sum(axis=0) / count
@@ -441,20 +414,15 @@ def train_many(
             r = int(np.argmax(bad))
             raise DivergenceError(step, f"loss = {loss[r]}{_which_run(variants, r)}")
 
-        x_sq = (X * X).sum(axis=1)[:, None] + 1.0
-        if A is None:
-            norm_sq = (delta * delta).sum(axis=2) * x_sq
-        else:
-            norm_sq = (delta * delta).sum(axis=2) * ((A * A).sum(axis=2) + 1.0) \
-                + (dZ * dZ).sum(axis=2) * x_sq
+        # (B, R): a (B, k) input is shared by every run, a (B, R, k) one is not
+        norm_sq = sum((d * d).sum(axis=2) * ((a * a).sum(axis=-1).reshape(B, -1) + 1.0)
+                      for d, a in layers)
         scale = np.minimum(1.0, C / np.maximum(np.sqrt(norm_sq), np.finfo(np.float64).tiny))
         scale = (scale * keep)[:, :, None]
-        sd = delta * scale
-        if A is None:
-            parts = [_outer_sum(sd, X), sd.sum(axis=0)]
-        else:
-            sz = dZ * scale
-            parts = [_outer_sum(sz, X), sz.sum(axis=0), _outer_sum(sd, A), sd.sum(axis=0)]
+        parts = []
+        for d, a in layers:
+            clipped = d * scale
+            parts += [_outer_sum(clipped, a), clipped.sum(axis=0)]
         total = np.concatenate(parts, axis=1)
         if sigma > 0:
             j = (step - 1) % NOISE_BLOCK

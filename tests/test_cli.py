@@ -20,6 +20,7 @@ from mlpriv.cli import (
     main,
     read_config,
 )
+from mlpriv.trainer import Checkpoint, read_checkpoint, write_checkpoint
 
 
 def write_config(path, **kwargs):
@@ -227,6 +228,22 @@ class TestInfluenceCommand:
                      "--out", str(run)]) == EXIT_OK
         code = main(["influence", "--checkpoints", str(run), "--data", str(synth_dir),
                      "--out", str(tmp_path / "influence.csv"), "--last", "0"])
+        assert code == EXIT_VALIDATION
+        assert not (tmp_path / "influence.csv").exists()
+
+    def test_non_finite_checkpoint_exits_2(self, synth_dir, tmp_path):
+        cfg = write_config(tmp_path / "train.cfg", base_lr=0.1, total_steps=200,
+                           batch_size=8, seed=0)
+        run = tmp_path / "run"
+        assert main(["train", "--config", cfg, "--data", str(synth_dir),
+                     "--out", str(run)]) == EXIT_OK
+        last = sorted(run.glob("*.ckpt"))[-1]
+        ckpt = read_checkpoint(last)
+        theta = ckpt.theta.copy()
+        theta[0] = math.nan
+        write_checkpoint(last, Checkpoint(step=ckpt.step, theta=theta, eta=ckpt.eta))
+        code = main(["influence", "--checkpoints", str(run), "--data", str(synth_dir),
+                     "--out", str(tmp_path / "influence.csv")])
         assert code == EXIT_VALIDATION
         assert not (tmp_path / "influence.csv").exists()
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from mlpriv.errors import ShapeMismatchError, TooFewLanguagesError, UndefinedMarginError
+from mlpriv.errors import NonFiniteError, ShapeMismatchError, TooFewLanguagesError, UndefinedMarginError
 from mlpriv.influence import (
     CheckpointSet,
     infu_from_scores,
@@ -39,6 +39,18 @@ class TestCheckpointSet:
         c1 = Checkpoint(step=100, theta=np.zeros(3), eta=0.1)
         c2 = Checkpoint(step=200, theta=np.zeros(4), eta=0.1)
         with pytest.raises(ShapeMismatchError):
+            CheckpointSet((c1, c2))
+
+    @pytest.mark.parametrize("theta, eta", [
+        ([0.0, np.nan, 0.0], 0.1),
+        ([0.0, np.inf, 0.0], 0.1),
+        ([0.0, 0.0, 0.0], np.nan),
+        ([0.0, 0.0, 0.0], -np.inf),
+    ], ids=["nan-theta", "inf-theta", "nan-eta", "inf-eta"])
+    def test_non_finite_checkpoint_rejected(self, theta, eta):
+        c1 = Checkpoint(step=100, theta=np.zeros(3), eta=0.1)
+        c2 = Checkpoint(step=200, theta=np.array(theta), eta=eta)
+        with pytest.raises(NonFiniteError, match="step 200"):
             CheckpointSet((c1, c2))
 
     def test_last_k(self):

@@ -14,6 +14,7 @@ from mlpriv.errors import (
     DivergenceError,
     EmptyBatchError,
     FormatError,
+    MlprivError,
     NonFiniteError,
     OutOfRangeError,
     ShapeMismatchError,
@@ -24,12 +25,9 @@ from mlpriv.trainer import (
     ModelSpec,
     OptimizerState,
     TrainConfig,
-    clip,
-    dp_aggregate,
     evaluate,
     forward_loss,
     grad,
-    grad_batch,
     init_theta,
     lr_at,
     optimizer_step,
@@ -113,55 +111,6 @@ class TestGradients:
         theta = np.array([50.0, -50.0, 0.0, 0.0])
         g = grad(spec, theta, (np.array([1.0]), 0))
         assert np.linalg.norm(g) < 1e-8
-
-    def test_batch_rows_match_single_example_grads(self):
-        rng = np.random.default_rng(2)
-        theta = rng.standard_normal(MLP.num_params)
-        X = rng.standard_normal((6, 3))
-        y = rng.integers(0, 4, size=6)
-        G = grad_batch(MLP, theta, X, y)
-        for i in range(6):
-            np.testing.assert_allclose(G[i], grad(MLP, theta, (X[i], int(y[i]))), atol=1e-14)
-
-
-class TestClipAndAggregate:
-    def test_small_gradient_unchanged(self):
-        g = np.array([0.03, 0.04])
-        np.testing.assert_array_equal(clip(g, 0.1), g)
-
-    def test_hand_computed_scaling(self):
-        np.testing.assert_allclose(clip(np.array([0.3, 0.4]), 0.1), [0.06, 0.08], atol=1e-15)
-
-    @settings(max_examples=50, deadline=None)
-    @given(
-        g=st.lists(st.floats(-100, 100, allow_nan=False), min_size=1, max_size=8),
-        C=st.floats(0.01, 10.0),
-    )
-    def test_norm_never_exceeds_threshold(self, g, C):
-        clipped = clip(np.array(g), C)
-        assert np.linalg.norm(clipped) <= C * (1 + 1e-12)
-
-    def test_noiseless_aggregate_is_mean(self):
-        grads = np.array([[1.0, 2.0], [3.0, 4.0]])
-        rng = np.random.default_rng(0)
-        np.testing.assert_allclose(dp_aggregate(grads, 0.0, 0.1, 2, rng), [2.0, 3.0])
-
-    def test_single_clipped_gradient_identity(self):
-        g = np.array([[0.05, 0.0]])
-        rng = np.random.default_rng(0)
-        np.testing.assert_array_equal(dp_aggregate(g, 0.0, 0.1, 1, rng), g[0])
-
-    def test_noise_scale_monte_carlo(self):
-        sigma, C, B = 2.0, 0.1, 4
-        rng = np.random.default_rng(123)
-        zeros = np.zeros((B, 2))
-        draws = np.array([dp_aggregate(zeros, sigma, C, B, rng) for _ in range(100_000)])
-        measured = draws.std()
-        assert measured == pytest.approx(sigma * C / B, rel=0.02)
-
-    def test_empty_batch_rejected(self):
-        with pytest.raises(EmptyBatchError):
-            dp_aggregate(np.empty((0, 2)), 1.0, 0.1, 0, np.random.default_rng(0))
 
 
 class TestSchedule:
@@ -355,6 +304,46 @@ class TestTrainLoop:
             train(dataset, model, cfg, exclude_index=12)
 
 
+class TestClippedNoisyTraining:
+    """train with active clipping and noise against a loop written here from
+    grad: the same batch and noise streams, each kept example's gradient
+    scaled by min(1, C/|g|), one N(0, (sigma C)^2 I) draw per step, and the
+    noisy sum divided by the examples kept."""
+
+    @pytest.mark.parametrize("excluded", [None, 5], ids=["full", "loo"])
+    @pytest.mark.parametrize("hidden", [0, 4], ids=["linear", "tanh"])
+    def test_matches_per_example_loop(self, hidden, excluded):
+        dataset = make_dataset(n=12, d=3, c=3, seed=8)
+        model = ModelSpec(input_dim=3, hidden_dim=hidden, num_classes=3)
+        cfg = TrainConfig(base_lr=0.05, total_steps=100, batch_size=4, seed=5,
+                          warmup_steps=10, clip_threshold=0.9, noise_multiplier=0.7,
+                          weight_decay=0.0, optimizer="sgd", checkpoint_interval=1)
+        result = train(dataset, model, cfg, exclude_index=excluded)
+
+        C, sigma = cfg.clip_threshold, cfg.noise_multiplier
+        batch_ss, noise_ss = np.random.SeedSequence(cfg.seed).spawn(2)
+        batch_rng, noise_rng = np.random.default_rng(batch_ss), np.random.default_rng(noise_ss)
+        theta = init_theta(model, seed=cfg.seed)
+        clipped = unclipped = dropped = 0
+        for step in range(1, cfg.total_steps + 1):
+            idx = batch_rng.choice(len(dataset), size=cfg.batch_size, replace=False)
+            kept = [i for i in idx if i != excluded]
+            dropped += len(idx) - len(kept)
+            total = np.zeros(model.num_params)
+            for i in kept:
+                g = grad(model, theta, (dataset.features[i], int(dataset.labels[i])))
+                norm = np.linalg.norm(g)
+                clipped += norm > C
+                unclipped += norm <= C
+                total += g * min(1.0, C / norm)
+            total += sigma * C * noise_rng.standard_normal(model.num_params)
+            theta = theta - lr_at(step, cfg) * total / len(kept)
+            np.testing.assert_allclose(result.checkpoints[step - 1].theta, theta,
+                                       rtol=0, atol=1e-12)
+        assert clipped > 0 and unclipped > 0
+        assert (dropped > 0) == (excluded is not None)
+
+
 class TestTrainMany:
     """train_many runs coupled variants side by side; each row must be the
     run that train() gives for that variant alone."""
@@ -493,6 +482,26 @@ class TestValidation:
         with pytest.raises(ShapeMismatchError):
             LabeledDataset(features=np.zeros((2, 2)), labels=np.array([0]),
                            languages=("en", "fr"))
+
+    def test_fractional_label_rejected(self):
+        with pytest.raises(ShapeMismatchError, match="integer class indices"):
+            LabeledDataset(features=np.zeros((2, 2)), labels=[1.7, 0.2], languages=("en", "fr"))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e300])
+    def test_non_finite_or_huge_label_rejected(self, bad):
+        with pytest.raises(ShapeMismatchError, match="integer class indices"):
+            LabeledDataset(features=np.zeros((2, 2)), labels=[0.0, bad], languages=("en", "fr"))
+
+    def test_integer_valued_float_labels_accepted(self):
+        dataset = LabeledDataset(features=np.zeros((2, 2)), labels=[0.0, 2.0],
+                                 languages=("en", "fr"))
+        assert dataset.labels.dtype == np.int64
+        assert dataset.labels.tolist() == [0, 2]
+
+    def test_empty_dataset_rejected(self):
+        with pytest.raises(MlprivError, match="no examples"):
+            LabeledDataset(features=np.zeros((0, 3)), labels=np.zeros(0, dtype=np.int64),
+                           languages=())
 
     def test_config_invariants(self):
         with pytest.raises(ValueError):

@@ -13,7 +13,7 @@ Run:  python3 demos/03_influence_profiles.py
 
 import numpy as np
 
-from mlpriv.influence import CheckpointSet, influence_profile, loo_influence
+from mlpriv.influence import CheckpointSet, influence_profiles, loo_influence
 from mlpriv.synth import SynthSpec, gen_classification_data, plant_outlier
 from mlpriv.trainer import ModelSpec, TrainConfig, train
 
@@ -26,13 +26,7 @@ def mean_infu(compression: float) -> float:
     cfg = TrainConfig(base_lr=1.0, total_steps=300, batch_size=32, seed=0)
     result = train(dataset, model, cfg)
     cks = CheckpointSet.last_k(result.checkpoints, 3)
-    L = 4
-    values = []
-    for i in range(len(dataset) // L):
-        examples = [(dataset.features[i * L + q], int(dataset.labels[i * L + q]))
-                    for q in range(L)]
-        values.append(influence_profile(i, examples, cks, model).infu)
-    return float(np.mean(values))
+    return float(np.mean([p.infu for p in influence_profiles(dataset, cks, model)]))
 
 
 def main() -> None:

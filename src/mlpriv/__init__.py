@@ -2,7 +2,14 @@
 and training-data influence estimation on desk-scale synthetic data."""
 
 from .accountant import MechanismParams, PrivacySpending, epsilon_for, sigma_for
-from .influence import CheckpointSet, InfluenceProfile, infu, self_influence, tracin_cp
+from .influence import (
+    CheckpointSet,
+    InfluenceProfile,
+    infu,
+    influence_profiles,
+    self_influence,
+    tracin_cp,
+)
 from .metrics import (
     MetricReport,
     isoscore,
@@ -44,6 +51,7 @@ __all__ = [
     "gen_classification_data",
     "gen_parallel_set",
     "infu",
+    "influence_profiles",
     "isoscore",
     "linear_cka",
     "linguistic_fairness_gap",

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import accountant, experiments, metrics
 from .errors import DivergenceError, MlprivError
-from .influence import CheckpointSet, influence_profile, write_influence_csv
+from .influence import CheckpointSet, influence_profiles, write_influence_csv
 from .repr_store import Manifest, load_set, read_embeddings, write_embeddings
 from .synth import SynthSpec, gen_classification_data, gen_parallel_set
 from .trainer import (
@@ -215,24 +215,14 @@ def cmd_influence(args) -> int:
     checkpoints = [read_checkpoint(p) for p in ckpt_paths]
     cks = CheckpointSet.last_k(checkpoints, args.last)
     dataset = _load_dataset(Path(args.data))
-    languages = list(dict.fromkeys(dataset.languages))
-    L = len(languages)
-    if L < 2 or len(dataset) % L != 0:
-        raise ConfigError("dataset does not decompose into translation tuples")
-    hidden_dim = args.hidden_dim
     num_classes = int(dataset.labels.max()) + 1
     model = ModelSpec(
-        input_dim=dataset.features.shape[1], hidden_dim=hidden_dim, num_classes=num_classes
+        input_dim=dataset.features.shape[1], hidden_dim=args.hidden_dim, num_classes=num_classes
     )
     if cks.checkpoints[0].theta.size != model.num_params:
         raise ConfigError("checkpoint parameter count does not match the dataset model")
-    profiles = []
-    for i in range(len(dataset) // L):
-        examples = [
-            (dataset.features[i * L + q], int(dataset.labels[i * L + q])) for q in range(L)
-        ]
-        profiles.append(influence_profile(i, examples, cks, model))
-    write_influence_csv(args.out, profiles, languages)
+    profiles = influence_profiles(dataset, cks, model)
+    write_influence_csv(args.out, profiles, list(dict.fromkeys(dataset.languages)))
     print(f"wrote {len(profiles)} influence profiles -> {args.out}")
     return EXIT_OK
 

@@ -51,6 +51,10 @@ class TooFewLanguagesError(MlprivError):
     """Operation needs at least two languages."""
 
 
+class TupleLayoutError(MlprivError):
+    """Dataset is not tuple-major: example i * |L| + q must be tuple i in language q."""
+
+
 class DomainError(MlprivError):
     """Scalar parameter outside its valid domain."""
 

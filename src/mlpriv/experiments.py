@@ -30,7 +30,7 @@ from . import metrics
 from .errors import UndefinedMarginError
 from .influence import (
     CheckpointSet,
-    influence_profile,
+    influence_profiles,
     interpretability_margin,
     loo_probabilities,
     softmax,
@@ -60,14 +60,6 @@ class ExperimentResult:
             writer.writerow(["verdict", "pass" if self.passed else "fail"])
             for k, v in self.summary.items():
                 writer.writerow([k, v])
-
-
-def _tuple_examples(dataset: LabeledDataset, tuple_index: int, num_languages: int):
-    base = tuple_index * num_languages
-    return [
-        (dataset.features[base + q], int(dataset.labels[base + q]))
-        for q in range(num_languages)
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -103,10 +95,7 @@ def run_theorem2(
     loss_variance, loss_gap = metrics.linguistic_fairness_gap(per_language)
 
     cks = CheckpointSet.last_k(result.checkpoints, 3)
-    infu_values = [
-        influence_profile(i, _tuple_examples(dataset, i, num_languages), cks, model).infu
-        for i in range(tuples)
-    ]
+    infu_values = [profile.infu for profile in influence_profiles(dataset, cks, model)]
 
     passed = (
         loss_variance == 0.0
@@ -145,17 +134,14 @@ def _theorem1_dataset(seed: int, num_languages: int, tuples: int, dim: int,
 def planted_influence_margin(
     dataset: LabeledDataset,
     planted_index: int,
-    num_languages: int,
     model: ModelSpec,
     cks: CheckpointSet,
 ) -> float:
-    """Max softmax probability in the planted example's influence vector."""
-    tuple_index = planted_index // num_languages
-    anchor = planted_index % num_languages
-    profile = influence_profile(
-        tuple_index, _tuple_examples(dataset, tuple_index, num_languages), cks, model
-    )
-    return float(softmax(profile.scores[anchor]).max())
+    """Max softmax probability in the planted example's influence vector:
+    its anchor row of its tuple's profile."""
+    profiles = influence_profiles(dataset, cks, model)
+    tuple_index, anchor = divmod(planted_index, len(profiles[0].scores))
+    return float(softmax(profiles[tuple_index].scores[anchor]).max())
 
 
 def loo_margin(
@@ -177,11 +163,9 @@ def loo_margin(
     of the full-data run under `config`. Returns None when no two removals
     lower the probability (the margin premise fails).
     """
-    self_scores = sorted(
-        zip(np.diag(_tracin_gram(dataset.features, dataset.labels, cks, model)).tolist(),
-            range(len(dataset))),
-        reverse=True,
-    )
+    # one-example groups: each example's self-influence alone, no N x N Gram
+    self_inf = _tracin_gram(dataset.features[:, None], dataset.labels[:, None], cks, model)
+    self_scores = sorted(zip(self_inf[:, 0, 0].tolist(), range(len(dataset))), reverse=True)
     shortlist = sorted({i for _, i in self_scores[:candidates]} | {planted_index})
     probs = loo_probabilities(
         dataset, model, config, [None, *shortlist],
@@ -225,7 +209,7 @@ def run_theorem1(
                 seed=seed, noise_multiplier=sigma,
             )
             cks = CheckpointSet.last_k(train(dataset, model, config).checkpoints, 3)
-            margin = planted_influence_margin(dataset, planted, num_languages, model, cks)
+            margin = planted_influence_margin(dataset, planted, model, cks)
             margins[sigma].append(margin)
             row = {"seed": seed, "sigma": sigma, "margin": format(margin, ".17g")}
             if include_loo:
@@ -289,10 +273,9 @@ def run_fig2_correlation(
             )
             result = train(dataset, model, config)
             cks = CheckpointSet.last_k(result.checkpoints, 3)
-            mean_infu = float(np.mean([
-                influence_profile(i, _tuple_examples(dataset, i, num_languages), cks, model).infu
-                for i in range(tuples)
-            ]))
+            mean_infu = float(np.mean(
+                [profile.infu for profile in influence_profiles(dataset, cks, model)]
+            ))
             points.append((retrieval, mean_infu))
             rows.append({
                 "lambda": lam, "seed": seed,

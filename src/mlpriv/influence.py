@@ -25,6 +25,7 @@ from .errors import (
     NonFiniteError,
     ShapeMismatchError,
     TooFewLanguagesError,
+    TupleLayoutError,
     UndefinedMarginError,
 )
 from .trainer import (
@@ -34,6 +35,7 @@ from .trainer import (
     TrainConfig,
     train_many,
     _backward,
+    _check_labels,
     _forward_batch,
 )
 
@@ -90,62 +92,52 @@ class InfluenceProfile:
 
 
 def _tracin_gram(X: np.ndarray, y: np.ndarray, cks: CheckpointSet, spec: ModelSpec) -> np.ndarray:
-    """TracInCP scores of every pair of examples (X, y): an (n, n) matrix.
+    """TracInCP scores of every pair of examples within each group: inputs
+    X (G, L, input_dim) and labels y (G, L) give a (G, L, L) array.
 
-    Entry (i, j) is the sum over checkpoints k of eta_k * g_ik . g_jk, with
-    g_ik the loss gradient of example i at checkpoint k. One ``_backward``
-    over the stacked checkpoints gives each dense layer's (d, a) pair, and
-    the layer adds (d_i . d_j)(a_i . a_j + 1) at every checkpoint.
+    Entry (g, i, j) is the sum over checkpoints k of eta_k * g_gik . g_gjk,
+    with g_gik the loss gradient of example i of group g at checkpoint k.
+    One ``_backward`` over all G * L examples and the stacked checkpoints
+    gives each dense layer's (d, a) pair, and the layer adds
+    (d_i . d_j)(a_i . a_j + 1) at every checkpoint. One (n, n) Gram is the
+    case G = 1; self-influences are the case L = 1.
     """
     X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y)
-    if X.ndim != 2 or X.shape[1] != spec.input_dim:
-        raise ShapeMismatchError(f"inputs have {X.shape}, expected (n, {spec.input_dim})")
-    if y.shape != X.shape[:1] or y.dtype.kind not in "iu":
-        raise ShapeMismatchError(
-            f"labels must be {X.shape[0]} integer class indices, got {y.dtype} {y.shape}"
-        )
-    if y.size and not (0 <= y.min() and y.max() < spec.num_classes):
-        raise ShapeMismatchError(
-            f"labels span [{y.min()}, {y.max()}], outside [0, {spec.num_classes})"
-        )
+    if X.ndim != 3 or X.shape[2] != spec.input_dim:
+        raise ShapeMismatchError(f"inputs have {X.shape}, expected (G, L, {spec.input_dim})")
+    if np.shape(y) != X.shape[:2]:
+        raise ShapeMismatchError(f"labels have {np.shape(y)}, expected {X.shape[:2]}")
+    y = _check_labels(y, spec)
+    G, L = y.shape
 
     def gram(V: np.ndarray) -> np.ndarray:
-        """Gram matrix of rows V: (n, n) for an input shared by every
-        checkpoint (n, m), (K, n, n) for per-checkpoint rows (n, K, m)."""
-        V = V.swapaxes(0, -2)
+        """Per-group Gram matrices of rows V: (G, 1, L, L) for an input
+        shared by every checkpoint (G * L, m), (G, K, L, L) for
+        per-checkpoint rows (G * L, K, m)."""
+        V = V.reshape(G, L, -1, V.shape[-1]).swapaxes(1, 2)
         return V @ V.swapaxes(-1, -2)
 
-    _, layers = _backward(spec, cks.thetas, X, y)
-    return sum(np.einsum("k,kij->ij", cks.etas, gram(d) * (gram(a) + 1.0)) for d, a in layers)
+    _, layers = _backward(spec, cks.thetas, X.reshape(G * L, -1), y.reshape(-1))
+    return sum(np.einsum("k,gkij->gij", cks.etas, gram(d) * (gram(a) + 1.0)) for d, a in layers)
 
 
 def _stack(examples: list[Example], spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Examples (x, y) as an input matrix (n, input_dim) and a label vector (n,)."""
+    """Examples (x, y) as one group: inputs (1, n, input_dim), labels (1, n)."""
     xs = [np.asarray(x, dtype=np.float64) for x, _ in examples]
     bad = [x.shape for x in xs if x.shape != (spec.input_dim,)]
     if bad:
         raise ShapeMismatchError(f"x has {bad[0]}, expected ({spec.input_dim},)")
-    return np.stack(xs), np.array([y for _, y in examples])
+    return np.stack(xs)[None], np.array([y for _, y in examples])[None]
 
 
 def tracin_cp(z: Example, z_prime: Example, cks: CheckpointSet, spec: ModelSpec) -> float:
     """Sum over checkpoints of eta_i * grad(theta_i, z) . grad(theta_i, z')."""
-    return float(_tracin_gram(*_stack([z, z_prime], spec), cks, spec)[0, 1])
+    return float(_tracin_gram(*_stack([z, z_prime], spec), cks, spec)[0, 0, 1])
 
 
 def self_influence(z: Example, cks: CheckpointSet, spec: ModelSpec) -> float:
     """tracin_cp(z, z, ...): the checkpoint-weighted squared gradient norm of z."""
     return tracin_cp(z, z, cks, spec)
-
-
-def influence_vector(
-    anchor: int, tuple_examples: list[Example], cks: CheckpointSet, spec: ModelSpec
-) -> np.ndarray:
-    """Influence of tuple member `anchor` on every member, self included."""
-    if len(tuple_examples) < 2:
-        raise TooFewLanguagesError("a translation tuple needs >= 2 members")
-    return _tracin_gram(*_stack(tuple_examples, spec), cks, spec)[anchor]
 
 
 def softmax(scores: np.ndarray) -> np.ndarray:
@@ -172,13 +164,47 @@ def influence_profile(
     cks: CheckpointSet,
     spec: ModelSpec,
 ) -> InfluenceProfile:
-    L = len(tuple_examples)
-    if L < 2:
+    """Profile of one translation tuple given as its |L| examples."""
+    if len(tuple_examples) < 2:
         raise TooFewLanguagesError("a translation tuple needs >= 2 members")
-    scores = _tracin_gram(*_stack(tuple_examples, spec), cks, spec)
+    scores = _tracin_gram(*_stack(tuple_examples, spec), cks, spec)[0]
     return InfluenceProfile(
         tuple_index=tuple_index, scores=scores, infu=infu_from_scores(scores)
     )
+
+
+def influence_profiles(
+    dataset: LabeledDataset, cks: CheckpointSet, spec: ModelSpec
+) -> list[InfluenceProfile]:
+    """Profiles of every translation tuple of a tuple-major dataset, from one
+    kernel call.
+
+    The languages are the dataset's tags in first-seen order, and example
+    i * |L| + q must be tuple i in language q, as ``gen_classification_data``
+    lays them out; fewer than two languages raise TooFewLanguagesError and
+    any other layout raises TupleLayoutError.
+    """
+    languages = list(dict.fromkeys(dataset.languages))
+    L = len(languages)
+    if L < 2:
+        raise TooFewLanguagesError(f"translation tuples need >= 2 languages, got {languages}")
+    G, rest = divmod(len(dataset), L)
+    if rest:
+        raise TupleLayoutError(f"{len(dataset)} examples do not split into tuples of {L} languages")
+    misplaced = np.flatnonzero(np.array(dataset.languages).reshape(G, L) != np.array(languages))
+    if misplaced.size:
+        r = int(misplaced[0])
+        raise TupleLayoutError(
+            f"example {r} is in {dataset.languages[r]}, but tuple-major order puts "
+            f"{languages[r % L]} there"
+        )
+    scores = _tracin_gram(
+        dataset.features.reshape(G, L, -1), dataset.labels.reshape(G, L), cks, spec
+    )
+    return [
+        InfluenceProfile(tuple_index=i, scores=s, infu=infu_from_scores(s))
+        for i, s in enumerate(scores)
+    ]
 
 
 def infu(tuple_examples: list[Example], cks: CheckpointSet, spec: ModelSpec) -> float:

@@ -127,7 +127,9 @@ class LabeledDataset:
         if not np.all(np.isfinite(features)):
             raise NonFiniteError("dataset features contain NaN/inf")
         if labels.min() < 0:
-            raise ValueError("labels must be nonnegative class indices")
+            raise ShapeMismatchError(
+                f"labels must be nonnegative integer class indices, got {labels.min()}"
+            )
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "languages", tuple(self.languages))
@@ -241,13 +243,24 @@ def _backward(spec: ModelSpec, theta: np.ndarray, X: np.ndarray, y: np.ndarray):
     return probs, [(dZ, X), (delta, A)]
 
 
+def _check_labels(y, spec: ModelSpec) -> np.ndarray:
+    """Labels as an integer array with every entry in [0, num_classes)."""
+    y = np.asarray(y)
+    if y.dtype.kind not in "iu":
+        raise ShapeMismatchError(f"labels must be integer class indices, got {y.dtype} {y.shape}")
+    if y.size and not (0 <= y.min() and y.max() < spec.num_classes):
+        raise ShapeMismatchError(
+            f"labels span [{y.min()}, {y.max()}], outside [0, {spec.num_classes})"
+        )
+    return y
+
+
 def forward_loss(spec: ModelSpec, theta: np.ndarray, x: np.ndarray, y: int):
     """Softmax cross-entropy loss and class probabilities for one example."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (spec.input_dim,):
         raise ShapeMismatchError(f"x has {x.shape}, expected ({spec.input_dim},)")
-    if not 0 <= y < spec.num_classes:
-        raise ShapeMismatchError(f"label {y} outside [0, {spec.num_classes})")
+    _check_labels(y, spec)
     probs, _ = _forward_batch(spec, theta, x[None, :])
     probs = probs[0]
     loss = -np.log(max(probs[y], np.finfo(np.float64).tiny))
@@ -260,7 +273,7 @@ def grad(spec: ModelSpec, theta: np.ndarray, z: tuple[np.ndarray, int]) -> np.nd
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (spec.input_dim,):
         raise ShapeMismatchError(f"x has {x.shape}, expected ({spec.input_dim},)")
-    _, layers = _backward(spec, theta, x[None, :], np.array([y], dtype=np.int64))
+    _, layers = _backward(spec, theta, x[None, :], _check_labels([y], spec))
     return np.concatenate([part for d, a in layers for part in (np.outer(d[0], a[0]).ravel(), d[0])])
 
 

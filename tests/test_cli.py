@@ -20,6 +20,7 @@ from mlpriv.cli import (
     main,
     read_config,
 )
+from mlpriv.repr_store import read_embeddings, write_embeddings
 from mlpriv.trainer import Checkpoint, read_checkpoint, write_checkpoint
 
 
@@ -245,6 +246,26 @@ class TestInfluenceCommand:
         code = main(["influence", "--checkpoints", str(run), "--data", str(synth_dir),
                      "--out", str(tmp_path / "influence.csv")])
         assert code == EXIT_VALIDATION
+        assert not (tmp_path / "influence.csv").exists()
+
+    def test_language_major_labels_exit_2(self, synth_dir, tmp_path, capsys):
+        cfg = write_config(tmp_path / "train.cfg", base_lr=0.1, total_steps=200,
+                           batch_size=8, seed=0)
+        run = tmp_path / "run"
+        assert main(["train", "--config", cfg, "--data", str(synth_dir),
+                     "--out", str(run)]) == EXIT_OK
+        # the same examples, reordered: every L00 row, then every L01 row, ...
+        rows = (synth_dir / "labels.tsv").read_text().splitlines()
+        order = sorted(range(len(rows)), key=lambda r: rows[r].split("\t")[1])
+        data = tmp_path / "language_major"
+        data.mkdir()
+        write_embeddings(data / "features.emb", read_embeddings(synth_dir / "features.emb")[order])
+        (data / "labels.tsv").write_text("".join(rows[r] + "\n" for r in order))
+        capsys.readouterr()
+        code = main(["influence", "--checkpoints", str(run), "--data", str(data),
+                     "--out", str(tmp_path / "influence.csv")])
+        assert code == EXIT_VALIDATION
+        assert "tuple-major" in capsys.readouterr().err
         assert not (tmp_path / "influence.csv").exists()
 
     def test_empty_checkpoint_dir_exits_2(self, synth_dir, tmp_path):

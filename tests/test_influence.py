@@ -6,18 +6,25 @@ import math
 import numpy as np
 import pytest
 
-from mlpriv.errors import NonFiniteError, ShapeMismatchError, TooFewLanguagesError, UndefinedMarginError
+from mlpriv.errors import (
+    NonFiniteError,
+    ShapeMismatchError,
+    TooFewLanguagesError,
+    TupleLayoutError,
+    UndefinedMarginError,
+)
 from mlpriv.influence import (
     CheckpointSet,
     infu_from_scores,
     influence_profile,
-    influence_vector,
+    influence_profiles,
     interpretability_margin,
     loo_influence,
     self_influence,
     softmax,
     tracin_cp,
     write_influence_csv,
+    _tracin_gram,
 )
 from mlpriv.trainer import Checkpoint, LabeledDataset, ModelSpec, TrainConfig, grad, train
 
@@ -127,7 +134,29 @@ def grad_loop_scores(examples, cks, spec):
     return scores
 
 
+def random_checkpoints(spec, K, seed):
+    rng = np.random.default_rng(seed)
+    return CheckpointSet(tuple(
+        Checkpoint(step=10 * (k + 1), theta=rng.standard_normal(spec.num_params),
+                   eta=float(rng.uniform(0.01, 0.5)))
+        for k in range(K)
+    ))
+
+
+def tuple_dataset(tuples, languages, spec, seed):
+    """A tuple-major dataset: example i * languages + q is tuple i in language q."""
+    rng = np.random.default_rng(seed)
+    n = tuples * languages
+    return LabeledDataset(
+        features=rng.standard_normal((n, spec.input_dim)),
+        labels=rng.integers(0, spec.num_classes, size=n),
+        languages=tuple(f"L{q}" for q in range(languages)) * tuples,
+    )
+
+
 class TestGramKernel:
+    CKS = single_ckpt(np.zeros(SPEC.num_params))
+
     @pytest.mark.parametrize("hidden_dim", [0, 4])
     @pytest.mark.parametrize("K", [1, 3, 10])
     @pytest.mark.parametrize("L", [2, 3, 4, 5])
@@ -149,6 +178,37 @@ class TestGramKernel:
                 assert tracin_cp(examples[i], examples[j], cks, spec) == pytest.approx(
                     expected[i, j], rel=1e-12
                 )
+
+    @pytest.mark.parametrize("hidden_dim", [0, 4])
+    def test_grouped_profiles_match_per_tuple_calls(self, hidden_dim):
+        spec = ModelSpec(input_dim=3, hidden_dim=hidden_dim, num_classes=3)
+        cks = random_checkpoints(spec, K=3, seed=hidden_dim)
+        dataset = tuple_dataset(tuples=7, languages=4, spec=spec, seed=hidden_dim)
+        profiles = influence_profiles(dataset, cks, spec)
+        assert [p.tuple_index for p in profiles] == list(range(7))
+        for i, profile in enumerate(profiles):
+            rows = range(4 * i, 4 * i + 4)
+            examples = [(dataset.features[r], int(dataset.labels[r])) for r in rows]
+            alone = influence_profile(i, examples, cks, spec)
+            assert profile.scores.tobytes() == alone.scores.tobytes()
+            assert profile.infu == alone.infu
+
+    @pytest.mark.parametrize("hidden_dim", [0, 4])
+    def test_one_example_groups_give_self_influences(self, hidden_dim):
+        spec = ModelSpec(input_dim=3, hidden_dim=hidden_dim, num_classes=3)
+        cks = random_checkpoints(spec, K=3, seed=10 + hidden_dim)
+        dataset = tuple_dataset(tuples=5, languages=3, spec=spec, seed=10 + hidden_dim)
+        grouped = _tracin_gram(dataset.features[:, None], dataset.labels[:, None], cks, spec)
+        assert grouped.shape == (15, 1, 1)
+        for r in range(15):
+            z = (dataset.features[r], int(dataset.labels[r]))
+            assert grouped[r, 0, 0] == pytest.approx(self_influence(z, cks, spec), rel=1e-12)
+
+    def test_labels_must_match_grouped_inputs(self):
+        with pytest.raises(ShapeMismatchError):
+            _tracin_gram(np.zeros((2, 3, 2)), np.zeros((2, 2), dtype=np.int64), self.CKS, SPEC)
+        with pytest.raises(ShapeMismatchError):
+            _tracin_gram(np.zeros((6, 2)), np.zeros(6, dtype=np.int64), self.CKS, SPEC)
 
     def test_stacked_checkpoints_are_read_only(self):
         cks = single_ckpt(np.zeros(SPEC.num_params), eta=0.1)
@@ -197,7 +257,7 @@ class TestInfluenceInputs:
         with pytest.raises(ShapeMismatchError):
             tracin_cp((x, 1), self.GOOD, self.CKS, SPEC)
         with pytest.raises(ShapeMismatchError):
-            influence_vector(0, [self.GOOD, (x, 1)], self.CKS, SPEC)
+            influence_profile(0, [(x, 1), self.GOOD], self.CKS, SPEC).scores[1]
 
     def test_numpy_integer_labels_accepted(self):
         z = (np.array([0.5, 0.5]), np.int64(1))
@@ -205,10 +265,12 @@ class TestInfluenceInputs:
 
 
 class TestInfluenceVector:
+    """One anchor's row of a tuple's profile: its influence on every member."""
+
     def test_identical_members_give_constant_vector(self):
         theta = np.random.default_rng(2).standard_normal(SPEC.num_params)
         z = (np.array([1.0, -0.5]), 1)
-        vec = influence_vector(0, [z, z, z], single_ckpt(theta), SPEC)
+        vec = influence_profile(0, [z, z, z], single_ckpt(theta), SPEC).scores[0]
         assert np.ptp(vec) < 1e-14
 
     def test_orthogonal_gradients_give_self_and_zero(self):
@@ -218,13 +280,44 @@ class TestInfluenceVector:
         z = (np.array([1.0, 0.0]), 0)
         z_prime = (np.array([0.0, 1.0]), 1)
         g, g_prime = grad(SPEC, theta, z), grad(SPEC, theta, z_prime)
-        vec = influence_vector(0, [z, z_prime], single_ckpt(theta), SPEC)
+        vec = influence_profile(0, [z, z_prime], single_ckpt(theta), SPEC).scores[0]
         assert vec[0] == pytest.approx(0.1 * float(g @ g), abs=1e-15)
         assert vec[1] == pytest.approx(0.1 * float(g @ g_prime), abs=1e-15)
 
     def test_needs_two_members(self):
         with pytest.raises(TooFewLanguagesError):
-            influence_vector(0, [(np.zeros(2), 0)], single_ckpt(np.zeros(6)), SPEC)
+            influence_profile(0, [(np.zeros(2), 0)], single_ckpt(np.zeros(6)), SPEC).scores[0]
+
+
+class TestInfluenceProfiles:
+    """Every tuple of a dataset at once; the dataset must be tuple-major."""
+
+    CKS = single_ckpt(np.linspace(-0.3, 0.3, SPEC.num_params))
+
+    def dataset(self, languages):
+        rng = np.random.default_rng(11)
+        n = len(languages)
+        return LabeledDataset(features=rng.standard_normal((n, 2)),
+                              labels=rng.integers(0, 2, size=n), languages=languages)
+
+    def test_languages_in_first_seen_order(self):
+        dataset = self.dataset(("fr", "en", "de") * 3)
+        profiles = influence_profiles(dataset, self.CKS, SPEC)
+        assert len(profiles) == 3
+        examples = [(dataset.features[r], int(dataset.labels[r])) for r in (3, 4, 5)]
+        assert profiles[1].scores.tobytes() == influence_profile(1, examples, self.CKS, SPEC).scores.tobytes()
+
+    def test_one_language_rejected(self):
+        with pytest.raises(TooFewLanguagesError):
+            influence_profiles(self.dataset(("en",) * 4), self.CKS, SPEC)
+
+    def test_incomplete_tuple_rejected(self):
+        with pytest.raises(TupleLayoutError, match="do not split"):
+            influence_profiles(self.dataset(("en", "fr") * 3 + ("en",)), self.CKS, SPEC)
+
+    def test_language_major_order_rejected(self):
+        with pytest.raises(TupleLayoutError, match="tuple-major"):
+            influence_profiles(self.dataset(("en",) * 3 + ("fr",) * 3), self.CKS, SPEC)
 
 
 class TestInfU:

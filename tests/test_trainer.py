@@ -112,6 +112,12 @@ class TestGradients:
         g = grad(spec, theta, (np.array([1.0]), 0))
         assert np.linalg.norm(g) < 1e-8
 
+    @pytest.mark.parametrize("label", [-1, 1.7, 7])
+    def test_label_outside_classes_rejected(self, label):
+        spec = ModelSpec(input_dim=3, hidden_dim=0, num_classes=3)
+        with pytest.raises(ShapeMismatchError):
+            grad(spec, np.zeros(spec.num_params), (np.zeros(3), label))
+
 
 class TestSchedule:
     CFG = TrainConfig(base_lr=0.2, total_steps=150, batch_size=4, seed=0, warmup_steps=50)
@@ -487,7 +493,7 @@ class TestValidation:
         with pytest.raises(ShapeMismatchError, match="integer class indices"):
             LabeledDataset(features=np.zeros((2, 2)), labels=[1.7, 0.2], languages=("en", "fr"))
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e300])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e300, -1.0])
     def test_non_finite_or_huge_label_rejected(self, bad):
         with pytest.raises(ShapeMismatchError, match="integer class indices"):
             LabeledDataset(features=np.zeros((2, 2)), labels=[0.0, bad], languages=("en", "fr"))

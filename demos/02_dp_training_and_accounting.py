@@ -2,9 +2,11 @@
 
 Trains the desk-scale classifier on a synthetic dataset at several privacy
 budgets. For each target epsilon the accountant bisects for the smallest
-noise multiplier sigma, the DP loop trains with per-example clipping plus
-Gaussian noise, and we report accuracy and the per-language fairness gap.
-Tighter budgets (smaller epsilon) need more noise and cost accuracy.
+noise multiplier sigma; one batched ``train_many`` call then trains every
+budget's run on the same batches, each with its own sigma, with per-example
+clipping plus Gaussian noise, and we report accuracy and the per-language
+fairness gap. Tighter budgets (smaller epsilon) need more noise and cost
+accuracy.
 
 Run:  python3 demos/02_dp_training_and_accounting.py
 """
@@ -14,7 +16,7 @@ import math
 from mlpriv.accountant import epsilon_for, sigma_for
 from mlpriv.metrics import linguistic_fairness_gap
 from mlpriv.synth import SynthSpec, gen_classification_data
-from mlpriv.trainer import ModelSpec, TrainConfig, evaluate, train
+from mlpriv.trainer import ModelSpec, TrainConfig, Variant, evaluate, train_many
 
 STEPS = 300
 BATCH = 32
@@ -31,11 +33,11 @@ def main() -> None:
     header = f"{'target eps':>10} {'sigma':>8} {'spent eps':>10} {'accuracy':>9} {'fair gap':>9}"
     print(header)
     print("-" * len(header))
-    for target in (math.inf, 16.0, 8.0, 2.0, 0.5):
-        sigma = sigma_for(target, q=q, steps=STEPS, delta=DELTA)
-        cfg = TrainConfig(base_lr=0.1, total_steps=STEPS, batch_size=BATCH,
-                          seed=0, noise_multiplier=sigma)
-        result = train(dataset, model, cfg)
+    targets = (math.inf, 16.0, 8.0, 2.0, 0.5)
+    sigmas = [sigma_for(target, q=q, steps=STEPS, delta=DELTA) for target in targets]
+    cfg = TrainConfig(base_lr=0.1, total_steps=STEPS, batch_size=BATCH, seed=0)
+    runs = train_many(dataset, model, cfg, [Variant(noise_multiplier=s) for s in sigmas])
+    for target, sigma, result in zip(targets, sigmas, runs):
         accuracy, per_language = evaluate(result.theta, model, dataset)
         _, gap = linguistic_fairness_gap(per_language)
         if sigma > 0:

@@ -8,8 +8,9 @@
 - theorem1 (optional): gradient noise flattens the influence
   distribution of a planted outlier — the median max-softmax mass on the
   outlier's influence vector strictly decreases as sigma grows. Pass
-  --theorem1 to include it (~10 s: 60 DP runs plus batched leave-one-out
-  retraining).
+  --theorem1 to include it (~5.5 s for 20 seeds: per seed, one batched
+  trainer call for the three full runs and one for every leave-one-out
+  retrain).
 
 Run:  python3 demos/04_experiments.py [--theorem1]
 """

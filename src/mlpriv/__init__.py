@@ -27,6 +27,7 @@ from .trainer import (
     LabeledDataset,
     ModelSpec,
     TrainConfig,
+    Variant,
     evaluate,
     train,
     train_many,
@@ -46,6 +47,7 @@ __all__ = [
     "SynthSpec",
     "TokenMatrix",
     "TrainConfig",
+    "Variant",
     "epsilon_for",
     "evaluate",
     "gen_classification_data",

@@ -118,6 +118,14 @@ EXPERIMENT_SCHEMA = {
     "include_loo": bool,
 }
 
+# `mlpriv train` records the model it trained next to its checkpoints, so
+# `mlpriv influence` need not guess the class count from the labels
+MODEL_FILE = "model.cfg"
+MODEL_SCHEMA = {
+    "hidden_dim": int,
+    "num_classes": int,
+}
+
 
 def _write_labels(path: Path, dataset: LabeledDataset) -> None:
     with open(path, "w", encoding="utf-8") as fh:
@@ -192,6 +200,9 @@ def cmd_train(args) -> int:
     print(f"sigma = {result.sigma}")
     for ckpt in result.checkpoints:
         write_checkpoint(out / f"ckpt_{ckpt.step:06d}.ckpt", ckpt)
+    (out / MODEL_FILE).write_text(
+        "".join(f"{key} = {getattr(model, key)}\n" for key in MODEL_SCHEMA), encoding="utf-8"
+    )
     write_training_log(out / "train_log.csv", result.log)
     accuracy, per_language = evaluate(result.theta, model, dataset)
     variance, gap = metrics.linguistic_fairness_gap(per_language)
@@ -216,6 +227,17 @@ def cmd_influence(args) -> int:
     cks = CheckpointSet.last_k(checkpoints, args.last)
     dataset = _load_dataset(Path(args.data))
     num_classes = int(dataset.labels.max()) + 1
+    record = Path(args.checkpoints) / MODEL_FILE
+    if record.exists():
+        trained = read_config(record, MODEL_SCHEMA)
+        if trained.keys() != MODEL_SCHEMA.keys():
+            raise ConfigError(f"{record}: must set {' and '.join(MODEL_SCHEMA)}")
+        if trained["hidden_dim"] != args.hidden_dim:
+            raise ConfigError(
+                f"--hidden-dim {args.hidden_dim} does not match the trained model's "
+                f"hidden_dim {trained['hidden_dim']} ({record})"
+            )
+        num_classes = trained["num_classes"]
     model = ModelSpec(
         input_dim=dataset.features.shape[1], hidden_dim=args.hidden_dim, num_classes=num_classes
     )

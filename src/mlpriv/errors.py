@@ -71,6 +71,14 @@ class UnsatisfiableError(MlprivError):
     """No noise multiplier within the search bracket meets the target epsilon."""
 
 
+class InvalidConfigError(MlprivError, ValueError):
+    """A model spec, training config or run variant holds an invalid value."""
+
+
+class ExcludeIndexError(MlprivError, IndexError):
+    """A run variant excludes an example index outside the dataset."""
+
+
 class EmptyBatchError(MlprivError):
     """A training batch holds no example once its exclusion is masked out."""
 

@@ -35,9 +35,10 @@ from .influence import (
     loo_probabilities,
     softmax,
     _tracin_gram,
+    _tuple_shape,
 )
 from .synth import SynthSpec, gen_classification_data, gen_parallel_set, plant_outlier
-from .trainer import LabeledDataset, ModelSpec, TrainConfig, evaluate, train
+from .trainer import LabeledDataset, ModelSpec, TrainConfig, Variant, evaluate, train, train_many
 
 
 @dataclass
@@ -138,45 +139,56 @@ def planted_influence_margin(
     cks: CheckpointSet,
 ) -> float:
     """Max softmax probability in the planted example's influence vector:
-    its anchor row of its tuple's profile."""
-    profiles = influence_profiles(dataset, cks, model)
-    tuple_index, anchor = divmod(planted_index, len(profiles[0].scores))
-    return float(softmax(profiles[tuple_index].scores[anchor]).max())
+    its anchor row of its tuple's profile, scored from that tuple alone."""
+    _, L = _tuple_shape(dataset)
+    first = planted_index - planted_index % L
+    members = slice(first, first + L)
+    scores = _tracin_gram(dataset.features[None, members], dataset.labels[None, members], cks, model)
+    return float(softmax(scores[0, planted_index - first]).max())
 
 
-def loo_margin(
+def loo_margins(
     dataset: LabeledDataset,
     planted_index: int,
     model: ModelSpec,
     config: TrainConfig,
-    cks: CheckpointSet,
-    noise_seeds: list[int] | None,
+    cells: list[tuple[float, CheckpointSet, list[int] | None]],
     candidates: int = 8,
-) -> float | None:
-    """Interpretability margin from the LOO oracle at the planted point.
+) -> list[float | None]:
+    """Interpretability margin from the LOO oracle at the planted point, one
+    per cell (sigma, cks, noise_seeds).
 
     p is the full-data probability of the planted example's class at the
     planted point. The dominant example (p_d) and runner-up (p_2) are the
     two training points whose coupled leave-one-out removal lowers that
     probability the most, searched over the planted example plus the
     top-`candidates` points by self-influence over `cks`, the checkpoints
-    of the full-data run under `config`. Returns None when no two removals
-    lower the probability (the margin premise fails).
+    of the cell's full-data run. Every probability is averaged over the
+    cell's noise seeds (one run when None) and trained at the cell's sigma
+    on config's batch stream; all cells' retrains are one ``train_many``
+    call. A cell's margin is None when no two removals lower the
+    probability (the margin premise fails).
     """
-    # one-example groups: each example's self-influence alone, no N x N Gram
-    self_inf = _tracin_gram(dataset.features[:, None], dataset.labels[:, None], cks, model)
-    self_scores = sorted(zip(self_inf[:, 0, 0].tolist(), range(len(dataset))), reverse=True)
-    shortlist = sorted({i for _, i in self_scores[:candidates]} | {planted_index})
+    groups, sizes = [], []
+    for sigma, cks, noise_seeds in cells:
+        # one-example groups: each example's self-influence alone, no N x N Gram
+        self_inf = _tracin_gram(dataset.features[:, None], dataset.labels[:, None], cks, model)
+        ranked = sorted(zip(self_inf[:, 0, 0].tolist(), range(len(dataset))), reverse=True)
+        exclusions = [None, *sorted({i for _, i in ranked[:candidates]} | {planted_index})]
+        groups += [[Variant(e, ns, sigma) for ns in noise_seeds or [None]] for e in exclusions]
+        sizes.append(len(exclusions))
     probs = loo_probabilities(
-        dataset, model, config, [None, *shortlist],
-        dataset.features[planted_index], int(dataset.labels[planted_index]), noise_seeds,
+        dataset, model, config, groups,
+        dataset.features[planted_index], int(dataset.labels[planted_index]),
     )
-    p = probs[0]
-    p_d, p_2 = sorted(probs[1:])[:2]
-    try:
-        return interpretability_margin(p, p_d, p_2)
-    except UndefinedMarginError:
-        return None
+    margins = []
+    for cell in np.split(probs, np.cumsum(sizes)[:-1]):
+        p_d, p_2 = sorted(cell[1:])[:2]
+        try:
+            margins.append(interpretability_margin(cell[0], p_d, p_2))
+        except UndefinedMarginError:
+            margins.append(None)
+    return margins
 
 
 def run_theorem1(
@@ -193,6 +205,8 @@ def run_theorem1(
     include_loo: bool = True,
     orthogonal: bool = False,
 ) -> ExperimentResult:
+    """Per seed, one ``train_many`` call trains the full-data run at every
+    sigma, and one more makes every sigma's leave-one-out retrains."""
     if seeds is None:
         seeds = list(range(20))
     model = ModelSpec(input_dim=dim, hidden_dim=0, num_classes=classes)
@@ -203,25 +217,29 @@ def run_theorem1(
         dataset, planted = _theorem1_dataset(
             seed, num_languages, tuples, dim, classes, magnitude, orthogonal
         )
-        for sigma in THEOREM1_SIGMAS:
-            config = TrainConfig(
-                base_lr=base_lr, total_steps=total_steps, batch_size=batch_size,
-                seed=seed, noise_multiplier=sigma,
-            )
-            cks = CheckpointSet.last_k(train(dataset, model, config).checkpoints, 3)
+        config = TrainConfig(
+            base_lr=base_lr, total_steps=total_steps, batch_size=batch_size, seed=seed,
+        )
+        full_runs = train_many(
+            dataset, model, config, [Variant(noise_multiplier=s) for s in THEOREM1_SIGMAS]
+        )
+        cells = [CheckpointSet.last_k(run.checkpoints, 3) for run in full_runs]
+        seed_rows = []
+        for sigma, cks in zip(THEOREM1_SIGMAS, cells):
             margin = planted_influence_margin(dataset, planted, model, cks)
             margins[sigma].append(margin)
-            row = {"seed": seed, "sigma": sigma, "margin": format(margin, ".17g")}
-            if include_loo:
-                noise_seeds = (
-                    None if sigma == 0.0
-                    else [seed * 1000 + j for j in range(loo_noise_seeds)]
-                )
-                margin_eps = loo_margin(dataset, planted, model, config, cks, noise_seeds)
+            seed_rows.append({"seed": seed, "sigma": sigma, "margin": format(margin, ".17g")})
+        if include_loo:
+            noise_seeds = [seed * 1000 + j for j in range(loo_noise_seeds)]
+            loo = loo_margins(dataset, planted, model, config, [
+                (sigma, cks, None if sigma == 0.0 else noise_seeds)
+                for sigma, cks in zip(THEOREM1_SIGMAS, cells)
+            ])
+            for row, margin_eps in zip(seed_rows, loo):
                 if margin_eps is not None:
-                    eps_i[sigma].append(margin_eps)
+                    eps_i[row["sigma"]].append(margin_eps)
                 row["epsilon_i"] = "" if margin_eps is None else format(margin_eps, ".17g")
-            rows.append(row)
+        rows += seed_rows
 
     medians = {s: float(np.median(margins[s])) for s in THEOREM1_SIGMAS}
     ordered = [medians[s] for s in THEOREM1_SIGMAS]

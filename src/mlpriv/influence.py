@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
+    InvalidConfigError,
     NonFiniteError,
     ShapeMismatchError,
     TooFewLanguagesError,
@@ -33,6 +34,7 @@ from .trainer import (
     LabeledDataset,
     ModelSpec,
     TrainConfig,
+    Variant,
     train_many,
     _backward,
     _check_labels,
@@ -184,6 +186,19 @@ def influence_profiles(
     lays them out; fewer than two languages raise TooFewLanguagesError and
     any other layout raises TupleLayoutError.
     """
+    G, L = _tuple_shape(dataset)
+    scores = _tracin_gram(
+        dataset.features.reshape(G, L, -1), dataset.labels.reshape(G, L), cks, spec
+    )
+    return [
+        InfluenceProfile(tuple_index=i, scores=s, infu=infu_from_scores(s))
+        for i, s in enumerate(scores)
+    ]
+
+
+def _tuple_shape(dataset: LabeledDataset) -> tuple[int, int]:
+    """(tuples, languages) of a dataset in the tuple-major layout that
+    ``influence_profiles`` describes; raises as it documents otherwise."""
     languages = list(dict.fromkeys(dataset.languages))
     L = len(languages)
     if L < 2:
@@ -198,13 +213,7 @@ def influence_profiles(
             f"example {r} is in {dataset.languages[r]}, but tuple-major order puts "
             f"{languages[r % L]} there"
         )
-    scores = _tracin_gram(
-        dataset.features.reshape(G, L, -1), dataset.labels.reshape(G, L), cks, spec
-    )
-    return [
-        InfluenceProfile(tuple_index=i, scores=s, infu=infu_from_scores(s))
-        for i, s in enumerate(scores)
-    ]
+    return G, L
 
 
 def infu(tuple_examples: list[Example], cks: CheckpointSet, spec: ModelSpec) -> float:
@@ -223,22 +232,25 @@ def loo_probabilities(
     dataset: LabeledDataset,
     spec: ModelSpec,
     config: TrainConfig,
-    exclusions: list[int | None],
+    groups: list[list[Variant | tuple]],
     eval_point: np.ndarray,
     event_class: int,
-    noise_seeds: list[int] | None = None,
 ) -> np.ndarray:
-    """P(event at eval_point) after coupled retraining without each example.
+    """P(event at eval_point) after coupled retraining, one entry per group.
 
-    Entry k trains with exclusions[k] left out (None keeps every example),
-    averaged over noise_seeds when given. Every retrain shares config's
-    batch stream, so the removed example is the only varying factor between
-    entries; all of them run as one batched ``train_many`` call.
+    Each group is a list of ``train_many`` variants (exclude_index,
+    noise_seed, noise_multiplier), typically one left-out example under
+    several noise seeds, and its entry is the mean event probability over
+    its runs. Every retrain shares config's batch stream, so the variant is
+    the only varying factor between runs; all groups run as one batched
+    ``train_many`` call.
     """
-    seeds = list(noise_seeds) if noise_seeds else [None]
-    runs = train_many(dataset, spec, config, [(e, ns) for e in exclusions for ns in seeds])
+    sizes = [len(group) for group in groups]
+    if not all(sizes):
+        raise InvalidConfigError("every group needs at least one variant")
+    runs = train_many(dataset, spec, config, [v for group in groups for v in group])
     probs = np.array([event_probability(run.theta, spec, eval_point, event_class) for run in runs])
-    return probs.reshape(len(exclusions), len(seeds)).mean(axis=1)
+    return np.array([chunk.mean() for chunk in np.split(probs, np.cumsum(sizes)[:-1])])
 
 
 def loo_influence(
@@ -263,8 +275,10 @@ def loo_influence(
         raise ValueError("dataset must have >= 2 examples")
     if not 0 <= x_index < len(dataset):
         raise IndexError(f"x_index {x_index} out of range")
+    seeds = list(noise_seeds) if noise_seeds else [None]
     p, p_without = loo_probabilities(
-        dataset, spec, config, [None, x_index], eval_point, event_class, noise_seeds
+        dataset, spec, config, [[Variant(e, ns) for ns in seeds] for e in (None, x_index)],
+        eval_point, event_class,
     )
     return float(p - p_without)
 

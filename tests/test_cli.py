@@ -268,6 +268,75 @@ class TestInfluenceCommand:
         assert "tuple-major" in capsys.readouterr().err
         assert not (tmp_path / "influence.csv").exists()
 
+    def test_model_with_more_classes_than_labels(self, synth_dir, tmp_path):
+        """The class count comes from the checkpoint, not from the labels."""
+        cfg = write_config(tmp_path / "train.cfg", base_lr=0.1, total_steps=200,
+                           batch_size=8, seed=0, num_classes=3)
+        run = tmp_path / "run"
+        assert main(["train", "--config", cfg, "--data", str(synth_dir),
+                     "--out", str(run)]) == EXIT_OK  # the lambda = 1 set has labels 0 and 1
+        assert read_checkpoint(sorted(run.glob("*.ckpt"))[-1]).theta.size == 3 * (4 + 1)
+        out = tmp_path / "influence.csv"
+        code = main(["influence", "--checkpoints", str(run), "--data", str(synth_dir),
+                     "--out", str(out)])
+        assert code == EXIT_OK
+        assert sum(r["anchor_lang"] == "ALL" for r in csv.DictReader(out.open())) == 12
+
+    @pytest.mark.parametrize("extra", [[], ["--hidden-dim", "2"], ["--hidden-dim", "-1"]],
+                             ids=["omitted", "other", "negative"])
+    def test_hidden_dim_disagreeing_with_the_trained_model_exits_2(self, synth_dir, tmp_path,
+                                                                   capsys, extra):
+        """A tanh model with hidden_dim = d has (d + 1) | P, so P alone cannot expose
+        a forgotten --hidden-dim; the model record that train writes does."""
+        cfg = write_config(tmp_path / "train.cfg", base_lr=0.1, total_steps=200,
+                           batch_size=8, seed=0, hidden_dim=4)
+        run = tmp_path / "run"
+        assert main(["train", "--config", cfg, "--data", str(synth_dir),
+                     "--out", str(run)]) == EXIT_OK  # 4 * 5 + 2 * 5 = 30 parameters
+        assert (run / "model.cfg").read_text() == "hidden_dim = 4\nnum_classes = 2\n"
+        capsys.readouterr()
+        out = tmp_path / "influence.csv"
+        code = main(["influence", "--checkpoints", str(run), "--data", str(synth_dir),
+                     "--out", str(out), *extra])
+        assert code == EXIT_VALIDATION
+        assert "does not match the trained model" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["influence", "--checkpoints", str(run), "--data", str(synth_dir),
+                     "--out", str(out), "--hidden-dim", "4"]) == EXIT_OK
+
+    @pytest.mark.parametrize("train_keys", [{"num_classes": 3}, {"hidden_dim": 4}],
+                             ids=["more_classes", "hidden_dim_d"])
+    def test_checkpoints_without_model_record_need_the_label_model(self, synth_dir, tmp_path,
+                                                                    capsys, train_keys):
+        """Without a record the model has labels.max() + 1 classes and --hidden-dim
+        hidden units, and the parameter count must match it."""
+        cfg = write_config(tmp_path / "train.cfg", base_lr=0.1, total_steps=200,
+                           batch_size=8, seed=0, **train_keys)
+        run = tmp_path / "run"
+        assert main(["train", "--config", cfg, "--data", str(synth_dir),
+                     "--out", str(run)]) == EXIT_OK
+        (run / "model.cfg").unlink()
+        capsys.readouterr()
+        out = tmp_path / "influence.csv"
+        code = main(["influence", "--checkpoints", str(run), "--data", str(synth_dir),
+                     "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert "parameter count" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_incomplete_model_record_exits_2(self, synth_dir, tmp_path, capsys):
+        cfg = write_config(tmp_path / "train.cfg", base_lr=0.1, total_steps=200,
+                           batch_size=8, seed=0)
+        run = tmp_path / "run"
+        assert main(["train", "--config", cfg, "--data", str(synth_dir),
+                     "--out", str(run)]) == EXIT_OK
+        (run / "model.cfg").write_text("hidden_dim = 0\n")
+        capsys.readouterr()
+        code = main(["influence", "--checkpoints", str(run), "--data", str(synth_dir),
+                     "--out", str(tmp_path / "influence.csv")])
+        assert code == EXIT_VALIDATION
+        assert "must set hidden_dim and num_classes" in capsys.readouterr().err
+
     def test_empty_checkpoint_dir_exits_2(self, synth_dir, tmp_path):
         empty = tmp_path / "empty"
         empty.mkdir()

@@ -13,7 +13,9 @@ from mlpriv.accountant import sigma_for
 from mlpriv.errors import (
     DivergenceError,
     EmptyBatchError,
+    ExcludeIndexError,
     FormatError,
+    InvalidConfigError,
     MlprivError,
     NonFiniteError,
     OutOfRangeError,
@@ -25,6 +27,7 @@ from mlpriv.trainer import (
     ModelSpec,
     OptimizerState,
     TrainConfig,
+    Variant,
     evaluate,
     forward_loss,
     grad,
@@ -36,6 +39,8 @@ from mlpriv.trainer import (
     train,
     train_many,
     write_checkpoint,
+    _reduce_last,
+    _softmax,
 )
 
 LINEAR = ModelSpec(input_dim=3, hidden_dim=0, num_classes=4)
@@ -360,13 +365,16 @@ class TestTrainMany:
     @settings(max_examples=8, deadline=None)
     @given(
         variants=st.lists(
-            st.tuples(st.none() | st.integers(0, 11), st.none() | st.integers(0, 2**31 - 1)),
+            st.tuples(st.none() | st.integers(0, 11), st.none() | st.integers(0, 2**31 - 1))
+            | st.tuples(st.none() | st.integers(0, 11), st.none() | st.integers(0, 2**31 - 1),
+                        st.sampled_from([None, 0.0, 0.5, 2.0])),
             min_size=1, max_size=4,
         ),
         seed=st.integers(0, 2**31 - 1),
     )
     @example(variants=[(None, None)], seed=0)
     @example(variants=[(None, None), (3, None), (None, 5), (3, 5)], seed=1)
+    @example(variants=[(None, None, 0.0), (3, 5, 2.0), (None, 5), (3, None, 0.5)], seed=2)
     def test_rows_match_single_runs(self, hidden, optimizer, sigma, variants, seed):
         dataset = make_dataset(n=12, seed=seed % 1000)
         model = ModelSpec(input_dim=3, hidden_dim=hidden, num_classes=3)
@@ -375,8 +383,12 @@ class TestTrainMany:
                           optimizer=optimizer, checkpoint_interval=10)
         rows = train_many(dataset, model, cfg, variants)
         assert len(rows) == len(variants)
-        for (exclude, noise_seed), row in zip(variants, rows):
-            single = train(dataset, model, replace(cfg, noise_seed=noise_seed),
+        for variant, row in zip(variants, rows):
+            exclude, noise_seed, run_sigma = Variant(*variant)
+            if run_sigma is None:
+                run_sigma = cfg.noise_multiplier
+            single = train(dataset, model,
+                           replace(cfg, noise_seed=noise_seed, noise_multiplier=run_sigma),
                            exclude_index=exclude)
             np.testing.assert_allclose(row.theta, single.theta, rtol=0, atol=1e-12)
             assert [c.step for c in row.checkpoints] == [c.step for c in single.checkpoints]
@@ -387,7 +399,40 @@ class TestTrainMany:
             for key in ("loss", "accuracy"):
                 np.testing.assert_allclose([r[key] for r in row.log], [r[key] for r in single.log],
                                            rtol=0, atol=1e-12)
-            assert row.sigma == single.sigma
+            assert row.sigma == single.sigma == run_sigma
+
+    def test_noiseless_row_in_noisy_stack_is_byte_identical(self):
+        """A sigma = 0 run among noisy ones draws no noise: its bytes are those
+        of the same run stacked alone."""
+        dataset = make_dataset(n=16, seed=3)
+        model = ModelSpec(input_dim=3, hidden_dim=4, num_classes=3)
+        cfg = TrainConfig(base_lr=0.1, total_steps=64, batch_size=5, seed=4,
+                          noise_multiplier=1.5, checkpoint_interval=16)
+        quiet = Variant(exclude_index=2, noise_multiplier=0.0)
+        stacked = train_many(dataset, model, cfg, [(None, 7), quiet, (2, 8, 0.5)])[1]
+        alone = train_many(dataset, model, cfg, [quiet])[0]
+        assert stacked.sigma == alone.sigma == 0.0
+        assert stacked.theta.tobytes() == alone.theta.tobytes()
+        assert [c.theta.tobytes() for c in stacked.checkpoints] == \
+            [c.theta.tobytes() for c in alone.checkpoints]
+        assert stacked.losses.tobytes() == alone.losses.tobytes()
+        assert stacked.accuracies.tobytes() == alone.accuracies.tobytes()
+
+    @pytest.mark.parametrize("bad", [-0.5, math.nan, math.inf, "1"])
+    def test_bad_per_run_sigma_is_typed_error(self, bad):
+        dataset = make_dataset(n=12)
+        cfg = TrainConfig(base_lr=0.1, total_steps=20, batch_size=4, seed=0, warmup_steps=0)
+        with pytest.raises(InvalidConfigError, match="finite and >= 0"):
+            train_many(dataset, ModelSpec(3, 0, 3), cfg, [(None, None), (None, None, bad)])
+
+    def test_per_run_sigma_with_target_epsilon_is_typed_error(self):
+        """The epsilon a target_epsilon run reports would not describe a run
+        with its own sigma."""
+        dataset = make_dataset(n=12)
+        cfg = TrainConfig(base_lr=0.1, total_steps=20, batch_size=4, seed=0, warmup_steps=0,
+                          target_epsilon=4.0)
+        with pytest.raises(InvalidConfigError, match="target_epsilon"):
+            train_many(dataset, ModelSpec(3, 0, 3), cfg, [(None, None), (None, None, 1.0)])
 
     def test_seeded_rerun_is_byte_identical(self):
         dataset = make_dataset(n=16, seed=2)
@@ -421,6 +466,23 @@ class TestTrainMany:
                           warmup_steps=0, optimizer="sgd", clip_threshold=1e6)
         with pytest.raises(DivergenceError, match="in run 0"):
             train_many(dataset, model, cfg, [(None, None), (1, None)])
+
+
+class TestClassAxisFold:
+    """The step's class-axis reductions fold slices left to right from 128
+    rows on; below 8 entries that is numpy's own order, so the bytes do not
+    change. 16 rows take numpy's reduce, 128 and 3040 the fold."""
+
+    @pytest.mark.parametrize("classes", [1, 3, 7, 9])
+    @pytest.mark.parametrize("runs", [1, 8, 190])
+    def test_fold_matches_numpy_reductions(self, runs, classes):
+        rng = np.random.default_rng(runs * 10 + classes)
+        shape = (16, runs, classes)
+        a = rng.standard_normal(shape) * 10.0 ** rng.uniform(-6, 6, shape)
+        assert _reduce_last(np.maximum, a).tobytes() == a.max(axis=-1).tobytes()
+        assert _reduce_last(np.add, a).tobytes() == a.sum(axis=-1).tobytes()
+        exp = np.exp(a - a.max(axis=-1, keepdims=True))
+        assert _softmax(a).tobytes() == (exp / exp.sum(axis=-1, keepdims=True)).tobytes()
 
 
 class TestEvaluate:
@@ -518,6 +580,23 @@ class TestValidation:
             TrainConfig(base_lr=0.1, total_steps=10, batch_size=2, seed=0, warmup_steps=10)
         with pytest.raises(ValueError):
             TrainConfig(base_lr=0.1, total_steps=10, batch_size=2, seed=0, checkpoint_interval=0)
+
+    def test_trainer_errors_are_typed(self):
+        """Each is an MlprivError and also the builtin it replaced."""
+        with pytest.raises(InvalidConfigError) as info:
+            TrainConfig(base_lr=0.1, total_steps=10, batch_size=2, seed=0, optimizer="rmsprop")
+        assert isinstance(info.value, MlprivError) and isinstance(info.value, ValueError)
+        with pytest.raises(InvalidConfigError):
+            ModelSpec(input_dim=0, hidden_dim=0, num_classes=2)
+        dataset = make_dataset(n=6)
+        cfg = TrainConfig(base_lr=0.1, total_steps=10, batch_size=2, seed=0, warmup_steps=0)
+        with pytest.raises(InvalidConfigError):
+            train_many(dataset, ModelSpec(3, 0, 3), cfg, [])
+        with pytest.raises(InvalidConfigError):
+            train(dataset, ModelSpec(3, 0, 3), replace(cfg, batch_size=7))
+        with pytest.raises(ExcludeIndexError) as info:
+            train(dataset, ModelSpec(3, 0, 3), cfg, exclude_index=6)
+        assert isinstance(info.value, MlprivError) and isinstance(info.value, IndexError)
 
     def test_model_spec_invariants(self):
         with pytest.raises(ValueError):

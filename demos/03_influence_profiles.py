@@ -13,9 +13,9 @@ Run:  python3 demos/03_influence_profiles.py
 
 import numpy as np
 
-from mlpriv.influence import CheckpointSet, influence_profiles, loo_influence
+from mlpriv.influence import CheckpointSet, influence_profiles, loo_probabilities
 from mlpriv.synth import SynthSpec, gen_classification_data, plant_outlier
-from mlpriv.trainer import ModelSpec, TrainConfig, train
+from mlpriv.trainer import ModelSpec, TrainConfig, Variant, train
 
 
 def mean_infu(compression: float) -> float:
@@ -44,9 +44,13 @@ def main() -> None:
     cfg = TrainConfig(base_lr=0.1, total_steps=300, batch_size=16, seed=0)
     point = planted.features[index]
     label = int(planted.labels[index])
-    delta_outlier = loo_influence(planted, index, model, cfg, point, label)
     inlier = (index + 1) % len(planted)
-    delta_inlier = loo_influence(planted, inlier, model, cfg, point, label)
+    # the full-data run and both coupled retrains, trained together
+    p, p_outlier, p_inlier = loo_probabilities(
+        planted, model, cfg, [[Variant(e)] for e in (None, index, inlier)], point, label,
+    )
+    delta_outlier = p - p_outlier
+    delta_inlier = p - p_inlier
     print(f"  removing the planted outlier (index {index}): "
           f"delta P[event] = {delta_outlier:+.4f}")
     print(f"  removing an ordinary inlier  (index {inlier}): "

@@ -28,6 +28,13 @@ SIGMA_LO = 1e-3
 SIGMA_HI = 1e3
 SIGMA_REL_TOL = 1e-4
 
+# sigma_for bounds epsilon from above with the orders[:BOUND_ORDERS] (2..32 of the
+# default grid) before it pays for the full curve
+BOUND_ORDERS = 31
+# np.exp returns exactly 0.0 at and below this argument (e^-745.14 is half the
+# smallest subnormal), so rdp_curve leaves such terms at zero instead of calling exp
+EXP_ZERO_AT = -746.0
+
 
 @dataclass(frozen=True)
 class MechanismParams:
@@ -138,7 +145,9 @@ def rdp_curve(q: float, sigma: float, orders: tuple[int, ...]) -> dict[int, floa
     """One-step RDP of the sampled Gaussian mechanism at every order at once.
 
     The terms of all orders' binomial sums sit in one packed triangle (row
-    k = 0..alpha per order), reduced by a segmented log-sum-exp.
+    k = 0..alpha per order), reduced by a segmented log-sum-exp. Only terms
+    above EXP_ZERO_AT go through exp; the rest are the 0.0 exp would return, so
+    the segmented sum adds the same array in the same order.
     """
     orders = tuple(int(a) for a in orders)
     two_var = 2.0 * sigma * sigma
@@ -159,10 +168,12 @@ def rdp_curve(q: float, sigma: float, orders: tuple[int, ...]) -> dict[int, floa
         # each row's largest terms stay out of the sum and enter through log1p
         # and a tie count, as in scipy's logsumexp, for precision when the sum is near 1
         is_top = terms == 0.0
-        terms[is_top] = -np.inf
-        np.exp(terms, out=terms)
+        live = terms > EXP_ZERO_AT
+        live &= ~is_top
+        powers = np.zeros_like(terms)
+        np.exp(terms, out=powers, where=live)
         ties = np.add.reduceat(is_top, starts, dtype=np.float64)
-        values = np.log1p(np.add.reduceat(terms, starts) / ties) + np.log(ties) + top
+        values = np.log1p(np.add.reduceat(powers, starts) / ties) + np.log(ties) + top
     values[np.isinf(top)] = np.inf
     values /= lengths - 2
     return dict(zip(orders, np.maximum(values, 0.0).tolist()))
@@ -176,7 +187,10 @@ def epsilon_for(
     orders: tuple[int, ...] = DEFAULT_ORDERS,
 ) -> PrivacySpending:
     """Total (epsilon, delta) spending of T subsampled Gaussian steps."""
-    params = MechanismParams(q=q, sigma=sigma, steps=steps, delta=delta, orders=orders)
+    return _spending(MechanismParams(q=q, sigma=sigma, steps=steps, delta=delta, orders=orders))
+
+
+def _spending(params: MechanismParams) -> PrivacySpending:
     one_step = rdp_curve(params.q, params.sigma, params.orders)
     curve = {a: compose(one_step[a], params.steps) for a in params.orders}
     return rdp_to_dp(curve, params.delta)
@@ -194,18 +208,40 @@ def sigma_for(
     """Smallest noise multiplier whose total epsilon meets the target.
 
     target_epsilon = inf means non-private training and returns sigma = 0.
+
+    The check at hi and each bisection step first take epsilon over
+    orders[:BOUND_ORDERS], a minimum over a subset of the full curve's values
+    and so an upper bound on the full epsilon. A bound below the target by
+    more than the tolerance settles the check or step (sigma high enough)
+    exactly as the full curve would; every other step, the stopping test, the
+    final nudge and the check at lo use the full curve.
     """
     if math.isnan(target_epsilon) or target_epsilon <= 0:
         raise DomainError(f"target epsilon must be > 0, got {target_epsilon}")
     if target_epsilon == math.inf:
         return 0.0
 
+    orders = tuple(orders)
+    prefix = orders[:BOUND_ORDERS]
+    tol = SIGMA_REL_TOL * target_epsilon
+
     def eps(sigma: float) -> float:
         return epsilon_for(q, sigma, steps, delta, orders).epsilon
 
-    e_hi = eps(hi)
-    if e_hi > target_epsilon:
-        raise UnsatisfiableError(f"epsilon({hi}) = {e_hi} still exceeds {target_epsilon}")
+    def below_target(sigma: float) -> bool:
+        """The prefix bound alone shows eps(sigma) below the target beyond tol."""
+        if prefix == orders:
+            return False
+        try:
+            bound = _spending(MechanismParams(q, sigma, steps, delta, prefix)).epsilon
+        except UnboundedError:  # infinite at every prefix order: no bound
+            return False
+        return bound < target_epsilon and abs(bound - target_epsilon) > tol
+
+    if not below_target(hi):  # the error reports the full epsilon, never the bound
+        e_hi = eps(hi)
+        if e_hi > target_epsilon:
+            raise UnsatisfiableError(f"epsilon({hi}) = {e_hi} still exceeds {target_epsilon}")
     e_lo = eps(lo)
     if e_lo < target_epsilon:
         raise UnsatisfiableError(f"epsilon({lo}) = {e_lo} already below {target_epsilon}")
@@ -213,16 +249,19 @@ def sigma_for(
     low, high = lo, hi  # eps(low) >= target >= eps(high); eps decreasing in sigma
     while True:
         mid = 0.5 * (low + high)
-        e = eps(mid)
-        if abs(e - target_epsilon) <= SIGMA_REL_TOL * target_epsilon:
-            # nudge up until the target is actually met, preserving <= contract
-            while e > target_epsilon:
-                mid *= 1.0 + SIGMA_REL_TOL
-                e = eps(mid)
-            return mid
-        if e > target_epsilon:
-            low = mid
-        else:
+        if below_target(mid):
             high = mid
+        else:
+            e = eps(mid)
+            if abs(e - target_epsilon) <= tol:
+                # nudge up until the target is actually met, preserving <= contract
+                while e > target_epsilon:
+                    mid *= 1.0 + SIGMA_REL_TOL
+                    e = eps(mid)
+                return mid
+            if e > target_epsilon:
+                low = mid
+            else:
+                high = mid
         if high - low <= 1e-12 * high:
             return high

@@ -31,6 +31,18 @@ class ZeroNormRowError(MlprivError):
         super().__init__(f"row {index} of {which} has zero norm")
 
 
+class NonFiniteLossError(NonFiniteError, ValueError):
+    """A per-language loss is NaN or infinite."""
+
+
+class UnknownNameError(MlprivError, ValueError):
+    """A metric or experiment name is not one the package defines."""
+
+
+class DuplicateKeyError(MlprivError, ValueError):
+    """A manifest already holds an entry for this (language, layer) key."""
+
+
 class DegenerateInputError(MlprivError):
     """Input has no usable variance (e.g. all points identical)."""
 
@@ -77,6 +89,14 @@ class InvalidConfigError(MlprivError, ValueError):
 
 class ExcludeIndexError(MlprivError, IndexError):
     """A run variant excludes an example index outside the dataset."""
+
+
+class CheckpointOrderError(MlprivError, ValueError):
+    """A checkpoint set would be empty (none given, or k < 1) or its steps do not increase."""
+
+
+class TooFewExamplesError(MlprivError, ValueError):
+    """Leave-one-out influence needs a dataset of at least two examples."""
 
 
 class EmptyBatchError(MlprivError):

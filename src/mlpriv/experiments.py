@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics
-from .errors import UndefinedMarginError
+from .errors import UndefinedMarginError, UnknownNameError
 from .influence import (
     CheckpointSet,
     influence_profiles,
@@ -319,5 +319,5 @@ EXPERIMENT_NAMES = tuple(EXPERIMENTS)
 
 def run_experiment(name: str, **kwargs) -> ExperimentResult:
     if name not in EXPERIMENTS:
-        raise ValueError(f"unknown experiment {name!r}")
+        raise UnknownNameError(f"unknown experiment {name!r}")
     return EXPERIMENTS[name](**kwargs)

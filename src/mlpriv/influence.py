@@ -22,9 +22,12 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
+    CheckpointOrderError,
+    ExcludeIndexError,
     InvalidConfigError,
     NonFiniteError,
     ShapeMismatchError,
+    TooFewExamplesError,
     TooFewLanguagesError,
     TupleLayoutError,
     UndefinedMarginError,
@@ -56,10 +59,10 @@ class CheckpointSet:
     def __post_init__(self):
         cks = tuple(self.checkpoints)
         if not cks:
-            raise ValueError("need at least one checkpoint")
+            raise CheckpointOrderError("need at least one checkpoint")
         steps = [c.step for c in cks]
         if steps != sorted(set(steps)):
-            raise ValueError("checkpoint steps must be strictly increasing")
+            raise CheckpointOrderError("checkpoint steps must be strictly increasing")
         dim = cks[0].theta.shape
         if any(c.theta.shape != dim for c in cks):
             raise ShapeMismatchError("checkpoints disagree on parameter dimension")
@@ -80,7 +83,7 @@ class CheckpointSet:
     @classmethod
     def last_k(cls, checkpoints: list[Checkpoint], k: int = 3) -> "CheckpointSet":
         if k < 1:
-            raise ValueError(f"need k >= 1 checkpoints, got {k}")
+            raise CheckpointOrderError(f"need k >= 1 checkpoints, got {k}")
         return cls(tuple(checkpoints[-k:]))
 
 
@@ -272,9 +275,9 @@ def loo_influence(
     over repeated noise draws.
     """
     if len(dataset) < 2:
-        raise ValueError("dataset must have >= 2 examples")
+        raise TooFewExamplesError("dataset must have >= 2 examples")
     if not 0 <= x_index < len(dataset):
-        raise IndexError(f"x_index {x_index} out of range")
+        raise ExcludeIndexError(f"x_index {x_index} out of range")
     seeds = list(noise_seeds) if noise_seeds else [None]
     p, p_without = loo_probabilities(
         dataset, spec, config, [[Variant(e, ns) for ns in seeds] for e in (None, x_index)],

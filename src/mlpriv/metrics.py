@@ -27,9 +27,11 @@ from .errors import (
     DimensionTooSmallError,
     InternalConsistencyError,
     LengthMismatchError,
+    NonFiniteLossError,
     ShapeMismatchError,
     TooFewLanguagesError,
     TooFewSentencesError,
+    UnknownNameError,
     ZeroNormRowError,
 )
 from .repr_store import EmbeddingSet
@@ -246,7 +248,7 @@ def linguistic_fairness_gap(losses: dict[str, float]) -> tuple[float, float]:
         raise TooFewLanguagesError("fairness gap needs >= 2 languages")
     values = np.array(list(losses.values()), dtype=np.float64)
     if not np.all(np.isfinite(values)):
-        raise ValueError("non-finite loss")
+        raise NonFiniteLossError("non-finite loss")
     return float(values.var()), float(values.max() - values.min())
 
 
@@ -280,7 +282,7 @@ def pairwise_report(embedding_set: EmbeddingSet, metric: str) -> MetricReport:
             ranked = functools.cache(lambda q: _ranked_rdm(mats[q]))
             value = lambda q, r: _rank_correlation(*ranked(q), *ranked(r))
     else:
-        raise ValueError(f"unknown metric {metric!r}")
+        raise UnknownNameError(f"unknown metric {metric!r}")
 
     pairs = {}
     for q, r in indices:

@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import (
     AllMaskedError,
+    DuplicateKeyError,
     FormatError,
     MissingLanguageError,
     NonFiniteError,
@@ -94,7 +95,7 @@ class Manifest:
 
     def add(self, language: str, layer: int, path: Path | str) -> None:
         if any(l == language and ly == layer for l, ly, _ in self.entries):
-            raise ValueError(f"duplicate manifest key ({language}, {layer})")
+            raise DuplicateKeyError(f"duplicate manifest key ({language}, {layer})")
         self.entries.append((language, int(layer), Path(path)))
 
     @classmethod

@@ -91,6 +91,9 @@ class TrainConfig:
     noise_seed: int | None = None
 
     def __post_init__(self):
+        for name in ("base_lr", "clip_threshold", "noise_multiplier", "weight_decay"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.base_lr <= 0 or self.total_steps < 1 or self.batch_size < 1:
             raise InvalidConfigError("base_lr, total_steps, batch_size must be positive")
         if self.noise_multiplier < 0 or self.clip_threshold <= 0:

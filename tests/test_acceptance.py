@@ -14,7 +14,7 @@ from mlpriv.experiments import (
     run_theorem1,
     run_theorem2,
 )
-from mlpriv.influence import CheckpointSet, loo_influence, self_influence
+from mlpriv.influence import CheckpointSet, event_probability, self_influence
 from mlpriv.metrics import isoscore, linear_cka, retrieval_precision, rsa_score, spearman_rho
 from mlpriv.repr_store import read_embeddings, write_embeddings
 from mlpriv.synth import SynthSpec, gen_classification_data
@@ -22,12 +22,14 @@ from mlpriv.trainer import (
     Checkpoint,
     ModelSpec,
     TrainConfig,
+    Variant,
     forward_loss,
     grad,
     init_theta,
     lr_at,
     read_checkpoint,
     train,
+    train_many,
     write_checkpoint,
 )
 from mlpriv.errors import FormatError, ShapeMismatchError
@@ -219,10 +221,13 @@ def test_criterion_8_loo_tracin_agreement():
         self_influence((dataset.features[i], int(dataset.labels[i])), cks, model)
         for i in range(32)
     ])
+    # each example's leave-one-out effect at its own point: one coupled
+    # retrain per example beside the full-data run, in one trainer call
+    full, *without = train_many(dataset, model, cfg, [Variant(e) for e in [None, *range(32)]])
     loo_scores = np.array([
-        abs(loo_influence(dataset, i, model, cfg,
-                          dataset.features[i], int(dataset.labels[i])))
-        for i in range(32)
+        abs(event_probability(full.theta, model, dataset.features[i], int(dataset.labels[i]))
+            - event_probability(run.theta, model, dataset.features[i], int(dataset.labels[i])))
+        for i, run in enumerate(without)
     ])
     assert spearman_rho(self_scores, loo_scores) >= 0.5
 

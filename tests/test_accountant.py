@@ -1,6 +1,7 @@
 """Renyi-DP accounting: analytic oracles, monotonicity, and sigma search."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mlpriv.accountant import (
+    BOUND_ORDERS,
     DEFAULT_ORDERS,
+    EXP_ZERO_AT,
+    SIGMA_HI,
+    SIGMA_LO,
+    SIGMA_REL_TOL,
     MechanismParams,
     PrivacySpending,
     compose,
@@ -17,6 +23,7 @@ from mlpriv.accountant import (
     rdp_step,
     rdp_to_dp,
     sigma_for,
+    _packed_triangle,
 )
 from mlpriv.errors import DomainError, EmptyOrdersError, UnboundedError, UnsatisfiableError
 
@@ -50,6 +57,52 @@ def binomial_sum_rdp(q: float, sigma: float, alpha: int) -> float:
     return max((top + math.log(math.fsum(math.exp(t - top) for t in terms))) / (alpha - 1), 0.0)
 
 
+def full_curve_sigma(target, q, steps, delta, orders=DEFAULT_ORDERS, lo=SIGMA_LO, hi=SIGMA_HI):
+    """Reference: sigma_for's bisection with the full curve at every step."""
+    def eps(sigma):
+        return epsilon_for(q, sigma, steps, delta, orders).epsilon
+
+    e_hi = eps(hi)
+    if e_hi > target:
+        raise UnsatisfiableError(f"epsilon({hi}) = {e_hi} still exceeds {target}")
+    e_lo = eps(lo)
+    if e_lo < target:
+        raise UnsatisfiableError(f"epsilon({lo}) = {e_lo} already below {target}")
+    low, high = lo, hi
+    while True:
+        mid = 0.5 * (low + high)
+        e = eps(mid)
+        if abs(e - target) <= SIGMA_REL_TOL * target:
+            while e > target:
+                mid *= 1.0 + SIGMA_REL_TOL
+                e = eps(mid)
+            return mid
+        if e > target:
+            low = mid
+        else:
+            high = mid
+        if high - low <= 1e-12 * high:
+            return high
+
+
+def dense_rdp_curve(q, sigma, orders):
+    """Reference: rdp_curve's packed-triangle log-sum-exp with exp taken of
+    every term (finite sigma, q < 1)."""
+    starts, lengths, k, alpha_minus_k, k_k1, log_binom = _packed_triangle(orders)
+    terms = alpha_minus_k * math.log1p(-q)
+    terms += k * math.log(q)
+    terms += log_binom
+    terms += k_k1 / (2.0 * sigma * sigma)
+    top = np.maximum.reduceat(terms, starts)
+    terms -= np.repeat(top, lengths)
+    is_top = terms == 0.0
+    terms[is_top] = -np.inf
+    ties = np.add.reduceat(is_top, starts, dtype=np.float64)
+    values = np.log1p(np.add.reduceat(np.exp(terms), starts) / ties) + np.log(ties) + top
+    values /= lengths - 2
+    return np.maximum(values, 0.0)
+
+
 class TestRdpCurve:
     @pytest.mark.parametrize("orders", [DEFAULT_ORDERS, (2, 3, 17, 256)], ids=["default", "sparse"])
     @pytest.mark.parametrize("sigma", [1e-3, 0.5, 3.0, 1e3])
@@ -71,6 +124,25 @@ class TestRdpCurve:
         full = rdp_curve(q, sigma, DEFAULT_ORDERS)
         for alpha in (2, 3, 17, 256, 512):
             assert rdp_step(q, sigma, alpha) == rdp_curve(q, sigma, (alpha,))[alpha] == full[alpha]
+
+    @pytest.mark.parametrize("orders", [DEFAULT_ORDERS, (2, 3, 17, 256)], ids=["default", "sparse"])
+    @pytest.mark.parametrize("sigma", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("q", [1e-4, 0.01, 6 / 36, 0.3, 0.999])
+    def test_equals_dense_exp_bit_for_bit(self, q, sigma, orders):
+        got = np.array(list(rdp_curve(q, sigma, orders).values()))
+        assert got.tobytes() == dense_rdp_curve(q, sigma, orders).tobytes()
+
+    def test_exp_is_zero_at_the_cutoff(self):
+        below = np.array([EXP_ZERO_AT, np.nextafter(EXP_ZERO_AT, -np.inf), -1e4, -np.inf] * 16)
+        assert np.exp(EXP_ZERO_AT) == 0.0
+        assert not np.exp(below).any()
+
+    @pytest.mark.parametrize("sigma", [1e-3, 0.3, 1.0, 4.0, 1e3])
+    @pytest.mark.parametrize("q", [1e-4, 0.01, 6 / 36, 0.999, 1.0])
+    def test_order_prefix_is_bit_identical(self, q, sigma):
+        full = rdp_curve(q, sigma, DEFAULT_ORDERS)
+        prefix = rdp_curve(q, sigma, DEFAULT_ORDERS[:BOUND_ORDERS])
+        assert [full[a].hex() for a in prefix] == [v.hex() for v in prefix.values()]
 
     @pytest.mark.parametrize("sigma", [1e-160, 5e-324])
     def test_vanishing_sigma_is_unbounded(self, sigma):
@@ -204,6 +276,35 @@ class TestSigmaFor:
     def test_unsatisfiable_target(self):
         with pytest.raises(UnsatisfiableError):
             sigma_for(1e-9, q=1.0, steps=10**6, delta=1e-12, hi=1.0)
+
+    @pytest.mark.parametrize("bracket", [(SIGMA_LO, SIGMA_HI), (0.05, 50.0)], ids=["default", "custom"])
+    @pytest.mark.parametrize("orders", [DEFAULT_ORDERS, tuple(range(2, 20)), (2, 3, 17, 256)],
+                             ids=["default", "short", "sparse"])
+    @pytest.mark.parametrize("target, q, steps", [
+        (4.0, 6 / 36, 60), (1.0, 0.01, 1000), (0.3, 0.01, 1000), (8.0, 1.0, 1), (0.5, 0.3, 60),
+    ])
+    def test_matches_full_curve_bisection(self, target, q, steps, orders, bracket):
+        lo, hi = bracket
+        try:
+            expected = full_curve_sigma(target, q, steps, 1e-5, orders, lo, hi)
+        except UnsatisfiableError as exc:
+            with pytest.raises(UnsatisfiableError) as got:
+                sigma_for(target, q, steps, 1e-5, orders, lo, hi)
+            assert str(got.value) == str(exc)
+        else:
+            assert sigma_for(target, q, steps, 1e-5, orders, lo, hi).hex() == expected.hex()
+
+    @pytest.mark.parametrize("target, steps, lo, hi, side", [
+        (0.1, 100, SIGMA_LO, 3.0, "hi"),    # eps(3) = 0.129 (order 81), orders 2..32 give 0.247
+        (0.25, 1000, 5.0, SIGMA_HI, "lo"),  # eps(5) = 0.234 (order 60), orders 2..32 give 0.294
+    ])
+    def test_bracket_errors_report_the_full_epsilon(self, target, steps, lo, hi, side):
+        sigma = hi if side == "hi" else lo
+        full = epsilon_for(0.01, sigma, steps, 1e-5).epsilon
+        bound = epsilon_for(0.01, sigma, steps, 1e-5, DEFAULT_ORDERS[:BOUND_ORDERS]).epsilon
+        assert bound > full
+        with pytest.raises(UnsatisfiableError, match="^" + re.escape(f"epsilon({sigma}) = {full} ")):
+            sigma_for(target, q=0.01, steps=steps, delta=1e-5, lo=lo, hi=hi)
 
     def test_nonpositive_target_rejected(self):
         with pytest.raises(DomainError):

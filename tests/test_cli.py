@@ -186,7 +186,8 @@ class TestTrainCommand:
     @pytest.mark.parametrize("overrides", [
         dict(checkpoint_interval=0),
         dict(num_classes=1),  # the lambda = 1 set has labels 0 and 1
-    ], ids=["checkpoint_interval_0", "num_classes_below_labels"])
+        dict(noise_multiplier="nan"),
+    ], ids=["checkpoint_interval_0", "num_classes_below_labels", "noise_multiplier_nan"])
     def test_malformed_config_exits_2(self, synth_dir, tmp_path, capsys, overrides):
         code, _ = self.run_train(synth_dir, tmp_path, **overrides)
         assert code == EXIT_VALIDATION

@@ -7,8 +7,12 @@ import numpy as np
 import pytest
 
 from mlpriv.errors import (
+    CheckpointOrderError,
+    ExcludeIndexError,
+    MlprivError,
     NonFiniteError,
     ShapeMismatchError,
+    TooFewExamplesError,
     TooFewLanguagesError,
     TupleLayoutError,
     UndefinedMarginError,
@@ -41,6 +45,16 @@ class TestCheckpointSet:
         c2 = Checkpoint(step=100, theta=np.zeros(3), eta=0.1)
         with pytest.raises(ValueError):
             CheckpointSet((c1, c2))
+
+    @pytest.mark.parametrize("make", [
+        lambda c: CheckpointSet(()),
+        lambda c: CheckpointSet((c, c)),
+        lambda c: CheckpointSet.last_k([c], 0),
+    ], ids=["empty", "repeated_step", "k_0"])
+    def test_checkpoint_errors_are_typed(self, make):
+        with pytest.raises(CheckpointOrderError) as info:
+            make(Checkpoint(step=100, theta=np.zeros(3), eta=0.1))
+        assert isinstance(info.value, MlprivError) and isinstance(info.value, ValueError)
 
     def test_dimension_agreement(self):
         c1 = Checkpoint(step=100, theta=np.zeros(3), eta=0.1)
@@ -427,6 +441,17 @@ class TestLooInfluence:
                           warmup_steps=0)
         with pytest.raises(IndexError):
             loo_influence(dataset, 4, self.MODEL, cfg, np.zeros(2), 0)
+
+    def test_errors_are_typed(self):
+        cfg = TrainConfig(base_lr=0.1, total_steps=10, batch_size=1, seed=0, warmup_steps=0)
+        one = LabeledDataset(features=np.zeros((1, 2)), labels=[0], languages=("en",))
+        with pytest.raises(TooFewExamplesError) as info:
+            loo_influence(one, 0, self.MODEL, cfg, np.zeros(2), 0)
+        assert isinstance(info.value, MlprivError) and isinstance(info.value, ValueError)
+        two = LabeledDataset(features=np.zeros((2, 2)), labels=[0, 1], languages=("en",) * 2)
+        with pytest.raises(ExcludeIndexError) as info:
+            loo_influence(two, -1, self.MODEL, cfg, np.zeros(2), 0)
+        assert isinstance(info.value, MlprivError) and isinstance(info.value, IndexError)
 
 
 class TestInterpretabilityMargin:

@@ -16,9 +16,13 @@ from mlpriv.errors import (
     DegenerateInputWarning,
     DimensionTooSmallError,
     LengthMismatchError,
+    MlprivError,
+    NonFiniteError,
+    NonFiniteLossError,
     ShapeMismatchError,
     TooFewLanguagesError,
     TooFewSentencesError,
+    UnknownNameError,
     ZeroNormRowError,
 )
 from mlpriv.metrics import (
@@ -313,6 +317,12 @@ class TestFairnessGap:
         with pytest.raises(TooFewLanguagesError):
             linguistic_fairness_gap({"en": 0.2})
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_loss_is_typed(self, bad):
+        with pytest.raises(NonFiniteLossError) as info:
+            linguistic_fairness_gap({"en": 0.2, "fr": bad})
+        assert isinstance(info.value, NonFiniteError) and isinstance(info.value, ValueError)
+
 
 class TestPairwiseReport:
     @pytest.fixture()
@@ -368,6 +378,11 @@ class TestPairwiseReport:
     def test_unknown_metric_rejected(self, embedding_set):
         with pytest.raises(ValueError):
             pairwise_report(embedding_set, "nope")
+
+    def test_unknown_metric_is_typed(self, embedding_set):
+        with pytest.raises(UnknownNameError, match="'nope'") as info:
+            pairwise_report(embedding_set, "nope")
+        assert isinstance(info.value, MlprivError) and isinstance(info.value, ValueError)
 
     def test_error_names_offending_pair(self):
         X = np.random.default_rng(11).standard_normal((8, 4))

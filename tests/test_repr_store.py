@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from mlpriv.errors import (
     AllMaskedError,
+    DuplicateKeyError,
     FormatError,
     MissingLanguageError,
+    MlprivError,
     NonFiniteError,
     ShapeMismatchError,
 )
@@ -185,6 +187,13 @@ class TestManifest:
         manifest.add("en", 0, "a.emb")
         with pytest.raises(ValueError):
             manifest.add("en", 0, "b.emb")
+
+    def test_duplicate_key_is_typed(self):
+        manifest = Manifest()
+        manifest.add("en", 0, "a.emb")
+        with pytest.raises(DuplicateKeyError, match=r"\(en, 0\)") as info:
+            manifest.add("en", 0, "b.emb")
+        assert isinstance(info.value, MlprivError) and isinstance(info.value, ValueError)
 
     def test_too_few_languages_at_layer(self, tmp_path):
         write_embeddings(tmp_path / "a.emb", np.ones((2, 2)))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mlpriv.errors import DomainError
-from mlpriv.influence import loo_influence
+from mlpriv.influence import loo_probabilities
 from mlpriv.metrics import pairwise_report
 from mlpriv.synth import (
     SynthSpec,
@@ -13,7 +13,7 @@ from mlpriv.synth import (
     language_tags,
     plant_outlier,
 )
-from mlpriv.trainer import ModelSpec, TrainConfig
+from mlpriv.trainer import ModelSpec, TrainConfig, Variant
 
 
 class TestSynthSpec:
@@ -138,10 +138,12 @@ class TestPlantOutlier:
                               seed=seed, optimizer="sgd")
             point = planted_set.features[index]
             cls = int(planted_set.labels[index])
-            deltas = np.array([
-                abs(loo_influence(planted_set, i, model, cfg, point, cls))
-                for i in range(len(planted_set))
-            ])
+            # one coupled retrain per example, all beside the full-data run
+            probs = loo_probabilities(
+                planted_set, model, cfg,
+                [[Variant(e)] for e in [None, *range(len(planted_set))]], point, cls,
+            )
+            deltas = np.abs(probs[0] - probs[1:])
             others = np.delete(deltas, index)
             margins.append(deltas[index] - others.max())
         assert float(np.median(margins)) > 0.0

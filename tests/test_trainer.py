@@ -581,6 +581,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             TrainConfig(base_lr=0.1, total_steps=10, batch_size=2, seed=0, checkpoint_interval=0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["base_lr", "clip_threshold", "noise_multiplier", "weight_decay"])
+    def test_non_finite_config_float_rejected(self, field, value):
+        fields = dict(base_lr=0.1, total_steps=10, batch_size=2, seed=0) | {field: value}
+        with pytest.raises(InvalidConfigError, match=f"^{field} must be finite"):
+            TrainConfig(**fields)
+
     def test_trainer_errors_are_typed(self):
         """Each is an MlprivError and also the builtin it replaced."""
         with pytest.raises(InvalidConfigError) as info:

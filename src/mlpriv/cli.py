@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import inspect
 import math
 import sys
@@ -75,6 +76,15 @@ def read_config(path: Path | str, schema: dict[str, type]) -> dict:
         except (ValueError, ConfigError) as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     return values
+
+
+def _from_config(cls, values: dict, path):
+    """cls(**values), once every field without a default is set."""
+    missing = [f.name for f in dataclasses.fields(cls)
+               if f.default is dataclasses.MISSING and f.name not in values]
+    if missing:
+        raise ConfigError(f"{path}: must set {', '.join(missing)}")
+    return cls(**values)
 
 
 TRAIN_SCHEMA = {
@@ -166,7 +176,7 @@ def cmd_metrics(args) -> int:
 
 def cmd_synth(args) -> int:
     values = read_config(args.config, SYNTH_SCHEMA)
-    spec = SynthSpec(**values)
+    spec = _from_config(SynthSpec, values, args.config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     embedding_set, _ = gen_parallel_set(spec)
@@ -195,7 +205,7 @@ def cmd_train(args) -> int:
     model = ModelSpec(
         input_dim=dataset.features.shape[1], hidden_dim=hidden_dim, num_classes=num_classes
     )
-    config = TrainConfig(**values)
+    config = _from_config(TrainConfig, values, args.config)
     result = train(dataset, model, config)
     print(f"sigma = {result.sigma}")
     for ckpt in result.checkpoints:

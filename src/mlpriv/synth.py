@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DomainError
 from .repr_store import EmbeddingSet
-from .trainer import LabeledDataset
+from .trainer import LabeledDataset, _is_seed
 
 
 @dataclass(frozen=True)
@@ -37,6 +37,8 @@ class SynthSpec:
             raise DomainError("need dim >= 2 and classes >= 2")
         if self.noise_scale < 0:
             raise DomainError("noise_scale must be >= 0")
+        if not _is_seed(self.seed):
+            raise DomainError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
 
 def language_tags(n: int) -> list[str]:

@@ -43,6 +43,11 @@ DIVERGENCE_LOSS_CAP = 1e6
 NOISE_BLOCK = 32  # steps of Gaussian noise drawn per generator call
 
 
+def _is_seed(value) -> bool:
+    """A nonnegative integer, the seeds numpy's generators take; bool is not one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 0
+
+
 class Variant(NamedTuple):
     """One coupled run of ``train_many``; None keeps the config's value."""
 
@@ -91,6 +96,12 @@ class TrainConfig:
     noise_seed: int | None = None
 
     def __post_init__(self):
+        if not _is_seed(self.seed):
+            raise InvalidConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        if self.noise_seed is not None and not _is_seed(self.noise_seed):
+            raise InvalidConfigError(
+                f"noise_seed must be a nonnegative integer or None, got {self.noise_seed!r}"
+            )
         for name in ("base_lr", "clip_threshold", "noise_multiplier", "weight_decay"):
             if not math.isfinite(getattr(self, name)):
                 raise InvalidConfigError(f"{name} must be finite, got {getattr(self, name)}")
@@ -323,19 +334,35 @@ class OptimizerState:
 def optimizer_step(
     state: OptimizerState, noisy_grad: np.ndarray, eta: float, config: TrainConfig
 ) -> OptimizerState:
-    """One SGD or AdamW update with decoupled weight decay."""
-    wd = config.weight_decay
+    """One SGD or AdamW update with decoupled weight decay, applied to the
+    state's arrays in place; returns the same state.
+
+    The decay term is taken from the parameters before the update, and the
+    update rounds as theta - step - decay, with step = eta * g for SGD and
+    (eta * m_hat) / (sqrt(v_hat) + eps) for AdamW.
+    """
+    theta = state.theta
+    decay = (eta * config.weight_decay) * theta
+    state.t += 1
     if config.optimizer == "sgd":
-        theta = state.theta - eta * noisy_grad - eta * wd * state.theta
-        return OptimizerState(theta=theta, m=state.m, v=state.v, t=state.t + 1)
-    b1, b2 = config.adam_beta1, config.adam_beta2
-    t = state.t + 1
-    m = b1 * state.m + (1 - b1) * noisy_grad
-    v = b2 * state.v + (1 - b2) * noisy_grad**2
-    m_hat = m / (1 - b1**t)
-    v_hat = v / (1 - b2**t)
-    theta = state.theta - eta * m_hat / (np.sqrt(v_hat) + config.adam_eps) - eta * wd * state.theta
-    return OptimizerState(theta=theta, m=m, v=v, t=t)
+        step = eta * noisy_grad
+    else:
+        b1, b2 = config.adam_beta1, config.adam_beta2
+        state.m *= b1
+        state.m += (1 - b1) * noisy_grad
+        grad_sq = np.square(noisy_grad)
+        grad_sq *= 1 - b2
+        state.v *= b2
+        state.v += grad_sq
+        step = state.m / (1 - b1**state.t)
+        step *= eta
+        denom = state.v / (1 - b2**state.t)
+        np.sqrt(denom, out=denom)
+        denom += config.adam_eps
+        step /= denom
+    theta -= step
+    theta -= decay
+    return state
 
 
 def lr_at(step: int, config: TrainConfig) -> float:
@@ -412,12 +439,15 @@ def train_many(
     with None keeping the config's value. All runs share the initial
     parameters and one batch draw per step; a run's excluded example is
     masked out of each batch that holds it and its gradient mean divides by
-    the examples it kept. Each run with sigma > 0 keeps its own noise
-    generator; a sigma = 0 run draws no noise. Per-example gradients are never
-    formed: for each (d, a) layer pair of ``_backward`` the gradient is
-    outer(d, [a; 1]), whose norm is |d| * sqrt(|a|^2 + 1) (Goodfellow 2015,
-    arXiv 1510.01799), so the clip factors come from per-layer norms and the
-    clipped sum of each layer is one matrix product.
+    the examples it kept. A sigma = 0 run draws no noise. Runs with sigma > 0
+    draw from one generator per distinct noise seed (their own, else the
+    config's, else a stream spawned off config.seed): runs that share a seed
+    read the same draws, exactly as they would with a generator each.
+    Per-example gradients are never formed: for each (d, a) layer pair of
+    ``_backward`` the gradient is outer(d, [a; 1]), whose norm is
+    |d| * sqrt(|a|^2 + 1) (Goodfellow 2015, arXiv 1510.01799), so the clip
+    factors come from per-layer norms and the clipped sum of each layer is
+    one matrix product.
     """
     variants = [Variant(*v) for v in variants]
     N = len(dataset)
@@ -434,6 +464,10 @@ def train_many(
     for v in variants:
         if v.exclude_index is not None and not 0 <= v.exclude_index < N:
             raise ExcludeIndexError(f"exclude_index {v.exclude_index} out of range")
+        if v.noise_seed is not None and not _is_seed(v.noise_seed):
+            raise InvalidConfigError(
+                f"per-run noise_seed must be a nonnegative integer or None, got {v.noise_seed!r}"
+            )
     sigmas = _run_sigmas(variants, config, N)
     C, B, T = config.clip_threshold, config.batch_size, config.total_steps
     R, P = len(variants), spec.num_params
@@ -441,14 +475,15 @@ def train_many(
     batch_ss, noise_ss = np.random.SeedSequence(config.seed).spawn(2)
     batch_rng = np.random.default_rng(batch_ss)
     noised = np.flatnonzero(np.array(sigmas) > 0)  # an array: a list index is converted each step
-    noise_rngs = []
-    for r in noised:
-        noise_seed = variants[r].noise_seed
-        if noise_seed is None:
-            noise_seed = config.noise_seed
-        noise_rngs.append(np.random.default_rng(noise_ss if noise_seed is None else noise_seed))
+    # runs with the same effective noise seed draw the same stream, so each
+    # distinct seed gets one generator and its runs read the same draws
+    run_seeds = [config.noise_seed if variants[r].noise_seed is None else variants[r].noise_seed
+                 for r in noised]
+    streams = list(dict.fromkeys(run_seeds))
+    stream_of = np.array([streams.index(s) for s in run_seeds], dtype=np.intp)
+    noise_rngs = [np.random.default_rng(noise_ss if s is None else s) for s in streams]
     noise_scale = np.array([sigmas[r] * C for r in noised])[:, None]
-    noise = np.empty((len(noised), NOISE_BLOCK, P))
+    noise = np.empty((len(streams), NOISE_BLOCK, P))
     excluded = np.array([-1 if v.exclude_index is None else v.exclude_index for v in variants])
 
     state = OptimizerState.init(np.tile(init_theta(spec, seed=config.seed), (R, 1)))
@@ -456,6 +491,8 @@ def train_many(
     accuracies = np.empty((T, R))
     lrs: list[float] = []
     snapshots: list[tuple[int, float, np.ndarray]] = []
+    rows = np.arange(B)
+    tiny = np.finfo(np.float64).tiny
 
     for step in range(1, T + 1):
         idx = batch_rng.choice(N, size=B, replace=False)
@@ -468,18 +505,18 @@ def train_many(
         X = dataset.features[idx]
         y = dataset.labels[idx]
         probs, layers = _backward(spec, state.theta, X, y)
-        p_true = np.maximum(probs[np.arange(B), :, y], np.finfo(np.float64).tiny)
+        p_true = np.maximum(probs[rows, :, y], tiny)
         loss = np.where(keep, -np.log(p_true), 0.0).sum(axis=0) / count
         acc = ((probs.argmax(axis=2) == y[:, None]) & keep).sum(axis=0) / count
-        bad = ~(loss <= DIVERGENCE_LOSS_CAP)  # also catches nan
-        if bad.any():
-            r = int(np.argmax(bad))
+        ok = loss <= DIVERGENCE_LOSS_CAP  # False for nan too
+        if not ok.all():
+            r = int(np.argmin(ok))
             raise DivergenceError(step, f"loss = {loss[r]}{_which_run(variants, r)}")
 
         # (B, R): a (B, k) input is shared by every run, a (B, R, k) one is not
         norm_sq = sum(_reduce_last(np.add, d * d) * (_reduce_last(np.add, a * a).reshape(B, -1) + 1.0)
                       for d, a in layers)
-        scale = np.minimum(1.0, C / np.maximum(np.sqrt(norm_sq), np.finfo(np.float64).tiny))
+        scale = np.minimum(1.0, C / np.maximum(np.sqrt(norm_sq), tiny))
         scale = (scale * keep)[:, :, None]
         parts = []
         for d, a in layers:
@@ -492,14 +529,13 @@ def train_many(
                 block = noise[:, : min(NOISE_BLOCK, T - step + 1)]
                 for r, rng in enumerate(noise_rngs):
                     rng.standard_normal(out=block[r])
-            total[noised] += noise_scale * noise[:, j]
+            total[noised] += noise_scale * noise[stream_of, j]
         noisy = total / count[:, None]
 
         eta = lr_at(step, config)
-        state = optimizer_step(state, noisy, eta, config)
-        finite = np.isfinite(state.theta).all(axis=1)
-        if not finite.all():
-            r = int(np.argmin(finite))
+        optimizer_step(state, noisy, eta, config)
+        if not np.isfinite(state.theta).all():
+            r = int(np.argmin(np.isfinite(state.theta).all(axis=1)))
             raise DivergenceError(step, f"non-finite parameters{_which_run(variants, r)}")
 
         losses[step - 1] = loss

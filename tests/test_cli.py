@@ -2,20 +2,26 @@
 
 import contextlib
 import csv
+import inspect
 import io
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mlpriv import experiments
 from mlpriv.accountant import epsilon_for, sigma_for
 from mlpriv.cli import (
     EXIT_CRITERION,
+    EXIT_DIVERGENCE,
     EXIT_OK,
     EXIT_VALIDATION,
+    EXPERIMENT_SCHEMA,
     SYNTH_SCHEMA,
+    TRAIN_SCHEMA,
     ConfigError,
     main,
     read_config,
@@ -36,6 +42,39 @@ EDGE_FLOATS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 2.2250738585072
 def fuzz_floats(lo, hi):
     """Half the time a float in (lo, hi], else an edge value or any float at all."""
     return st.one_of(st.floats(lo, hi, exclude_min=True), st.sampled_from(EDGE_FLOATS) | st.floats())
+
+
+# malformed or edge-case config values: a fuzzed config holds at most one
+BAD_VALUES = st.sampled_from(["", "x", "1.5", "-0", "-1", "0", "1e400", "nan", "inf", "-inf",
+                              "5e-324", "1e300", "-1e300", "true"]) | st.floats().map(repr)
+
+
+def fuzz_config(data, fields, required=(), bad_keys=None, may_drop_required=True):
+    """Draw a config over `fields` (key -> strategy of well-formed values):
+    the required keys plus any of the others, or, if may_drop_required, any
+    subset at all; then at most one key of `bad_keys` (default: the fields)
+    gets a bad value."""
+    optional = {k: v for k, v in fields.items() if k not in required}
+    configs = st.fixed_dictionaries({k: fields[k] for k in required}, optional=optional)
+    if may_drop_required:
+        configs |= st.fixed_dictionaries({}, optional=fields)
+    values = data.draw(configs, label="values")
+    bad = data.draw(st.none() | st.sampled_from(sorted(bad_keys or fields)), label="bad key")
+    if bad is not None:
+        values[bad] = data.draw(BAD_VALUES, label="bad value")
+    return values
+
+
+def as_text(strategy):
+    return strategy.map(repr)
+
+
+def run_quietly(argv):
+    """main(argv) with stdout and stderr captured; returns (code, stderr)."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
 
 
 @pytest.fixture()
@@ -87,6 +126,26 @@ class TestSynthCommand:
     def test_bad_config_exits_2(self, tmp_path):
         cfg = write_config(tmp_path / "bad.cfg", num_languages=1, tuples=4, dim=4)
         assert main(["synth", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
+
+    SYNTH_FUZZ = {
+        "num_languages": as_text(st.integers(2, 5)),
+        "tuples": as_text(st.integers(2, 30)),
+        "dim": as_text(st.integers(2, 8)),
+        "classes": as_text(st.integers(2, 5)),
+        "compression": as_text(st.floats(0.0, 1.0)),
+        "noise_scale": as_text(st.floats(0.0, 1.0)),
+        "seed": as_text(st.integers(0, 2**64)),
+    }
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_fuzzed_config_exits_0_or_2(self, tmp_path_factory, data):
+        assert self.SYNTH_FUZZ.keys() == SYNTH_SCHEMA.keys()
+        values = fuzz_config(data, self.SYNTH_FUZZ, required=("num_languages", "tuples", "dim"))
+        cfg = write_config(tmp_path_factory.mktemp("synth") / "synth.cfg", **values)
+        code, err = run_quietly(["synth", "--config", cfg, "--out", str(Path(cfg).parent / "out")])
+        assert code in (EXIT_OK, EXIT_VALIDATION)
+        assert (code == EXIT_OK) == (err == "")
 
     def test_relative_out_feeds_metrics(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -192,6 +251,64 @@ class TestTrainCommand:
         code, _ = self.run_train(synth_dir, tmp_path, **overrides)
         assert code == EXIT_VALIDATION
         assert capsys.readouterr().err.startswith("error:")
+
+    TRAIN_FUZZ = {
+        "base_lr": as_text(st.floats(1e-3, 1.0)),
+        "total_steps": as_text(st.integers(1, 30)),
+        "batch_size": as_text(st.integers(1, 36)),  # the fuzz dataset holds 36 examples
+        "seed": as_text(st.integers(0, 2**64)),
+        "warmup_steps": as_text(st.integers(0, 5)),
+        "clip_threshold": as_text(st.floats(1e-3, 10.0)),
+        "noise_multiplier": as_text(st.floats(0.0, 5.0)),
+        "weight_decay": as_text(st.floats(0.0, 0.5)),
+        "optimizer": st.sampled_from(["sgd", "adamw"]),
+        "checkpoint_interval": as_text(st.integers(1, 30)),
+        "target_epsilon": as_text(st.floats(0.1, 16.0)) | st.just("inf"),
+        "delta": as_text(st.floats(1e-8, 0.1)),
+        "hidden_dim": as_text(st.integers(0, 8)),
+        "num_classes": as_text(st.integers(2, 5)),
+    }
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # a diverging run overflows first
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_fuzzed_config_exit_code_is_documented(self, fuzz_data, data):
+        assert self.TRAIN_FUZZ.keys() == TRAIN_SCHEMA.keys()
+        values = fuzz_config(data, self.TRAIN_FUZZ,
+                             required=("base_lr", "total_steps", "batch_size", "seed", "warmup_steps"))
+        cfg = write_config(fuzz_data / "train.cfg", **values)
+        code, err = run_quietly(["train", "--config", cfg, "--data", str(fuzz_data / "data"),
+                                 "--out", str(fuzz_data / "run")])
+        assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_DIVERGENCE)
+        assert (code == EXIT_OK) == (err == "")
+
+
+@pytest.fixture(scope="module")
+def fuzz_data(tmp_path_factory):
+    """A directory holding a lambda = 0.5 dataset (3 languages x 12 tuples) in data/."""
+    root = tmp_path_factory.mktemp("fuzz")
+    cfg = write_config(root / "synth.cfg", num_languages=3, tuples=12, dim=4, classes=2,
+                       compression=0.5, seed=0)
+    assert main(["synth", "--config", cfg, "--out", str(root / "data")]) == EXIT_OK
+    return root
+
+
+@pytest.mark.parametrize("command", ["synth", "train", "experiment"])
+def test_negative_seed_exits_2_naming_the_field(synth_dir, tmp_path, capsys, command):
+    out = str(tmp_path / "out")
+    if command == "synth":
+        cfg = write_config(tmp_path / "c.cfg", num_languages=3, tuples=12, dim=4, seed=-1)
+        argv = ["synth", "--config", cfg, "--out", out]
+    elif command == "train":
+        cfg = write_config(tmp_path / "c.cfg", base_lr=0.1, total_steps=10, batch_size=4,
+                           warmup_steps=0, seed=-1)
+        argv = ["train", "--config", cfg, "--data", str(synth_dir), "--out", out]
+    else:
+        cfg = write_config(tmp_path / "c.cfg", tuples=12, total_steps=10, seed=-1)
+        argv = ["experiment", "theorem2", "--config", cfg, "--out", out]
+    capsys.readouterr()
+    assert main(argv) == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: seed must be a nonnegative integer, got -1\n"
 
 
 class TestInfluenceCommand:
@@ -432,6 +549,39 @@ class TestExperimentCommand:
         code = main(["experiment", name, "--config", str(cfg), "--out", str(tmp_path / "exp")])
         assert code == EXIT_VALIDATION
         assert capsys.readouterr().err.startswith("error:")
+
+    EXPERIMENT_FUZZ = {
+        "seeds": st.sampled_from(["0", "1", "2,3"]),
+        "num_languages": as_text(st.integers(2, 4)),
+        "tuples": as_text(st.integers(6, 12)),
+        "dim": as_text(st.integers(2, 6)),
+        "classes": as_text(st.integers(2, 4)),
+        "magnitude": as_text(st.floats(0.0, 10.0)),
+        # past the trainer's default warmup (50 steps) and first checkpoint (100)
+        "total_steps": as_text(st.integers(100, 130)),
+        "batch_size": as_text(st.integers(1, 40)),
+        "base_lr": as_text(st.floats(1e-3, 1.0)),
+        "seed": as_text(st.integers(0, 2**64)),
+        "include_loo": st.sampled_from(["true", "false"]),
+    }
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # constant or diverging series
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_fuzzed_config_exit_code_is_documented(self, tmp_path_factory, data):
+        assert self.EXPERIMENT_FUZZ.keys() == EXPERIMENT_SCHEMA.keys()
+        name = data.draw(st.sampled_from(experiments.EXPERIMENT_NAMES), label="name")
+        accepted = inspect.signature(experiments.EXPERIMENTS[name]).parameters
+        fields = {k: v for k, v in self.EXPERIMENT_FUZZ.items() if k in accepted}
+        # the default seeds, sizes and step counts take seconds: always set them
+        values = fuzz_config(data, fields, required=[k for k in ("seeds", "tuples", "total_steps")
+                                                     if k in fields],
+                             bad_keys=EXPERIMENT_SCHEMA, may_drop_required=False)
+        cfg = write_config(tmp_path_factory.mktemp("exp") / "exp.cfg", **values)
+        code, err = run_quietly(["experiment", name, "--config", cfg,
+                                 "--out", str(Path(cfg).parent / "out")])
+        assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_DIVERGENCE, EXIT_CRITERION)
+        assert (code in (EXIT_OK, EXIT_CRITERION)) == (err == "")
 
     def test_unknown_name_exits_2(self, tmp_path):
         code = main(["experiment", "nonsense", "--out", str(tmp_path / "exp")])

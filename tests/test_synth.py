@@ -25,6 +25,11 @@ class TestSynthSpec:
         with pytest.raises(DomainError):
             SynthSpec(num_languages=3, tuples=10, dim=4, noise_scale=-0.1)
 
+    @pytest.mark.parametrize("bad", [-1, 1.5, "3", True, None])
+    def test_bad_seed_rejected(self, bad):
+        with pytest.raises(DomainError, match="^seed must be a nonnegative integer"):
+            SynthSpec(num_languages=3, tuples=10, dim=4, seed=bad)
+
     def test_language_tags_are_stable(self):
         assert language_tags(3) == ["L00", "L01", "L02"]
 

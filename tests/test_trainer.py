@@ -163,6 +163,34 @@ class TestOptimizerStep:
         expected = theta0 - 0.01 * g / (np.abs(g) + cfg.adam_eps)
         np.testing.assert_allclose(new.theta, expected, atol=1e-12)
 
+    @pytest.mark.parametrize("runs", [1, 3])
+    @pytest.mark.parametrize("optimizer", ["sgd", "adamw"])
+    def test_in_place_update_matches_out_of_place_formula(self, optimizer, runs):
+        """The in-place update keeps every rounding step of the plain formula."""
+        cfg = TrainConfig(base_lr=0.1, total_steps=50, batch_size=2, seed=0,
+                          warmup_steps=5, optimizer=optimizer, weight_decay=0.3)
+        rng = np.random.default_rng(runs)
+        theta0 = rng.standard_normal((runs, 7))  # train_many's (R, P) stack
+        state = OptimizerState.init(theta0)
+        theta, m, v = theta0.copy(), np.zeros_like(theta0), np.zeros_like(theta0)
+        b1, b2, wd = cfg.adam_beta1, cfg.adam_beta2, cfg.weight_decay
+        for t in range(1, 51):
+            g = rng.standard_normal(theta0.shape) * 10.0 ** rng.integers(-3, 3)
+            eta = lr_at(t, cfg)
+            if optimizer == "sgd":
+                theta = theta - eta * g - eta * wd * theta
+            else:
+                m = b1 * m + (1 - b1) * g
+                v = b2 * v + (1 - b2) * g**2
+                m_hat = m / (1 - b1**t)
+                v_hat = v / (1 - b2**t)
+                theta = theta - eta * m_hat / (np.sqrt(v_hat) + cfg.adam_eps) - eta * wd * theta
+            assert optimizer_step(state, g, eta, cfg) is state
+            assert state.t == t
+            assert state.theta.tobytes() == theta.tobytes()
+            assert state.m.tobytes() == m.tobytes()
+            assert state.v.tobytes() == v.tobytes()
+
 
 class TestTrainLoop:
     def test_determinism(self):
@@ -418,6 +446,38 @@ class TestTrainMany:
         assert stacked.losses.tobytes() == alone.losses.tobytes()
         assert stacked.accuracies.tobytes() == alone.accuracies.tobytes()
 
+    @pytest.mark.parametrize("shared", [None, 5], ids=["config_noise_seed_none", "config_noise_seed_5"])
+    @pytest.mark.parametrize("optimizer", ["sgd", "adamw"])
+    @pytest.mark.parametrize("hidden", [0, 4], ids=["linear", "tanh"])
+    def test_shared_noise_streams_are_byte_identical(self, hidden, optimizer, shared):
+        """Runs that share an effective noise seed read one generator's draws;
+        each row's bytes are those of its variant trained alone. With
+        config.noise_seed = 5 the seedless runs share seed 5's stream, else
+        the stream spawned off config.seed."""
+        dataset = make_dataset(n=16, seed=5)
+        model = ModelSpec(input_dim=3, hidden_dim=hidden, num_classes=3)
+        cfg = TrainConfig(base_lr=0.1, total_steps=70, batch_size=5, seed=6, warmup_steps=5,
+                          clip_threshold=0.5, noise_multiplier=1.0, optimizer=optimizer,
+                          checkpoint_interval=20, noise_seed=shared)
+        variants = [(None, 5, 0.5), (2, 5, 2.0), (7, 5, 0.5), (None, 6, 0.5), (2, 6, 2.0),
+                    (None, None), (3, None, 2.0), (None, 5, 0.0), (9, 6)]
+        rows = train_many(dataset, model, cfg, variants)
+        for variant, row in zip(variants, rows):
+            alone = train_many(dataset, model, cfg, [variant])[0]
+            assert row.sigma == alone.sigma
+            assert row.theta.tobytes() == alone.theta.tobytes()
+            assert [c.theta.tobytes() for c in row.checkpoints] == \
+                [c.theta.tobytes() for c in alone.checkpoints]
+            assert row.losses.tobytes() == alone.losses.tobytes()
+            assert row.accuracies.tobytes() == alone.accuracies.tobytes()
+
+    @pytest.mark.parametrize("bad", [-1, 1.5, "3", True])
+    def test_bad_per_run_noise_seed_is_typed_error(self, bad):
+        dataset = make_dataset(n=12)
+        cfg = TrainConfig(base_lr=0.1, total_steps=20, batch_size=4, seed=0, warmup_steps=0)
+        with pytest.raises(InvalidConfigError, match="per-run noise_seed must be a nonnegative integer"):
+            train_many(dataset, ModelSpec(3, 0, 3), cfg, [(None, 4), (None, bad, 1.0)])
+
     @pytest.mark.parametrize("bad", [-0.5, math.nan, math.inf, "1"])
     def test_bad_per_run_sigma_is_typed_error(self, bad):
         dataset = make_dataset(n=12)
@@ -587,6 +647,22 @@ class TestValidation:
         fields = dict(base_lr=0.1, total_steps=10, batch_size=2, seed=0) | {field: value}
         with pytest.raises(InvalidConfigError, match=f"^{field} must be finite"):
             TrainConfig(**fields)
+
+    @pytest.mark.parametrize("bad", [-1, 1.5, "3", True, None, np.float64(2.0)])
+    def test_bad_seed_rejected(self, bad):
+        with pytest.raises(InvalidConfigError, match="^seed must be a nonnegative integer"):
+            TrainConfig(base_lr=0.1, total_steps=10, batch_size=2, seed=bad)
+
+    @pytest.mark.parametrize("bad", [-1, 1.5, "3", True, np.float64(2.0)])
+    def test_bad_noise_seed_rejected(self, bad):
+        with pytest.raises(InvalidConfigError, match="^noise_seed must be a nonnegative integer or None"):
+            TrainConfig(base_lr=0.1, total_steps=10, batch_size=2, seed=0, noise_seed=bad)
+
+    def test_integer_seeds_accepted(self):
+        for seed, noise_seed in [(0, None), (np.int64(3), np.uint32(4)), (2**64, 0)]:
+            cfg = TrainConfig(base_lr=0.1, total_steps=10, batch_size=2, warmup_steps=0,
+                              seed=seed, noise_seed=noise_seed)
+            assert (cfg.seed, cfg.noise_seed) == (seed, noise_seed)
 
     def test_trainer_errors_are_typed(self):
         """Each is an MlprivError and also the builtin it replaced."""

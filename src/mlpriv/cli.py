@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 2 validation error, 3 training divergence,
 4 experiment criterion failed. Config files are flat ``key = value`` text;
-unknown keys are rejected.
+unknown keys are rejected. A train config's keys are ``TrainConfig``'s fields
+plus the model keys, a synth config's are ``SynthSpec``'s fields, and an
+experiment config's are the experiment function's parameters.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import dataclasses
 import inspect
 import math
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +58,9 @@ def _parse_value(raw: str, target_type):
         if raw.lower() in ("inf", "infinity"):
             return math.inf
         return float(raw)
+    if typing.get_origin(target_type) is list:  # comma-separated
+        item_type, = typing.get_args(target_type)
+        return [_parse_value(item, item_type) for item in raw.split(",")]
     return target_type(raw)
 
 
@@ -87,46 +93,19 @@ def _from_config(cls, values: dict, path):
     return cls(**values)
 
 
-TRAIN_SCHEMA = {
-    "base_lr": float,
-    "total_steps": int,
-    "batch_size": int,
-    "seed": int,
-    "warmup_steps": int,
-    "clip_threshold": float,
-    "noise_multiplier": float,
-    "weight_decay": float,
-    "optimizer": str,
-    "checkpoint_interval": int,
-    "target_epsilon": float,
-    "delta": float,
-    "hidden_dim": int,
-    "num_classes": int,
-}
+def _schema(*sources) -> dict[str, type]:
+    """Config key -> type, read from the annotations of each source's
+    parameters: a dataclass's fields or a function's; ``T | None`` reads as T."""
+    schema: dict[str, type] = {}
+    for source in sources:
+        hints = typing.get_type_hints(source)
+        for name in inspect.signature(source).parameters:
+            kind = hints[name]
+            if type(None) in typing.get_args(kind):
+                kind, = [arg for arg in typing.get_args(kind) if arg is not type(None)]
+            schema[name] = kind
+    return schema
 
-SYNTH_SCHEMA = {
-    "num_languages": int,
-    "tuples": int,
-    "dim": int,
-    "classes": int,
-    "compression": float,
-    "noise_scale": float,
-    "seed": int,
-}
-
-EXPERIMENT_SCHEMA = {
-    "seeds": str,  # comma-separated list
-    "num_languages": int,
-    "tuples": int,
-    "dim": int,
-    "classes": int,
-    "magnitude": float,
-    "total_steps": int,
-    "batch_size": int,
-    "base_lr": float,
-    "seed": int,
-    "include_loo": bool,
-}
 
 # `mlpriv train` records the model it trained next to its checkpoints, so
 # `mlpriv influence` need not guess the class count from the labels
@@ -135,6 +114,10 @@ MODEL_SCHEMA = {
     "hidden_dim": int,
     "num_classes": int,
 }
+
+TRAIN_SCHEMA = {**_schema(TrainConfig), **MODEL_SCHEMA}
+SYNTH_SCHEMA = _schema(SynthSpec)
+EXPERIMENT_SCHEMA = _schema(*experiments.EXPERIMENTS.values())
 
 
 def _write_labels(path: Path, dataset: LabeledDataset) -> None:
@@ -281,8 +264,6 @@ def cmd_experiment(args) -> int:
         unknown = [key for key in values if key not in accepted]
         if unknown:
             raise ConfigError(f"{args.config}: {args.name} does not take {', '.join(unknown)}")
-        if "seeds" in values:
-            values["seeds"] = [int(s) for s in values["seeds"].split(",")]
         kwargs = values
     result = experiments.run_experiment(args.name, **kwargs)
     out = Path(args.out)

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics
-from .errors import UndefinedMarginError, UnknownNameError
+from .errors import InvalidConfigError, UndefinedMarginError, UnknownNameError
 from .influence import (
     CheckpointSet,
     influence_profiles,
@@ -63,9 +63,24 @@ class ExperimentResult:
                 writer.writerow([k, v])
 
 
+def _train_config(base_lr: float, total_steps: int, batch_size: int, seed: int) -> TrainConfig:
+    """An experiment's training config, the trainer's defaults otherwise; its
+    influence reads checkpoints, so training must reach the first one."""
+    config = TrainConfig(base_lr=base_lr, total_steps=total_steps, batch_size=batch_size, seed=seed)
+    if total_steps < config.checkpoint_interval:
+        raise InvalidConfigError(
+            f"total_steps = {total_steps} ends before the first checkpoint "
+            f"at step {config.checkpoint_interval}"
+        )
+    return config
+
+
 # ---------------------------------------------------------------------------
 # theorem2: perfect compression => fairness + uniform influence
 # ---------------------------------------------------------------------------
+
+THEOREM2_TOL = 1e-9  # how far from 1 the metric aggregates and InfU may be
+
 
 def run_theorem2(
     num_languages: int = 4,
@@ -73,7 +88,6 @@ def run_theorem2(
     dim: int = 8,
     seed: int = 0,
     total_steps: int = 300,
-    tol: float = 1e-9,
 ) -> ExperimentResult:
     spec = SynthSpec(
         num_languages=num_languages, tuples=tuples, dim=dim,
@@ -87,11 +101,7 @@ def run_theorem2(
 
     dataset = gen_classification_data(spec)
     model = ModelSpec(input_dim=dim, hidden_dim=0, num_classes=spec.classes)
-    config = TrainConfig(
-        base_lr=0.1, total_steps=total_steps, batch_size=32, seed=seed,
-        noise_multiplier=0.0,
-    )
-    result = train(dataset, model, config)
+    result = train(dataset, model, _train_config(0.1, total_steps, 32, seed))
     _, per_language = evaluate(result.theta, model, dataset)
     loss_variance, loss_gap = metrics.linguistic_fairness_gap(per_language)
 
@@ -100,8 +110,8 @@ def run_theorem2(
 
     passed = (
         loss_variance == 0.0
-        and all(abs(v - 1.0) <= tol for v in aggregates.values())
-        and all(abs(u - 1.0) <= tol for u in infu_values)
+        and all(abs(v - 1.0) <= THEOREM2_TOL for v in aggregates.values())
+        and all(abs(u - 1.0) <= THEOREM2_TOL for u in infu_values)
     )
     rows = [{"tuple_index": i, "infu": format(u, ".17g")} for i, u in enumerate(infu_values)]
     summary = {
@@ -118,17 +128,18 @@ def run_theorem2(
 # ---------------------------------------------------------------------------
 
 THEOREM1_SIGMAS = (0.0, 0.5, 2.0)
+THEOREM1_LOO_NOISE_SEEDS = 10  # noise seeds averaged per leave-one-out probability at sigma > 0
 
 
 def _theorem1_dataset(seed: int, num_languages: int, tuples: int, dim: int,
-                      classes: int, magnitude: float, orthogonal: bool = True):
+                      classes: int, magnitude: float):
     spec = SynthSpec(
         num_languages=num_languages, tuples=tuples, dim=dim, classes=classes,
         compression=0.5, seed=seed,
     )
     dataset = gen_classification_data(spec)
     return plant_outlier(
-        dataset, magnitude=magnitude, seed=seed + 10_000, orthogonal=orthogonal
+        dataset, magnitude=magnitude, seed=seed + 10_000, orthogonal=False
     )
 
 
@@ -201,9 +212,7 @@ def run_theorem1(
     total_steps: int = 300,
     batch_size: int = 16,
     base_lr: float = 0.05,
-    loo_noise_seeds: int = 10,
     include_loo: bool = True,
-    orthogonal: bool = False,
 ) -> ExperimentResult:
     """Per seed, one ``train_many`` call trains the full-data run at every
     sigma, and one more makes every sigma's leave-one-out retrains."""
@@ -214,12 +223,8 @@ def run_theorem1(
     margins = {s: [] for s in THEOREM1_SIGMAS}
     eps_i = {s: [] for s in THEOREM1_SIGMAS}
     for seed in seeds:
-        dataset, planted = _theorem1_dataset(
-            seed, num_languages, tuples, dim, classes, magnitude, orthogonal
-        )
-        config = TrainConfig(
-            base_lr=base_lr, total_steps=total_steps, batch_size=batch_size, seed=seed,
-        )
+        dataset, planted = _theorem1_dataset(seed, num_languages, tuples, dim, classes, magnitude)
+        config = _train_config(base_lr, total_steps, batch_size, seed)
         full_runs = train_many(
             dataset, model, config, [Variant(noise_multiplier=s) for s in THEOREM1_SIGMAS]
         )
@@ -230,7 +235,7 @@ def run_theorem1(
             margins[sigma].append(margin)
             seed_rows.append({"seed": seed, "sigma": sigma, "margin": format(margin, ".17g")})
         if include_loo:
-            noise_seeds = [seed * 1000 + j for j in range(loo_noise_seeds)]
+            noise_seeds = [seed * 1000 + j for j in range(THEOREM1_LOO_NOISE_SEEDS)]
             loo = loo_margins(dataset, planted, model, config, [
                 (sigma, cks, None if sigma == 0.0 else noise_seeds)
                 for sigma, cks in zip(THEOREM1_SIGMAS, cells)
@@ -259,24 +264,23 @@ def run_theorem1(
 # ---------------------------------------------------------------------------
 
 LAMBDA_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
+FIG2_THRESHOLD = 0.8  # the Pearson r the experiment must reach
 
 
 def run_fig2_correlation(
     seeds: list[int] | None = None,
-    lambdas: tuple[float, ...] = LAMBDA_GRID,
     num_languages: int = 4,
     tuples: int = 40,
     dim: int = 8,
     total_steps: int = 300,
     base_lr: float = 1.0,
-    threshold: float = 0.8,
 ) -> ExperimentResult:
     if seeds is None:
         seeds = list(range(10))
     model = ModelSpec(input_dim=dim, hidden_dim=0, num_classes=2)
     rows = []
     points = []
-    for lam in lambdas:
+    for lam in LAMBDA_GRID:
         for seed in seeds:
             spec = SynthSpec(
                 num_languages=num_languages, tuples=tuples, dim=dim,
@@ -285,11 +289,7 @@ def run_fig2_correlation(
             embedding_set, _ = gen_parallel_set(spec)
             retrieval = metrics.pairwise_report(embedding_set, "retrieval").aggregate
             dataset = gen_classification_data(spec)
-            config = TrainConfig(
-                base_lr=base_lr, total_steps=total_steps, batch_size=32,
-                seed=seed, noise_multiplier=0.0,
-            )
-            result = train(dataset, model, config)
+            result = train(dataset, model, _train_config(base_lr, total_steps, 32, seed))
             cks = CheckpointSet.last_k(result.checkpoints, 3)
             mean_infu = float(np.mean(
                 [profile.infu for profile in influence_profiles(dataset, cks, model)]
@@ -303,7 +303,7 @@ def run_fig2_correlation(
     xs = np.array([p[0] for p in points])
     ys = np.array([p[1] for p in points])
     r = float(np.corrcoef(xs, ys)[0, 1])
-    passed = r >= threshold
+    passed = r >= FIG2_THRESHOLD
     return ExperimentResult(
         "fig2-correlation", passed, {"pearson_r": r, "points": len(points)}, rows
     )

@@ -36,8 +36,6 @@ from .errors import (
 )
 from .repr_store import EmbeddingSet
 
-RANGE_SLACK = 1e-12
-
 AGG_FULL_OFF_DIAGONAL = "full-off-diagonal"
 AGG_UPPER_TRIANGLE = "upper-triangle"
 AGG_POOLED = "pooled"
@@ -63,10 +61,8 @@ class MetricReport:
 
 
 def _clamp_to_range(value: float, lo: float, hi: float, name: str) -> float:
-    """Snap tiny floating-point overshoot back into [lo, hi]; reject worse."""
-    if lo - RANGE_SLACK * max(1.0, abs(lo)) <= value <= hi + RANGE_SLACK * max(1.0, abs(hi)):
-        return min(max(value, lo), hi)
-    # give a bit of extra headroom for accumulated rounding in large inputs
+    """Snap floating-point overshoot of up to 1e-9, accumulated rounding in
+    large inputs, back into [lo, hi]; reject worse."""
     if lo - 1e-9 <= value <= hi + 1e-9:
         return min(max(value, lo), hi)
     raise InternalConsistencyError(f"{name} = {value} outside [{lo}, {hi}]")

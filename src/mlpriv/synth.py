@@ -9,6 +9,7 @@ language-invariant by construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,8 +36,8 @@ class SynthSpec:
             raise DomainError("need >= 2 languages and >= 2 tuples")
         if self.dim < 2 or self.classes < 2:
             raise DomainError("need dim >= 2 and classes >= 2")
-        if self.noise_scale < 0:
-            raise DomainError("noise_scale must be >= 0")
+        if not (math.isfinite(self.noise_scale) and self.noise_scale >= 0):
+            raise DomainError(f"noise_scale must be finite and >= 0, got {self.noise_scale}")
         if not _is_seed(self.seed):
             raise DomainError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
@@ -98,15 +99,10 @@ def gen_classification_data(spec: SynthSpec) -> LabeledDataset:
     """
     embedding_set, labels = gen_parallel_set(spec)
     m, L = spec.tuples, spec.num_languages
-    features = np.empty((m * L, spec.dim))
-    tags = []
-    flat_labels = np.empty(m * L, dtype=np.int64)
-    for i in range(m):
-        for q in range(L):
-            features[i * L + q] = embedding_set.matrices[q][i]
-            flat_labels[i * L + q] = labels[i]
-            tags.append(embedding_set.languages[q])
-    return LabeledDataset(features=features, labels=flat_labels, languages=tuple(tags))
+    features = np.stack(embedding_set.matrices, axis=1).reshape(m * L, spec.dim)
+    return LabeledDataset(
+        features=features, labels=np.repeat(labels, L), languages=embedding_set.languages * m
+    )
 
 
 def plant_outlier(
@@ -120,8 +116,8 @@ def plant_outlier(
     its flipped label does not fight the bulk class structure and a
     non-private run can memorize it.
     """
-    if magnitude < 0:
-        raise DomainError("magnitude must be >= 0")
+    if not (math.isfinite(magnitude) and magnitude >= 0):
+        raise DomainError(f"magnitude must be finite and >= 0, got {magnitude}")
     rng = np.random.default_rng(seed)
     index = int(rng.integers(len(dataset)))
     features = dataset.features.copy()

@@ -42,6 +42,10 @@ DIVERGENCE_LOSS_CAP = 1e6
 
 NOISE_BLOCK = 32  # steps of Gaussian noise drawn per generator call
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 def _is_seed(value) -> bool:
     """A nonnegative integer, the seeds numpy's generators take; bool is not one."""
@@ -49,7 +53,8 @@ def _is_seed(value) -> bool:
 
 
 class Variant(NamedTuple):
-    """One coupled run of ``train_many``; None keeps the config's value."""
+    """One coupled run of ``train_many``. A None noise_multiplier keeps the
+    config's; a None noise_seed means the noise stream spawned off config.seed."""
 
     exclude_index: int | None = None
     noise_seed: int | None = None
@@ -87,21 +92,13 @@ class TrainConfig:
     noise_multiplier: float = 0.0
     weight_decay: float = 0.01
     optimizer: str = "adamw"
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     checkpoint_interval: int = 100
     target_epsilon: float | None = None
     delta: float = 1e-5
-    noise_seed: int | None = None
 
     def __post_init__(self):
         if not _is_seed(self.seed):
             raise InvalidConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
-        if self.noise_seed is not None and not _is_seed(self.noise_seed):
-            raise InvalidConfigError(
-                f"noise_seed must be a nonnegative integer or None, got {self.noise_seed!r}"
-            )
         for name in ("base_lr", "clip_threshold", "noise_multiplier", "weight_decay"):
             if not math.isfinite(getattr(self, name)):
                 raise InvalidConfigError(f"{name} must be finite, got {getattr(self, name)}")
@@ -112,7 +109,10 @@ class TrainConfig:
         if self.optimizer not in ("sgd", "adamw"):
             raise InvalidConfigError(f"unknown optimizer {self.optimizer!r}")
         if self.warmup_steps < 0 or self.warmup_steps >= self.total_steps:
-            raise InvalidConfigError("need 0 <= warmup_steps < total_steps")
+            raise InvalidConfigError(
+                f"need 0 <= warmup_steps < total_steps, got warmup_steps = {self.warmup_steps}"
+                f" and total_steps = {self.total_steps}"
+            )
         if self.checkpoint_interval < 1:
             raise InvalidConfigError("checkpoint_interval must be >= 1")
 
@@ -347,7 +347,7 @@ def optimizer_step(
     if config.optimizer == "sgd":
         step = eta * noisy_grad
     else:
-        b1, b2 = config.adam_beta1, config.adam_beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         state.m *= b1
         state.m += (1 - b1) * noisy_grad
         grad_sq = np.square(noisy_grad)
@@ -358,7 +358,7 @@ def optimizer_step(
         step *= eta
         denom = state.v / (1 - b2**state.t)
         np.sqrt(denom, out=denom)
-        denom += config.adam_eps
+        denom += ADAM_EPS
         step /= denom
     theta -= step
     theta -= decay
@@ -434,15 +434,16 @@ def train_many(
     """Train one coupled run per variant (exclude_index, noise_seed,
     noise_multiplier) at once; a shorter tuple leaves the rest None.
 
-    Row r equals ``train(dataset, spec, replace(config, noise_seed=ns,
-    noise_multiplier=s), exclude_index=e)`` for variants[r] = (e, ns, s),
-    with None keeping the config's value. All runs share the initial
-    parameters and one batch draw per step; a run's excluded example is
-    masked out of each batch that holds it and its gradient mean divides by
-    the examples it kept. A sigma = 0 run draws no noise. Runs with sigma > 0
-    draw from one generator per distinct noise seed (their own, else the
-    config's, else a stream spawned off config.seed): runs that share a seed
-    read the same draws, exactly as they would with a generator each.
+    Row r equals ``train(dataset, spec, replace(config, noise_multiplier=s),
+    exclude_index=e)`` for variants[r] = (e, None, s), with s = None keeping
+    the config's sigma; a noise seed ns in place of None only swaps the
+    noise stream. All runs share the initial parameters and one batch draw
+    per step; a run's excluded example is masked out of each batch that
+    holds it and its gradient mean divides by the examples it kept. A
+    sigma = 0 run draws no noise. Runs with sigma > 0 draw from one
+    generator per distinct noise seed (their own, else a stream spawned off
+    config.seed): runs that share a seed read the same draws, exactly as
+    they would with a generator each.
     Per-example gradients are never formed: for each (d, a) layer pair of
     ``_backward`` the gradient is outer(d, [a; 1]), whose norm is
     |d| * sqrt(|a|^2 + 1) (Goodfellow 2015, arXiv 1510.01799), so the clip
@@ -477,8 +478,7 @@ def train_many(
     noised = np.flatnonzero(np.array(sigmas) > 0)  # an array: a list index is converted each step
     # runs with the same effective noise seed draw the same stream, so each
     # distinct seed gets one generator and its runs read the same draws
-    run_seeds = [config.noise_seed if variants[r].noise_seed is None else variants[r].noise_seed
-                 for r in noised]
+    run_seeds = [variants[r].noise_seed for r in noised]
     streams = list(dict.fromkeys(run_seeds))
     stream_of = np.array([streams.index(s) for s in run_seeds], dtype=np.intp)
     noise_rngs = [np.random.default_rng(noise_ss if s is None else s) for s in streams]

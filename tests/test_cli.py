@@ -127,6 +127,12 @@ class TestSynthCommand:
         cfg = write_config(tmp_path / "bad.cfg", num_languages=1, tuples=4, dim=4)
         assert main(["synth", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
 
+    def test_non_finite_noise_scale_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "synth.cfg", num_languages=2, tuples=6, dim=3,
+                           compression=1.0, noise_scale="nan")
+        assert main(["synth", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
+        assert "noise_scale" in capsys.readouterr().err
+
     SYNTH_FUZZ = {
         "num_languages": as_text(st.integers(2, 5)),
         "tuples": as_text(st.integers(2, 30)),
@@ -251,6 +257,12 @@ class TestTrainCommand:
         code, _ = self.run_train(synth_dir, tmp_path, **overrides)
         assert code == EXIT_VALIDATION
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("key", ["adam_beta1", "adam_eps", "noise_seed"])
+    def test_library_constant_is_an_unknown_key(self, synth_dir, tmp_path, capsys, key):
+        code, _ = self.run_train(synth_dir, tmp_path, **{key: 1})
+        assert code == EXIT_VALIDATION
+        assert f"unknown key {key!r}" in capsys.readouterr().err
 
     TRAIN_FUZZ = {
         "base_lr": as_text(st.floats(1e-3, 1.0)),
@@ -549,6 +561,24 @@ class TestExperimentCommand:
         code = main(["experiment", name, "--config", str(cfg), "--out", str(tmp_path / "exp")])
         assert code == EXIT_VALIDATION
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("name, text, named", [
+        ("theorem2", "tol = 1e-6", "unknown key 'tol'"),
+        ("fig2-correlation", "threshold = 0.5", "unknown key 'threshold'"),
+        ("theorem1", "loo_noise_seeds = 2", "unknown key 'loo_noise_seeds'"),
+        ("theorem1", "seeds = 1,,2", "exp.cfg:1: bad value for seeds"),
+        ("theorem1", "seeds = 0\nmagnitude = nan", "magnitude"),
+        ("theorem1", "seeds = 0\nmagnitude = inf", "magnitude"),
+        ("theorem2", "total_steps = 40", "total_steps = 40"),  # inside the trainer's warmup
+        ("theorem2", "total_steps = 80", "total_steps = 80"),  # before the first checkpoint
+    ], ids=["tol", "threshold", "loo_noise_seeds", "empty_seed", "magnitude_nan", "magnitude_inf",
+            "total_steps_40", "total_steps_80"])
+    def test_malformed_config_exits_2_naming_the_key(self, tmp_path, capsys, name, text, named):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(text + "\n")
+        code = main(["experiment", name, "--config", str(cfg), "--out", str(tmp_path / "exp")])
+        assert code == EXIT_VALIDATION
+        assert named in capsys.readouterr().err
 
     EXPERIMENT_FUZZ = {
         "seeds": st.sampled_from(["0", "1", "2,3"]),

@@ -1,5 +1,7 @@
 """Synthetic parallel-data generators and the planted-outlier construction."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -22,8 +24,9 @@ class TestSynthSpec:
             SynthSpec(num_languages=3, tuples=10, dim=4, compression=1.5)
         with pytest.raises(DomainError):
             SynthSpec(num_languages=1, tuples=10, dim=4)
-        with pytest.raises(DomainError):
-            SynthSpec(num_languages=3, tuples=10, dim=4, noise_scale=-0.1)
+        for bad in (-0.1, math.nan, math.inf):
+            with pytest.raises(DomainError, match="^noise_scale must be finite and >= 0"):
+                SynthSpec(num_languages=3, tuples=10, dim=4, noise_scale=bad)
 
     @pytest.mark.parametrize("bad", [-1, 1.5, "3", True, None])
     def test_bad_seed_rejected(self, bad):
@@ -125,8 +128,9 @@ class TestPlantOutlier:
     def test_negative_magnitude_rejected(self):
         spec = SynthSpec(num_languages=2, tuples=10, dim=4, seed=4)
         dataset = gen_classification_data(spec)
-        with pytest.raises(DomainError):
-            plant_outlier(dataset, magnitude=-1.0, seed=0)
+        for bad in (-1.0, math.nan, math.inf):
+            with pytest.raises(DomainError, match="^magnitude must be finite and >= 0"):
+                plant_outlier(dataset, magnitude=bad, seed=0)
 
     def test_planted_point_dominates_loo_effect(self):
         """Removing the planted point changes its event probability more than

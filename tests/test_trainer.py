@@ -22,6 +22,9 @@ from mlpriv.errors import (
     ShapeMismatchError,
 )
 from mlpriv.trainer import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     Checkpoint,
     LabeledDataset,
     ModelSpec,
@@ -160,7 +163,7 @@ class TestOptimizerStep:
         g = np.array([0.3, -0.1])
         new = optimizer_step(OptimizerState.init(theta0), g, eta=0.01, config=cfg)
         # bias correction makes m_hat = g and v_hat = g^2 at t = 1
-        expected = theta0 - 0.01 * g / (np.abs(g) + cfg.adam_eps)
+        expected = theta0 - 0.01 * g / (np.abs(g) + ADAM_EPS)
         np.testing.assert_allclose(new.theta, expected, atol=1e-12)
 
     @pytest.mark.parametrize("runs", [1, 3])
@@ -173,7 +176,7 @@ class TestOptimizerStep:
         theta0 = rng.standard_normal((runs, 7))  # train_many's (R, P) stack
         state = OptimizerState.init(theta0)
         theta, m, v = theta0.copy(), np.zeros_like(theta0), np.zeros_like(theta0)
-        b1, b2, wd = cfg.adam_beta1, cfg.adam_beta2, cfg.weight_decay
+        b1, b2, wd = ADAM_BETA1, ADAM_BETA2, cfg.weight_decay
         for t in range(1, 51):
             g = rng.standard_normal(theta0.shape) * 10.0 ** rng.integers(-3, 3)
             eta = lr_at(t, cfg)
@@ -184,7 +187,7 @@ class TestOptimizerStep:
                 v = b2 * v + (1 - b2) * g**2
                 m_hat = m / (1 - b1**t)
                 v_hat = v / (1 - b2**t)
-                theta = theta - eta * m_hat / (np.sqrt(v_hat) + cfg.adam_eps) - eta * wd * theta
+                theta = theta - eta * m_hat / (np.sqrt(v_hat) + ADAM_EPS) - eta * wd * theta
             assert optimizer_step(state, g, eta, cfg) is state
             assert state.t == t
             assert state.theta.tobytes() == theta.tobytes()
@@ -267,22 +270,18 @@ class TestTrainLoop:
         dataset = make_dataset()
         model = ModelSpec(input_dim=3, hidden_dim=0, num_classes=3)
         base = TrainConfig(base_lr=0.1, total_steps=60, batch_size=8, seed=0)
-        from dataclasses import replace
-
         a = train(dataset, model, base)
-        b = train(dataset, model, replace(base, noise_seed=999))
+        b = train_many(dataset, model, base, [(None, 999)])[0]
         assert (a.theta == b.theta).all()
 
     def test_noise_seed_controls_noise_only(self):
         dataset = make_dataset()
         model = ModelSpec(input_dim=3, hidden_dim=0, num_classes=3)
-        from dataclasses import replace
-
         base = TrainConfig(base_lr=0.1, total_steps=60, batch_size=8, seed=0,
                            noise_multiplier=1.0)
-        a = train(dataset, model, replace(base, noise_seed=1))
-        b = train(dataset, model, replace(base, noise_seed=1))
-        c = train(dataset, model, replace(base, noise_seed=2))
+        a = train_many(dataset, model, base, [(None, 1)])[0]
+        b = train_many(dataset, model, base, [(None, 1)])[0]
+        c = train_many(dataset, model, base, [(None, 2)])[0]
         assert (a.theta == b.theta).all()
         assert not (a.theta == c.theta).all()
 
@@ -415,9 +414,8 @@ class TestTrainMany:
             exclude, noise_seed, run_sigma = Variant(*variant)
             if run_sigma is None:
                 run_sigma = cfg.noise_multiplier
-            single = train(dataset, model,
-                           replace(cfg, noise_seed=noise_seed, noise_multiplier=run_sigma),
-                           exclude_index=exclude)
+            single = train_many(dataset, model, replace(cfg, noise_multiplier=run_sigma),
+                                [(exclude, noise_seed)])[0]
             np.testing.assert_allclose(row.theta, single.theta, rtol=0, atol=1e-12)
             assert [c.step for c in row.checkpoints] == [c.step for c in single.checkpoints]
             for a, b in zip(row.checkpoints, single.checkpoints):
@@ -446,19 +444,17 @@ class TestTrainMany:
         assert stacked.losses.tobytes() == alone.losses.tobytes()
         assert stacked.accuracies.tobytes() == alone.accuracies.tobytes()
 
-    @pytest.mark.parametrize("shared", [None, 5], ids=["config_noise_seed_none", "config_noise_seed_5"])
     @pytest.mark.parametrize("optimizer", ["sgd", "adamw"])
     @pytest.mark.parametrize("hidden", [0, 4], ids=["linear", "tanh"])
-    def test_shared_noise_streams_are_byte_identical(self, hidden, optimizer, shared):
+    def test_shared_noise_streams_are_byte_identical(self, hidden, optimizer):
         """Runs that share an effective noise seed read one generator's draws;
-        each row's bytes are those of its variant trained alone. With
-        config.noise_seed = 5 the seedless runs share seed 5's stream, else
-        the stream spawned off config.seed."""
+        each row's bytes are those of its variant trained alone. The seedless
+        runs share the stream spawned off config.seed."""
         dataset = make_dataset(n=16, seed=5)
         model = ModelSpec(input_dim=3, hidden_dim=hidden, num_classes=3)
         cfg = TrainConfig(base_lr=0.1, total_steps=70, batch_size=5, seed=6, warmup_steps=5,
                           clip_threshold=0.5, noise_multiplier=1.0, optimizer=optimizer,
-                          checkpoint_interval=20, noise_seed=shared)
+                          checkpoint_interval=20)
         variants = [(None, 5, 0.5), (2, 5, 2.0), (7, 5, 0.5), (None, 6, 0.5), (2, 6, 2.0),
                     (None, None), (3, None, 2.0), (None, 5, 0.0), (9, 6)]
         rows = train_many(dataset, model, cfg, variants)
@@ -653,16 +649,12 @@ class TestValidation:
         with pytest.raises(InvalidConfigError, match="^seed must be a nonnegative integer"):
             TrainConfig(base_lr=0.1, total_steps=10, batch_size=2, seed=bad)
 
-    @pytest.mark.parametrize("bad", [-1, 1.5, "3", True, np.float64(2.0)])
-    def test_bad_noise_seed_rejected(self, bad):
-        with pytest.raises(InvalidConfigError, match="^noise_seed must be a nonnegative integer or None"):
-            TrainConfig(base_lr=0.1, total_steps=10, batch_size=2, seed=0, noise_seed=bad)
-
     def test_integer_seeds_accepted(self):
+        dataset = make_dataset(n=12)
         for seed, noise_seed in [(0, None), (np.int64(3), np.uint32(4)), (2**64, 0)]:
-            cfg = TrainConfig(base_lr=0.1, total_steps=10, batch_size=2, warmup_steps=0,
-                              seed=seed, noise_seed=noise_seed)
-            assert (cfg.seed, cfg.noise_seed) == (seed, noise_seed)
+            cfg = TrainConfig(base_lr=0.1, total_steps=10, batch_size=2, warmup_steps=0, seed=seed)
+            assert cfg.seed == seed
+            train_many(dataset, ModelSpec(3, 0, 3), cfg, [(None, noise_seed, 1.0)])
 
     def test_trainer_errors_are_typed(self):
         """Each is an MlprivError and also the builtin it replaced."""

@@ -101,23 +101,46 @@ def compose(per_step_rdp: float, steps: int) -> float:
 
 
 def rdp_to_dp(rdp_at_orders: dict[int, float], delta: float) -> PrivacySpending:
-    """Convert an RDP curve to (epsilon, delta)-DP, minimizing over orders."""
+    """Convert an RDP curve to (epsilon, delta)-DP, minimizing over orders;
+    the first order reaching the minimum wins, and non-finite entries are
+    skipped."""
     if not rdp_at_orders:
         raise EmptyOrdersError("need at least one Renyi order")
     if not 0.0 < delta < 1.0:
         raise DomainError(f"delta must be in (0, 1), got {delta}")
-    best_eps = math.inf
-    best_order = None
-    for alpha, eps_rdp in rdp_at_orders.items():
-        if not math.isfinite(eps_rdp):
-            continue
-        eps = eps_rdp + math.log1p(-1.0 / alpha) - (math.log(delta) + math.log(alpha)) / (alpha - 1)
-        if eps < best_eps:
-            best_eps = eps
-            best_order = alpha
-    if best_order is None:
+    curve = np.fromiter(rdp_at_orders.values(), dtype=np.float64, count=len(rdp_at_orders))
+    return _to_dp(tuple(rdp_at_orders), curve, delta)
+
+
+@lru_cache(maxsize=4)
+def _order_terms(orders: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cached per-order constants of the conversion, (ln(1 - 1/alpha), ln alpha,
+    alpha - 1), computed with ``math`` as the one-order formula is."""
+    arrays = tuple(
+        np.array(values, dtype=np.float64)
+        for values in zip(*((math.log1p(-1.0 / a), math.log(a), a - 1) for a in orders))
+    )
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def _to_dp(orders: tuple[int, ...], curve: np.ndarray, delta: float) -> PrivacySpending:
+    """``rdp_to_dp`` of the curve (values at orders) as an array: the same
+    correctly rounded operations per order as
+
+        eps_rdp + ln(1 - 1/alpha) - (ln delta + ln alpha) / (alpha - 1),
+
+    then the first minimum over the finite entries."""
+    log1m, log_alpha, alpha_minus_1 = _order_terms(orders)
+    finite = np.isfinite(curve)
+    if not finite.any():
         raise UnboundedError("RDP infinite at every order")
-    return PrivacySpending(epsilon=max(best_eps, 0.0), best_order=best_order)
+    eps = curve + log1m
+    eps -= (math.log(delta) + log_alpha) / alpha_minus_1
+    eps[~finite] = math.inf
+    best = int(np.argmin(eps))
+    return PrivacySpending(epsilon=max(float(eps[best]), 0.0), best_order=orders[best])
 
 
 @lru_cache(maxsize=4)
@@ -191,9 +214,11 @@ def epsilon_for(
 
 
 def _spending(params: MechanismParams) -> PrivacySpending:
+    """epsilon_for of validated params: the one-step curve composed over
+    params.steps (as ``compose``, one product per order), then ``_to_dp``."""
     one_step = rdp_curve(params.q, params.sigma, params.orders)
-    curve = {a: compose(one_step[a], params.steps) for a in params.orders}
-    return rdp_to_dp(curve, params.delta)
+    curve = np.fromiter(one_step.values(), dtype=np.float64, count=len(one_step))
+    return _to_dp(params.orders, curve * float(params.steps), params.delta)
 
 
 def sigma_for(

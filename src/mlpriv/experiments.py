@@ -63,14 +63,22 @@ class ExperimentResult:
                 writer.writerow([k, v])
 
 
-def _train_config(base_lr: float, total_steps: int, batch_size: int, seed: int) -> TrainConfig:
-    """An experiment's training config, the trainer's defaults otherwise; its
+def _train_config(
+    base_lr: float, total_steps: int, batch_size: int, seed: int, examples: int
+) -> TrainConfig:
+    """An experiment's training config, the trainer's defaults otherwise, for
+    a dataset of ``examples`` examples (tuples x num_languages); its
     influence reads checkpoints, so training must reach the first one."""
     config = TrainConfig(base_lr=base_lr, total_steps=total_steps, batch_size=batch_size, seed=seed)
     if total_steps < config.checkpoint_interval:
         raise InvalidConfigError(
             f"total_steps = {total_steps} ends before the first checkpoint "
             f"at step {config.checkpoint_interval}"
+        )
+    if batch_size > examples:
+        raise InvalidConfigError(
+            f"the batch size {batch_size} exceeds the {examples} examples of "
+            "tuples x num_languages"
         )
     return config
 
@@ -93,15 +101,16 @@ def run_theorem2(
         num_languages=num_languages, tuples=tuples, dim=dim,
         compression=1.0, seed=seed,
     )
+    dataset = gen_classification_data(spec)
+    config = _train_config(0.1, total_steps, 32, seed, len(dataset))
     embedding_set, _ = gen_parallel_set(spec)
     aggregates = {
         m: metrics.pairwise_report(embedding_set, m).aggregate
         for m in ("retrieval", "cka", "rsa")
     }
 
-    dataset = gen_classification_data(spec)
     model = ModelSpec(input_dim=dim, hidden_dim=0, num_classes=spec.classes)
-    result = train(dataset, model, _train_config(0.1, total_steps, 32, seed))
+    result = train(dataset, model, config)
     _, per_language = evaluate(result.theta, model, dataset)
     loss_variance, loss_gap = metrics.linguistic_fairness_gap(per_language)
 
@@ -224,7 +233,7 @@ def run_theorem1(
     eps_i = {s: [] for s in THEOREM1_SIGMAS}
     for seed in seeds:
         dataset, planted = _theorem1_dataset(seed, num_languages, tuples, dim, classes, magnitude)
-        config = _train_config(base_lr, total_steps, batch_size, seed)
+        config = _train_config(base_lr, total_steps, batch_size, seed, len(dataset))
         full_runs = train_many(
             dataset, model, config, [Variant(noise_multiplier=s) for s in THEOREM1_SIGMAS]
         )
@@ -286,10 +295,11 @@ def run_fig2_correlation(
                 num_languages=num_languages, tuples=tuples, dim=dim,
                 compression=lam, seed=seed,
             )
+            dataset = gen_classification_data(spec)
+            config = _train_config(base_lr, total_steps, 32, seed, len(dataset))
             embedding_set, _ = gen_parallel_set(spec)
             retrieval = metrics.pairwise_report(embedding_set, "retrieval").aggregate
-            dataset = gen_classification_data(spec)
-            result = train(dataset, model, _train_config(base_lr, total_steps, 32, seed))
+            result = train(dataset, model, config)
             cks = CheckpointSet.last_k(result.checkpoints, 3)
             mean_infu = float(np.mean(
                 [profile.infu for profile in influence_profiles(dataset, cks, model)]

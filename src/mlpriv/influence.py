@@ -42,6 +42,7 @@ from .trainer import (
     _backward,
     _check_labels,
     _forward_batch,
+    _unpack,
 )
 
 Example = tuple[np.ndarray, int]
@@ -122,7 +123,7 @@ def _tracin_gram(X: np.ndarray, y: np.ndarray, cks: CheckpointSet, spec: ModelSp
         V = V.reshape(G, L, -1, V.shape[-1]).swapaxes(1, 2)
         return V @ V.swapaxes(-1, -2)
 
-    _, layers = _backward(spec, cks.thetas, X.reshape(G * L, -1), y.reshape(-1))
+    _, _, layers = _backward(spec, _unpack(spec, cks.thetas), X.reshape(G * L, -1), y.reshape(-1))
     return sum(np.einsum("k,gkij->gij", cks.etas, gram(d) * (gram(a) + 1.0)) for d, a in layers)
 
 
@@ -227,7 +228,8 @@ def infu(tuple_examples: list[Example], cks: CheckpointSet, spec: ModelSpec) -> 
 def event_probability(
     theta: np.ndarray, spec: ModelSpec, eval_point: np.ndarray, event_class: int
 ) -> float:
-    probs, _ = _forward_batch(spec, theta, np.asarray(eval_point, dtype=np.float64)[None, :])
+    x = np.asarray(eval_point, dtype=np.float64)[None, :]
+    probs, _ = _forward_batch(spec, _unpack(spec, theta), x)
     return float(probs[0, event_class])
 
 

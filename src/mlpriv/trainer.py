@@ -40,7 +40,7 @@ CKPT_MAGIC = b"CKPT1"
 
 DIVERGENCE_LOSS_CAP = 1e6
 
-NOISE_BLOCK = 32  # steps of Gaussian noise drawn per generator call
+DRAW_BLOCK = 32  # steps whose batches and Gaussian noise are drawn at once
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -250,37 +250,41 @@ def _outer_sum(S: np.ndarray, inputs: np.ndarray) -> np.ndarray:
     return np.matmul(S.transpose(1, 2, 0), inputs.swapaxes(0, 1)).reshape(R, -1)
 
 
-def _forward_batch(spec: ModelSpec, theta: np.ndarray, X: np.ndarray):
-    """Returns (probs, hidden activations or None): (B, c) and (B, h) for one
-    parameter vector, (B, R, c) and (B, R, h) for a stack of R."""
+def _forward_batch(spec: ModelSpec, params: tuple, X: np.ndarray):
+    """Returns (probs, hidden activations or None) for the layer views
+    ``params`` of ``_unpack``: (B, c) and (B, h) for one parameter vector,
+    (B, R, c) and (B, R, h) for a stack of R."""
     # a contiguous bias stack lets the broadcast add run as one flat loop
     if spec.hidden_dim == 0:
-        W, b = _unpack(spec, theta)
+        W, b = params
         return _softmax(_dense(X, W) + np.ascontiguousarray(b)), None
-    W1, b1, W2, b2 = _unpack(spec, theta)
+    W1, b1, W2, b2 = params
     A = np.tanh(_dense(X, W1) + np.ascontiguousarray(b1))
     return _softmax(_dense(A, W2) + np.ascontiguousarray(b2)), A
 
 
-def _backward(spec: ModelSpec, theta: np.ndarray, X: np.ndarray, y: np.ndarray):
+def _backward(spec: ModelSpec, params: tuple, X: np.ndarray, y: np.ndarray):
     """Forward pass plus every dense layer's (d, a) pair, in parameter order.
 
-    Returns (probs, layers): layers is [(delta, X)] for the linear model and
+    Returns (probs, p_true, layers): p_true is each example's probability of
+    its label, (B,) or (B, R); layers is [(delta, X)] for the linear model and
     [(dZ, X), (delta, A)] for the tanh model, where d is the loss derivative
     at the layer's output (delta = dloss/dlogits, dZ = dloss/d(hidden
     pre-activation)) and a is the layer's input (A = hidden activations).
-    Shapes follow ``_forward_batch``. A layer's parameters are its row-major
-    weights, then its bias, and its per-example gradient is
-    outer(d, [a; 1]): weights outer(d, a), bias d.
+    ``params`` are ``_unpack``'s layer views and shapes follow
+    ``_forward_batch``. A layer's parameters are its row-major weights, then
+    its bias, and its per-example gradient is outer(d, [a; 1]): weights
+    outer(d, a), bias d.
     """
-    probs, A = _forward_batch(spec, theta, X)
+    probs, A = _forward_batch(spec, params, X)
+    rows = np.arange(len(y))
+    p_true = probs[rows, ..., y]
     delta = probs.copy()
-    delta[np.arange(len(y)), ..., y] -= 1.0
+    delta[rows, ..., y] = p_true - 1.0
     if spec.hidden_dim == 0:
-        return probs, [(delta, X)]
-    W2 = _unpack(spec, theta)[2]
-    dZ = _dense(delta, W2.swapaxes(-1, -2)) * (1.0 - A**2)
-    return probs, [(dZ, X), (delta, A)]
+        return probs, p_true, [(delta, X)]
+    dZ = _dense(delta, params[2].swapaxes(-1, -2)) * (1.0 - A**2)
+    return probs, p_true, [(dZ, X), (delta, A)]
 
 
 def _check_labels(y, spec: ModelSpec) -> np.ndarray:
@@ -293,28 +297,6 @@ def _check_labels(y, spec: ModelSpec) -> np.ndarray:
             f"labels span [{y.min()}, {y.max()}], outside [0, {spec.num_classes})"
         )
     return y
-
-
-def forward_loss(spec: ModelSpec, theta: np.ndarray, x: np.ndarray, y: int):
-    """Softmax cross-entropy loss and class probabilities for one example."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (spec.input_dim,):
-        raise ShapeMismatchError(f"x has {x.shape}, expected ({spec.input_dim},)")
-    _check_labels(y, spec)
-    probs, _ = _forward_batch(spec, theta, x[None, :])
-    probs = probs[0]
-    loss = -np.log(max(probs[y], np.finfo(np.float64).tiny))
-    return float(loss), probs
-
-
-def grad(spec: ModelSpec, theta: np.ndarray, z: tuple[np.ndarray, int]) -> np.ndarray:
-    """Analytic gradient of forward_loss at one example z = (x, y)."""
-    x, y = z
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (spec.input_dim,):
-        raise ShapeMismatchError(f"x has {x.shape}, expected ({spec.input_dim},)")
-    _, layers = _backward(spec, theta, x[None, :], _check_labels([y], spec))
-    return np.concatenate([part for d, a in layers for part in (np.outer(d[0], a[0]).ravel(), d[0])])
 
 
 @dataclass
@@ -449,13 +431,16 @@ def train_many(
     |d| * sqrt(|a|^2 + 1) (Goodfellow 2015, arXiv 1510.01799), so the clip
     factors come from per-layer norms and the clipped sum of each layer is
     one matrix product.
+    Each step does only the work that reads the parameters: the batches,
+    keep masks and noise of DRAW_BLOCK steps are drawn and gathered at the
+    block's first step, in the order one draw per step would take them.
     """
     variants = [Variant(*v) for v in variants]
     N = len(dataset)
     if not variants:
         raise InvalidConfigError("need at least one variant")
     if config.batch_size > N:
-        raise InvalidConfigError("batch_size exceeds dataset size")
+        raise InvalidConfigError(f"batch_size {config.batch_size} exceeds the dataset's {N} examples")
     if spec.input_dim != dataset.features.shape[1]:
         raise ShapeMismatchError("model input_dim does not match dataset")
     if dataset.labels.max() >= spec.num_classes:
@@ -483,39 +468,51 @@ def train_many(
     stream_of = np.array([streams.index(s) for s in run_seeds], dtype=np.intp)
     noise_rngs = [np.random.default_rng(noise_ss if s is None else s) for s in streams]
     noise_scale = np.array([sigmas[r] * C for r in noised])[:, None]
-    noise = np.empty((len(streams), NOISE_BLOCK, P))
+    noise = np.empty((len(streams), DRAW_BLOCK, P))
     excluded = np.array([-1 if v.exclude_index is None else v.exclude_index for v in variants])
+    # the first layer's input is the batch itself, so its per-example |x|^2 + 1
+    # (the bias column) is one table over the dataset
+    input_factor = _reduce_last(np.add, dataset.features * dataset.features) + 1.0
 
     state = OptimizerState.init(np.tile(init_theta(spec, seed=config.seed), (R, 1)))
+    params = _unpack(spec, state.theta)  # views: optimizer_step updates state.theta in place
+    lrs = [lr_at(step, config) for step in range(1, T + 1)]
     losses = np.empty((T, R))
     accuracies = np.empty((T, R))
-    lrs: list[float] = []
     snapshots: list[tuple[int, float, np.ndarray]] = []
-    rows = np.arange(B)
     tiny = np.finfo(np.float64).tiny
 
     for step in range(1, T + 1):
-        idx = batch_rng.choice(N, size=B, replace=False)
-        keep = idx[:, None] != excluded  # (B, R)
-        count = keep.sum(axis=0)
+        j = (step - 1) % DRAW_BLOCK
+        if j == 0:  # the next block's draws; each generator's stream continues exactly
+            n = min(DRAW_BLOCK, T - step + 1)
+            idx = np.stack([batch_rng.choice(N, size=B, replace=False) for _ in range(n)])
+            X_block = dataset.features[idx]  # (n, B, d)
+            y_block = dataset.labels[idx]
+            keep_block = idx[:, :, None] != excluded  # (n, B, R)
+            count_block = keep_block.sum(axis=1)
+            factor_block = input_factor[idx][:, :, None]
+            for r, rng in enumerate(noise_rngs):
+                rng.standard_normal(out=noise[r, :n])
+        keep, count = keep_block[j], count_block[j]
         if not count.all():
             raise EmptyBatchError(
                 f"step {step}: run {int(np.argmin(count))} excludes every example of its batch"
             )
-        X = dataset.features[idx]
-        y = dataset.labels[idx]
-        probs, layers = _backward(spec, state.theta, X, y)
-        p_true = np.maximum(probs[rows, :, y], tiny)
-        loss = np.where(keep, -np.log(p_true), 0.0).sum(axis=0) / count
+        y = y_block[j]
+        probs, p_true, layers = _backward(spec, params, X_block[j], y)
+        loss = np.where(keep, -np.log(np.maximum(p_true, tiny)), 0.0).sum(axis=0) / count
         acc = ((probs.argmax(axis=2) == y[:, None]) & keep).sum(axis=0) / count
         ok = loss <= DIVERGENCE_LOSS_CAP  # False for nan too
         if not ok.all():
             r = int(np.argmin(ok))
             raise DivergenceError(step, f"loss = {loss[r]}{_which_run(variants, r)}")
 
-        # (B, R): a (B, k) input is shared by every run, a (B, R, k) one is not
-        norm_sq = sum(_reduce_last(np.add, d * d) * (_reduce_last(np.add, a * a).reshape(B, -1) + 1.0)
-                      for d, a in layers)
+        # (B, R) squared norms; deeper layers' inputs are per run
+        (d, _), *deeper = layers
+        norm_sq = _reduce_last(np.add, d * d) * factor_block[j]
+        for d, a in deeper:
+            norm_sq += _reduce_last(np.add, d * d) * (_reduce_last(np.add, a * a) + 1.0)
         scale = np.minimum(1.0, C / np.maximum(np.sqrt(norm_sq), tiny))
         scale = (scale * keep)[:, :, None]
         parts = []
@@ -524,15 +521,10 @@ def train_many(
             parts += [_outer_sum(clipped, a), clipped.sum(axis=0)]
         total = np.concatenate(parts, axis=1)
         if noised.size:
-            j = (step - 1) % NOISE_BLOCK
-            if j == 0:  # blocks of draws continue each generator's stream exactly
-                block = noise[:, : min(NOISE_BLOCK, T - step + 1)]
-                for r, rng in enumerate(noise_rngs):
-                    rng.standard_normal(out=block[r])
             total[noised] += noise_scale * noise[stream_of, j]
         noisy = total / count[:, None]
 
-        eta = lr_at(step, config)
+        eta = lrs[step - 1]
         optimizer_step(state, noisy, eta, config)
         if not np.isfinite(state.theta).all():
             r = int(np.argmin(np.isfinite(state.theta).all(axis=1)))
@@ -540,7 +532,6 @@ def train_many(
 
         losses[step - 1] = loss
         accuracies[step - 1] = acc
-        lrs.append(eta)
         if step % config.checkpoint_interval == 0:
             snapshots.append((step, eta, state.theta.copy()))
 
@@ -561,7 +552,7 @@ def evaluate(
     theta: np.ndarray, spec: ModelSpec, dataset: LabeledDataset
 ) -> tuple[float, dict[str, float]]:
     """Accuracy (argmax, lowest index wins ties) and per-language mean loss."""
-    probs, _ = _forward_batch(spec, theta, dataset.features)
+    probs, _ = _forward_batch(spec, _unpack(spec, theta), dataset.features)
     preds = probs.argmax(axis=1)
     labels = dataset.labels
     accuracy = float((preds == labels).mean())

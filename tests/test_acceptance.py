@@ -23,8 +23,6 @@ from mlpriv.trainer import (
     ModelSpec,
     TrainConfig,
     Variant,
-    forward_loss,
-    grad,
     init_theta,
     lr_at,
     read_checkpoint,
@@ -33,6 +31,8 @@ from mlpriv.trainer import (
     write_checkpoint,
 )
 from mlpriv.errors import FormatError, ShapeMismatchError
+
+from per_example import forward_loss, grad
 
 
 def test_criterion_1_metric_identities():

@@ -580,6 +580,21 @@ class TestExperimentCommand:
         assert code == EXIT_VALIDATION
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, text, examples, batch", [
+        ("theorem2", "tuples = 5\nnum_languages = 2", 10, 32),
+        ("theorem1", "seeds = 0\ntuples = 3", 12, 16),
+    ], ids=["theorem2", "theorem1"])
+    def test_batch_larger_than_dataset_exits_2_naming_both_sizes(self, tmp_path, capsys, name,
+                                                                   text, examples, batch):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(text + "\n")
+        code = main(["experiment", name, "--config", str(cfg), "--out", str(tmp_path / "exp")])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            f"error: the batch size {batch} exceeds the {examples} examples of "
+            "tuples x num_languages\n"
+        )
+
     EXPERIMENT_FUZZ = {
         "seeds": st.sampled_from(["0", "1", "2,3"]),
         "num_languages": as_text(st.integers(2, 4)),

@@ -30,7 +30,9 @@ from mlpriv.influence import (
     write_influence_csv,
     _tracin_gram,
 )
-from mlpriv.trainer import Checkpoint, LabeledDataset, ModelSpec, TrainConfig, grad, train
+from mlpriv.trainer import Checkpoint, LabeledDataset, ModelSpec, TrainConfig, train
+
+from per_example import grad
 
 SPEC = ModelSpec(input_dim=2, hidden_dim=0, num_classes=2)
 

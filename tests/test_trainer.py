@@ -25,6 +25,7 @@ from mlpriv.trainer import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
+    DRAW_BLOCK,
     Checkpoint,
     LabeledDataset,
     ModelSpec,
@@ -32,8 +33,6 @@ from mlpriv.trainer import (
     TrainConfig,
     Variant,
     evaluate,
-    forward_loss,
-    grad,
     init_theta,
     lr_at,
     optimizer_step,
@@ -45,6 +44,8 @@ from mlpriv.trainer import (
     _reduce_last,
     _softmax,
 )
+
+from per_example import forward_loss, grad
 
 LINEAR = ModelSpec(input_dim=3, hidden_dim=0, num_classes=4)
 MLP = ModelSpec(input_dim=3, hidden_dim=5, num_classes=4)
@@ -524,10 +525,86 @@ class TestTrainMany:
             train_many(dataset, model, cfg, [(None, None), (1, None)])
 
 
+def first_draws(config, examples, steps):
+    """Step (1-based) at which each example is first drawn into a batch, from
+    the batch stream train_many reads; examples never drawn are absent."""
+    batch_ss, _ = np.random.SeedSequence(config.seed).spawn(2)
+    rng = np.random.default_rng(batch_ss)
+    first = {}
+    for step in range(1, steps + 1):
+        for i in rng.choice(examples, size=config.batch_size, replace=False).tolist():
+            first.setdefault(i, step)
+    return first
+
+
+class TestDrawBlocks:
+    """train_many draws the batches and noise of DRAW_BLOCK steps at once;
+    outputs and error order are those of one draw per step."""
+
+    @pytest.mark.parametrize("runs", [1, 3])
+    @pytest.mark.parametrize("steps", [1, DRAW_BLOCK, DRAW_BLOCK + 1])
+    def test_rows_and_reruns_are_byte_identical_across_block_edges(self, steps, runs):
+        dataset = make_dataset(n=16, seed=4)
+        model = ModelSpec(input_dim=3, hidden_dim=4, num_classes=3)
+        cfg = TrainConfig(base_lr=0.1, total_steps=steps, batch_size=5, seed=3, warmup_steps=0,
+                          clip_threshold=0.5, noise_multiplier=1.0, checkpoint_interval=1)
+        variants = [(2, 7), (None, None, 0.5), (None, 7, 0.0)][:runs]
+
+        def digest(row):
+            return (row.theta.tobytes(), [(c.step, c.eta, c.theta.tobytes()) for c in row.checkpoints],
+                    row.lrs, row.losses.tobytes(), row.accuracies.tobytes(), row.sigma)
+
+        rows = [digest(row) for row in train_many(dataset, model, cfg, variants)]
+        assert rows == [digest(row) for row in train_many(dataset, model, cfg, variants)]
+        for variant, row in zip(variants, rows):
+            assert row == digest(train_many(dataset, model, cfg, [variant])[0])
+        assert len(rows[0][1]) == steps
+
+    def test_empty_batch_in_second_block_names_its_step(self):
+        dataset = make_dataset(n=40, seed=1)
+        cfg = TrainConfig(base_lr=0.1, total_steps=3 * DRAW_BLOCK, batch_size=1, seed=5,
+                          warmup_steps=0)
+        first = first_draws(cfg, len(dataset), cfg.total_steps)
+        excluded, step = next((i, s) for i, s in sorted(first.items())
+                              if DRAW_BLOCK < s <= 2 * DRAW_BLOCK)
+        with pytest.raises(EmptyBatchError, match=f"^step {step}: run 1 excludes"):
+            train_many(dataset, ModelSpec(3, 0, 3), cfg, [(None, None), (excluded, None)])
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_earlier_divergence_in_the_block_is_raised_first(self):
+        """Run 0 diverges at step 2; run 1's batch at a later step of the same
+        block holds only its excluded example."""
+        dataset = make_dataset(n=40, seed=1)
+        cfg = TrainConfig(base_lr=1e300, total_steps=DRAW_BLOCK, batch_size=1, seed=5,
+                          warmup_steps=0, optimizer="sgd", clip_threshold=1e6)
+        first = first_draws(cfg, len(dataset), cfg.total_steps)
+        excluded, step = next((i, s) for i, s in sorted(first.items()) if s > 2)
+        variants = [(None, None), (excluded, None)]
+        with pytest.raises(EmptyBatchError, match=f"^step {step}:"):
+            train_many(dataset, ModelSpec(3, 0, 3), replace(cfg, base_lr=0.1), variants)
+        with pytest.raises(DivergenceError) as info:
+            train_many(dataset, ModelSpec(3, 0, 3), cfg, variants)
+        assert info.value.step == 2
+
+
 class TestClassAxisFold:
     """The step's class-axis reductions fold slices left to right from 128
     rows on; below 8 entries that is numpy's own order, so the bytes do not
     change. 16 rows take numpy's reduce, 128 and 3040 the fold."""
+
+    @pytest.mark.parametrize("dim", [3, 8, 11])
+    @pytest.mark.parametrize("examples", [16, 200])
+    def test_input_table_gathered_by_row_matches_batch_reduce(self, examples, dim):
+        """train_many's per-example |x|^2 comes from one (N,) table over the
+        dataset; gathered by row it has the bytes of the batch's own reduce.
+        At N = 200 and d = 3 the table takes the fold, at 150 rows so does the batch."""
+        rng = np.random.default_rng(examples + dim)
+        F = rng.standard_normal((examples, dim)) * 10.0 ** rng.uniform(-6, 6, (examples, dim))
+        table = _reduce_last(np.add, F * F)
+        for batch in (1, 5, 16, 150):
+            idx = rng.choice(examples, size=min(batch, examples), replace=False)
+            X = F[idx]
+            assert table[idx].tobytes() == _reduce_last(np.add, X * X).tobytes()
 
     @pytest.mark.parametrize("classes", [1, 3, 7, 9])
     @pytest.mark.parametrize("runs", [1, 8, 190])

@@ -2,14 +2,7 @@
 and training-data influence estimation on desk-scale synthetic data."""
 
 from .accountant import MechanismParams, PrivacySpending, epsilon_for, sigma_for
-from .influence import (
-    CheckpointSet,
-    InfluenceProfile,
-    infu,
-    influence_profiles,
-    self_influence,
-    tracin_cp,
-)
+from .influence import CheckpointSet, InfluenceProfile, influence_profiles
 from .metrics import (
     MetricReport,
     isoscore,
@@ -20,7 +13,7 @@ from .metrics import (
     rsa_score,
     spearman_rho,
 )
-from .repr_store import EmbeddingSet, Manifest, TokenMatrix, load_set, mean_pool
+from .repr_store import EmbeddingSet, Manifest, load_set
 from .synth import SynthSpec, gen_classification_data, gen_parallel_set, plant_outlier
 from .trainer import (
     Checkpoint,
@@ -45,28 +38,23 @@ __all__ = [
     "ModelSpec",
     "PrivacySpending",
     "SynthSpec",
-    "TokenMatrix",
     "TrainConfig",
     "Variant",
     "epsilon_for",
     "evaluate",
     "gen_classification_data",
     "gen_parallel_set",
-    "infu",
     "influence_profiles",
     "isoscore",
     "linear_cka",
     "linguistic_fairness_gap",
     "load_set",
-    "mean_pool",
     "pairwise_report",
     "plant_outlier",
     "retrieval_precision",
     "rsa_score",
-    "self_influence",
     "sigma_for",
     "spearman_rho",
-    "tracin_cp",
     "train",
     "train_many",
 ]

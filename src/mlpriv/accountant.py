@@ -73,45 +73,6 @@ class PrivacySpending:
             raise DomainError(f"epsilon must be finite and >= 0, got {self.epsilon}")
 
 
-def rdp_step(q: float, sigma: float, alpha: int) -> float:
-    """One-step RDP of the sampled Gaussian mechanism at integer order alpha.
-
-    (1/(alpha-1)) * ln sum_{k=0..alpha} C(alpha,k) (1-q)^(alpha-k) q^k
-                                        exp(k(k-1) / (2 sigma^2))
-
-    q = 0 returns 0 (no data touched); q = 1 reduces to alpha/(2 sigma^2).
-    """
-    if q == 0.0:
-        return 0.0
-    if not 0.0 < q <= 1.0:
-        raise DomainError(f"q must be in [0, 1], got {q}")
-    if not sigma > 0.0:
-        raise DomainError(f"sigma must be > 0, got {sigma}")
-    alpha = int(alpha)
-    if alpha < 2:
-        raise DomainError(f"alpha must be an integer >= 2, got {alpha}")
-    return rdp_curve(q, sigma, (alpha,))[alpha]
-
-
-def compose(per_step_rdp: float, steps: int) -> float:
-    """RDP composes additively: T steps cost T times one step."""
-    if per_step_rdp < 0:
-        raise DomainError("per-step RDP must be >= 0")
-    return per_step_rdp * steps
-
-
-def rdp_to_dp(rdp_at_orders: dict[int, float], delta: float) -> PrivacySpending:
-    """Convert an RDP curve to (epsilon, delta)-DP, minimizing over orders;
-    the first order reaching the minimum wins, and non-finite entries are
-    skipped."""
-    if not rdp_at_orders:
-        raise EmptyOrdersError("need at least one Renyi order")
-    if not 0.0 < delta < 1.0:
-        raise DomainError(f"delta must be in (0, 1), got {delta}")
-    curve = np.fromiter(rdp_at_orders.values(), dtype=np.float64, count=len(rdp_at_orders))
-    return _to_dp(tuple(rdp_at_orders), curve, delta)
-
-
 @lru_cache(maxsize=4)
 def _order_terms(orders: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Cached per-order constants of the conversion, (ln(1 - 1/alpha), ln alpha,
@@ -126,8 +87,8 @@ def _order_terms(orders: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.nd
 
 
 def _to_dp(orders: tuple[int, ...], curve: np.ndarray, delta: float) -> PrivacySpending:
-    """``rdp_to_dp`` of the curve (values at orders) as an array: the same
-    correctly rounded operations per order as
+    """(epsilon, delta)-DP of an RDP curve (its values at orders, as an
+    array): the same correctly rounded operations per order as
 
         eps_rdp + ln(1 - 1/alpha) - (ln delta + ln alpha) / (alpha - 1),
 
@@ -215,7 +176,7 @@ def epsilon_for(
 
 def _spending(params: MechanismParams) -> PrivacySpending:
     """epsilon_for of validated params: the one-step curve composed over
-    params.steps (as ``compose``, one product per order), then ``_to_dp``."""
+    params.steps (RDP adds up, one product per order), then ``_to_dp``."""
     one_step = rdp_curve(params.q, params.sigma, params.orders)
     curve = np.fromiter(one_step.values(), dtype=np.float64, count=len(one_step))
     return _to_dp(params.orders, curve * float(params.steps), params.delta)

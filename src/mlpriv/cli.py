@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import accountant, experiments, metrics
-from .errors import DivergenceError, MlprivError
+from .errors import DivergenceError, FormatError, MlprivError
 from .influence import CheckpointSet, influence_profiles, write_influence_csv
 from .repr_store import Manifest, load_set, read_embeddings, write_embeddings
 from .synth import SynthSpec, gen_classification_data, gen_parallel_set
@@ -129,11 +129,16 @@ def _write_labels(path: Path, dataset: LabeledDataset) -> None:
 def _read_labels(path: Path) -> tuple[np.ndarray, tuple[str, ...]]:
     labels = []
     tags = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip():
             continue
-        label, tag = line.split("\t")
-        labels.append(int(label))
+        try:
+            label, tag = line.split("\t")
+            labels.append(int(label))
+        except ValueError:
+            raise FormatError(
+                f"{path}:{lineno}: expected an integer label, a tab and a language"
+            ) from None
         tags.append(tag)
     return np.array(labels, dtype=np.int64), tuple(tags)
 

@@ -9,12 +9,8 @@ class NonFiniteError(MlprivError):
     """Input contains NaN or infinite values."""
 
 
-class AllMaskedError(MlprivError):
-    """Pooling requested on a token matrix with no unmasked rows."""
-
-
 class FormatError(MlprivError):
-    """Binary file is malformed (bad magic, truncated payload, bad header)."""
+    """An input file is malformed: a binary file's magic, header or payload, or a text line."""
 
 
 class ShapeMismatchError(MlprivError):
@@ -72,7 +68,7 @@ class DomainError(MlprivError):
 
 
 class EmptyOrdersError(MlprivError):
-    """RDP-to-DP conversion called with no Renyi orders."""
+    """An accountant call was given no Renyi orders."""
 
 
 class UnboundedError(MlprivError):
@@ -93,10 +89,6 @@ class ExcludeIndexError(MlprivError, IndexError):
 
 class CheckpointOrderError(MlprivError, ValueError):
     """A checkpoint set would be empty (none given, or k < 1) or its steps do not increase."""
-
-
-class TooFewExamplesError(MlprivError, ValueError):
-    """Leave-one-out influence needs a dataset of at least two examples."""
 
 
 class EmptyBatchError(MlprivError):

@@ -33,12 +33,20 @@ from .influence import (
     influence_profiles,
     interpretability_margin,
     loo_probabilities,
-    softmax,
     _tracin_gram,
     _tuple_shape,
 )
 from .synth import SynthSpec, gen_classification_data, gen_parallel_set, plant_outlier
-from .trainer import LabeledDataset, ModelSpec, TrainConfig, Variant, evaluate, train, train_many
+from .trainer import (
+    LabeledDataset,
+    ModelSpec,
+    TrainConfig,
+    Variant,
+    evaluate,
+    train,
+    train_many,
+    _softmax,
+)
 
 
 @dataclass
@@ -164,7 +172,7 @@ def planted_influence_margin(
     first = planted_index - planted_index % L
     members = slice(first, first + L)
     scores = _tracin_gram(dataset.features[None, members], dataset.labels[None, members], cks, model)
-    return float(softmax(scores[0, planted_index - first]).max())
+    return float(_softmax(scores[0, planted_index - first]).max())
 
 
 def loo_margins(

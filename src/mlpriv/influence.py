@@ -23,11 +23,9 @@ import numpy as np
 
 from .errors import (
     CheckpointOrderError,
-    ExcludeIndexError,
     InvalidConfigError,
     NonFiniteError,
     ShapeMismatchError,
-    TooFewExamplesError,
     TooFewLanguagesError,
     TupleLayoutError,
     UndefinedMarginError,
@@ -42,6 +40,7 @@ from .trainer import (
     _backward,
     _check_labels,
     _forward_batch,
+    _softmax,
     _unpack,
 )
 
@@ -136,30 +135,13 @@ def _stack(examples: list[Example], spec: ModelSpec) -> tuple[np.ndarray, np.nda
     return np.stack(xs)[None], np.array([y for _, y in examples])[None]
 
 
-def tracin_cp(z: Example, z_prime: Example, cks: CheckpointSet, spec: ModelSpec) -> float:
-    """Sum over checkpoints of eta_i * grad(theta_i, z) . grad(theta_i, z')."""
-    return float(_tracin_gram(*_stack([z, z_prime], spec), cks, spec)[0, 0, 1])
-
-
-def self_influence(z: Example, cks: CheckpointSet, spec: ModelSpec) -> float:
-    """tracin_cp(z, z, ...): the checkpoint-weighted squared gradient norm of z."""
-    return tracin_cp(z, z, cks, spec)
-
-
-def softmax(scores: np.ndarray) -> np.ndarray:
-    shifted = scores - scores.max()
-    exp = np.exp(shifted)
-    return exp / exp.sum()
-
-
 def infu_from_scores(scores: np.ndarray) -> float:
     """Influence uniformity of a (|L|, |L|) anchor-by-target score matrix."""
     scores = np.asarray(scores, dtype=np.float64)
     L = scores.shape[0]
     if scores.ndim != 2 or scores.shape != (L, L) or L < 2:
         raise TooFewLanguagesError(f"need a square |L| x |L| matrix with |L| >= 2, got {scores.shape}")
-    exp = np.exp(scores - scores.max(axis=1, keepdims=True))
-    p = exp / exp.sum(axis=1, keepdims=True)
+    p = _softmax(scores)
     plogp = p * np.log(np.where(p > 0, p, 1.0))  # 0 log 0 = 0
     return float(np.mean(-plogp.sum(axis=1) / math.log(L)))
 
@@ -220,11 +202,6 @@ def _tuple_shape(dataset: LabeledDataset) -> tuple[int, int]:
     return G, L
 
 
-def infu(tuple_examples: list[Example], cks: CheckpointSet, spec: ModelSpec) -> float:
-    """Mean base-|L| entropy of softmaxed per-anchor influence scores, in [0, 1]."""
-    return influence_profile(0, tuple_examples, cks, spec).infu
-
-
 def event_probability(
     theta: np.ndarray, spec: ModelSpec, eval_point: np.ndarray, event_class: int
 ) -> float:
@@ -256,36 +233,6 @@ def loo_probabilities(
     runs = train_many(dataset, spec, config, [v for group in groups for v in group])
     probs = np.array([event_probability(run.theta, spec, eval_point, event_class) for run in runs])
     return np.array([chunk.mean() for chunk in np.split(probs, np.cumsum(sizes)[:-1])])
-
-
-def loo_influence(
-    dataset: LabeledDataset,
-    x_index: int,
-    spec: ModelSpec,
-    config: TrainConfig,
-    eval_point: np.ndarray,
-    event_class: int,
-    noise_seeds: list[int] | None = None,
-) -> float:
-    """Leave-one-out retraining influence of example x_index.
-
-    Returns P(event | trained on D) - P(event | trained on D without x),
-    with both runs using the identical seed and schedule. The retrain is
-    coupled: batches are drawn exactly as in the full run and x is dropped
-    from any batch containing it, so the removed example is the only varying
-    factor. With sigma > 0, pass noise_seeds to average each probability
-    over repeated noise draws.
-    """
-    if len(dataset) < 2:
-        raise TooFewExamplesError("dataset must have >= 2 examples")
-    if not 0 <= x_index < len(dataset):
-        raise ExcludeIndexError(f"x_index {x_index} out of range")
-    seeds = list(noise_seeds) if noise_seeds else [None]
-    p, p_without = loo_probabilities(
-        dataset, spec, config, [[Variant(e, ns) for ns in seeds] for e in (None, x_index)],
-        eval_point, event_class,
-    )
-    return float(p - p_without)
 
 
 def interpretability_margin(p: float, p_d: float, p_2: float) -> float:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -264,29 +265,28 @@ def pairwise_report(embedding_set: EmbeddingSet, metric: str) -> MetricReport:
             aggregate=isoscore(np.vstack(mats)),
             aggregation=AGG_POOLED,
         )
-    if metric == "retrieval":
-        indices = [(q, r) for q in range(L) for r in range(L) if q != r]
-        rule = AGG_FULL_OFF_DIAGONAL
-        value = lambda q, r: retrieval_precision(mats[q], mats[r])
-    elif metric in ("cka", "rsa"):
-        indices = [(q, r) for q in range(L) for r in range(q + 1, L)]
-        rule = AGG_UPPER_TRIANGLE
-        if metric == "cka":
-            value = lambda q, r: linear_cka(mats[q], mats[r])
-        else:
-            # rsa_score(mats[q], mats[r]) with each language's RDM ranked once
-            ranked = functools.cache(lambda q: _ranked_rdm(mats[q]))
-            value = lambda q, r: _rank_correlation(*ranked(q), *ranked(r))
-    else:
+    # rsa_score(mats[q], mats[r]) with each language's RDM ranked once
+    ranked = functools.cache(lambda q: _ranked_rdm(mats[q]))
+    value = {
+        "retrieval": lambda q, r: retrieval_precision(mats[q], mats[r]),
+        "cka": lambda q, r: linear_cka(mats[q], mats[r]),
+        "rsa": lambda q, r: _rank_correlation(*ranked(q), *ranked(r)),
+    }.get(metric)
+    if value is None:
         raise UnknownNameError(f"unknown metric {metric!r}")
 
-    pairs = {}
-    for q, r in indices:
+    values = {}
+    for q, r in itertools.combinations(range(L), 2):
         try:
-            pairs[(langs[q], langs[r])] = value(q, r)
+            values[q, r] = value(q, r)
         except Exception as exc:
             exc.args = (f"{exc} [language pair ({langs[q]}, {langs[r]})]",)
             raise
+    rule = AGG_UPPER_TRIANGLE
+    if metric == "retrieval":  # retrieval_precision counts both directions: (r, q) equals (q, r)
+        rule = AGG_FULL_OFF_DIAGONAL
+        values.update({(r, q): v for (q, r), v in values.items()})
+    pairs = {(langs[q], langs[r]): v for (q, r), v in sorted(values.items())}
 
     # mean in fixed lexicographic (q, r) order for bit-reproducibility
     ordered = [pairs[key] for key in sorted(pairs)]

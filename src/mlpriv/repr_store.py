@@ -1,4 +1,4 @@
-"""Aligned multilingual embedding sets: data model, pooling, and binary file I/O.
+"""Aligned multilingual embedding sets: data model and binary file I/O.
 
 Embedding files use the "EMB1" format: 4 magic bytes ``EMB1``, u32-LE row
 count, u32-LE dim, then row-major float64-LE payload. Manifests are plain
@@ -14,7 +14,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
-    AllMaskedError,
     DuplicateKeyError,
     FormatError,
     MissingLanguageError,
@@ -23,26 +22,6 @@ from .errors import (
 )
 
 EMB_MAGIC = b"EMB1"
-
-
-@dataclass(frozen=True)
-class TokenMatrix:
-    """Per-token representations of one sentence plus a content-token mask."""
-
-    values: np.ndarray  # (tokens, dim) float64
-    mask: np.ndarray    # (tokens,) bool, True = content token
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        mask = np.asarray(self.mask, dtype=bool)
-        if mask.ndim != 1 or values.ndim != 2 or mask.shape[0] != values.shape[0]:
-            raise ShapeMismatchError(
-                f"mask length {mask.shape} does not match rows {values.shape}"
-            )
-        if not np.all(np.isfinite(values)):
-            raise NonFiniteError("token matrix contains NaN/inf")
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "mask", mask)
 
 
 @dataclass(frozen=True)
@@ -110,22 +89,19 @@ class Manifest:
             if len(parts) != 3:
                 raise FormatError(f"{path}:{lineno}: expected 3 tab-separated fields")
             lang, layer, rel = parts
+            try:
+                layer = int(layer)
+            except ValueError:
+                raise FormatError(f"{path}:{lineno}: layer {layer!r} is not an integer") from None
             p = Path(rel)
             if not p.is_absolute():
                 p = base / p
-            manifest.add(lang, int(layer), p)
+            manifest.add(lang, layer, p)
         return manifest
 
     def write(self, path: Path | str) -> None:
         lines = [f"{lang}\t{layer}\t{p}" for lang, layer, p in self.entries]
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def mean_pool(tokens: TokenMatrix) -> np.ndarray:
-    """Mean of content-token rows; special/padding positions are excluded."""
-    if not tokens.mask.any():
-        raise AllMaskedError("no unmasked token to pool")
-    return tokens.values[tokens.mask].mean(axis=0)
 
 
 def write_embeddings(path: Path | str, matrix: np.ndarray) -> None:

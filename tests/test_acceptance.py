@@ -14,7 +14,7 @@ from mlpriv.experiments import (
     run_theorem1,
     run_theorem2,
 )
-from mlpriv.influence import CheckpointSet, event_probability, self_influence
+from mlpriv.influence import CheckpointSet, event_probability, _tracin_gram
 from mlpriv.metrics import isoscore, linear_cka, retrieval_precision, rsa_score, spearman_rho
 from mlpriv.repr_store import read_embeddings, write_embeddings
 from mlpriv.synth import SynthSpec, gen_classification_data
@@ -217,10 +217,8 @@ def test_criterion_8_loo_tracin_agreement():
                       noise_multiplier=0.0)
     result = train(dataset, model, cfg)
     cks = CheckpointSet.last_k(result.checkpoints, 3)
-    self_scores = np.array([
-        self_influence((dataset.features[i], int(dataset.labels[i])), cks, model)
-        for i in range(32)
-    ])
+    one_example_groups = _tracin_gram(dataset.features[:, None], dataset.labels[:, None], cks, model)
+    self_scores = one_example_groups[:, 0, 0]
     # each example's leave-one-out effect at its own point: one coupled
     # retrain per example beside the full-data run, in one trainer call
     full, *without = train_many(dataset, model, cfg, [Variant(e) for e in [None, *range(32)]])

@@ -17,13 +17,11 @@ from mlpriv.accountant import (
     SIGMA_REL_TOL,
     MechanismParams,
     PrivacySpending,
-    compose,
     epsilon_for,
     rdp_curve,
-    rdp_step,
-    rdp_to_dp,
     sigma_for,
     _packed_triangle,
+    _to_dp,
 )
 from mlpriv.errors import DomainError, EmptyOrdersError, UnboundedError, UnsatisfiableError
 
@@ -123,7 +121,7 @@ class TestRdpCurve:
     def test_rdp_step_is_one_order_of_the_curve(self, q, sigma):
         full = rdp_curve(q, sigma, DEFAULT_ORDERS)
         for alpha in (2, 3, 17, 256, 512):
-            assert rdp_step(q, sigma, alpha) == rdp_curve(q, sigma, (alpha,))[alpha] == full[alpha]
+            assert rdp_curve(q, sigma, (alpha,))[alpha] == full[alpha]
 
     @pytest.mark.parametrize("orders", [DEFAULT_ORDERS, (2, 3, 17, 256)], ids=["default", "sparse"])
     @pytest.mark.parametrize("sigma", [1e-3, 1.0, 1e3])
@@ -159,23 +157,20 @@ class TestRdpCurve:
 
 class TestRdpStep:
     def test_full_batch_closed_form(self):
-        assert rdp_step(q=1.0, sigma=2.0, alpha=4) == pytest.approx(0.5, abs=1e-12)
-
-    def test_no_sampling_is_free(self):
-        assert rdp_step(q=0.0, sigma=1.0, alpha=8) == 0.0
+        assert rdp_curve(q=1.0, sigma=2.0, orders=(4,))[4] == pytest.approx(0.5, abs=1e-12)
 
     def test_binomial_sum_at_order_two(self):
         q = 0.01
         expected = math.log(1 + q**2 * (math.e - 1))
-        assert rdp_step(q=q, sigma=1.0, alpha=2) == pytest.approx(expected, rel=1e-12)
+        assert rdp_curve(q=q, sigma=1.0, orders=(2,))[2] == pytest.approx(expected, rel=1e-12)
 
     def test_domain_checks(self):
         with pytest.raises(DomainError):
-            rdp_step(q=1.5, sigma=1.0, alpha=2)
+            epsilon_for(q=1.5, sigma=1.0, steps=1, delta=1e-5, orders=(2,))
         with pytest.raises(DomainError):
-            rdp_step(q=0.5, sigma=0.0, alpha=2)
+            epsilon_for(q=0.5, sigma=0.0, steps=1, delta=1e-5, orders=(2,))
         with pytest.raises(DomainError):
-            rdp_step(q=0.5, sigma=1.0, alpha=1)
+            epsilon_for(q=0.5, sigma=1.0, steps=1, delta=1e-5, orders=(1,))
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -184,45 +179,48 @@ class TestRdpStep:
         alpha=st.integers(2, 64),
     )
     def test_nonnegative_and_monotone_in_alpha(self, q, sigma, alpha):
-        value = rdp_step(q, sigma, alpha)
-        assert value >= 0.0
-        assert rdp_step(q, sigma, alpha + 1) >= value - 1e-12
+        curve = rdp_curve(q, sigma, (alpha, alpha + 1))
+        assert curve[alpha] >= 0.0
+        assert curve[alpha + 1] >= curve[alpha] - 1e-12
 
 
 class TestCompose:
+    """RDP composes additively: T steps convert T times the one-step curve."""
+
+    ORDERS = (2, 3, 17, 256)
+
+    def composed(self, q, sigma, steps):
+        curve = np.array(list(rdp_curve(q, sigma, self.ORDERS).values()))
+        return _to_dp(self.ORDERS, curve * steps, 1e-5)
+
     def test_identity(self):
-        assert compose(0.5, 1) == 0.5
+        assert epsilon_for(0.01, 1.5, 1, 1e-5, self.ORDERS) == self.composed(0.01, 1.5, 1)
 
     def test_linearity(self):
-        assert compose(0.5, 10) == 5.0
-
-    def test_zero(self):
-        assert compose(0.0, 123) == 0.0
-
-    def test_negative_rejected(self):
-        with pytest.raises(DomainError):
-            compose(-0.1, 5)
+        assert epsilon_for(0.01, 1.5, 10, 1e-5, self.ORDERS) == self.composed(0.01, 1.5, 10)
+        # full batch: 4 steps at sigma cost alpha / (2 (sigma / 2)^2), one step at sigma / 2
+        assert epsilon_for(1.0, 2.0, 4, 1e-5) == epsilon_for(1.0, 1.0, 1, 1e-5)
 
 
 class TestRdpToDp:
     def test_single_order_formula(self):
-        spending = rdp_to_dp({2: 0.0}, delta=0.5)
+        spending = _to_dp((2,), np.array([0.0]), delta=0.5)
         # ln(1 - 1/2) - (ln 0.5 + ln 2) / 1 = ln(1/2) - 0, clamped to 0
         assert spending.epsilon == 0.0
         assert spending.best_order == 2
 
     def test_all_infinite_is_unbounded(self):
         with pytest.raises(UnboundedError):
-            rdp_to_dp({2: math.inf, 3: math.inf}, delta=1e-5)
+            _to_dp((2, 3), np.array([math.inf, math.inf]), delta=1e-5)
 
     def test_empty_orders_rejected(self):
         with pytest.raises(EmptyOrdersError):
-            rdp_to_dp({}, delta=1e-5)
+            epsilon_for(q=0.5, sigma=1.0, steps=1, delta=1e-5, orders=())
 
     def test_pointwise_larger_curve_never_smaller_epsilon(self):
-        curve = {a: a / 8.0 for a in range(2, 40)}
-        bigger = {a: v + 0.5 for a, v in curve.items()}
-        assert rdp_to_dp(bigger, 1e-5).epsilon >= rdp_to_dp(curve, 1e-5).epsilon
+        # more steps compose to a pointwise larger curve
+        epsilons = [epsilon_for(0.1, 2.0, steps, 1e-5).epsilon for steps in (1, 10, 100, 1000)]
+        assert epsilons == sorted(epsilons)
 
 
 class TestEpsilonFor:

@@ -258,6 +258,16 @@ class TestTrainCommand:
         assert code == EXIT_VALIDATION
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_label_line_without_a_tab_exits_2_naming_the_line(self, synth_dir, tmp_path, capsys):
+        rows = (synth_dir / "labels.tsv").read_text().splitlines()
+        rows[1] = rows[1].replace("\t", " ")
+        (synth_dir / "labels.tsv").write_text("".join(row + "\n" for row in rows))
+        capsys.readouterr()
+        code, _ = self.run_train(synth_dir, tmp_path)
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "labels.tsv:2: " in err
+
     @pytest.mark.parametrize("key", ["adam_beta1", "adam_eps", "noise_seed"])
     def test_library_constant_is_an_unknown_key(self, synth_dir, tmp_path, capsys, key):
         code, _ = self.run_train(synth_dir, tmp_path, **{key: 1})

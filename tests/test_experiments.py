@@ -13,11 +13,10 @@ from mlpriv.influence import (
     influence_profiles,
     interpretability_margin,
     loo_probabilities,
-    self_influence,
-    softmax,
+    _tracin_gram,
 )
 from mlpriv.synth import SynthSpec, gen_classification_data, plant_outlier
-from mlpriv.trainer import ModelSpec, TrainConfig, train
+from mlpriv.trainer import ModelSpec, TrainConfig, train, _softmax
 
 
 def test_theorem1_makes_two_trainer_calls_per_seed(monkeypatch):
@@ -54,14 +53,11 @@ def test_theorem1_matches_per_cell_reference():
         cks = CheckpointSet.last_k(train(dataset, model, cfg).checkpoints, 3)
 
         profile = influence_profiles(dataset, cks, model)[planted // 4]
-        margin = float(softmax(profile.scores[planted % 4]).max())
+        margin = float(_softmax(profile.scores[planted % 4]).max())
         assert float(row["margin"]) == pytest.approx(margin, rel=1e-12)
 
-        ranked = sorted(
-            ((self_influence((dataset.features[i], int(dataset.labels[i])), cks, model), i)
-             for i in range(len(dataset))),
-            reverse=True,
-        )
+        self_inf = _tracin_gram(dataset.features[:, None], dataset.labels[:, None], cks, model)
+        ranked = sorted(zip(self_inf[:, 0, 0], range(len(dataset))), reverse=True)
         shortlist = sorted({i for _, i in ranked[:8]} | {planted})
         noise_seeds = [None] if sigma == 0.0 else list(range(10))  # seed * 1000 + j at seed 0
         probs = loo_probabilities(

@@ -12,7 +12,6 @@ from mlpriv.errors import (
     MlprivError,
     NonFiniteError,
     ShapeMismatchError,
-    TooFewExamplesError,
     TooFewLanguagesError,
     TupleLayoutError,
     UndefinedMarginError,
@@ -23,14 +22,11 @@ from mlpriv.influence import (
     influence_profile,
     influence_profiles,
     interpretability_margin,
-    loo_influence,
-    self_influence,
-    softmax,
-    tracin_cp,
+    loo_probabilities,
     write_influence_csv,
     _tracin_gram,
 )
-from mlpriv.trainer import Checkpoint, LabeledDataset, ModelSpec, TrainConfig, train
+from mlpriv.trainer import Checkpoint, LabeledDataset, ModelSpec, TrainConfig, Variant, _softmax
 
 from per_example import grad
 
@@ -39,6 +35,17 @@ SPEC = ModelSpec(input_dim=2, hidden_dim=0, num_classes=2)
 
 def single_ckpt(theta, eta=0.1, step=100):
     return CheckpointSet((Checkpoint(step=step, theta=np.asarray(theta, float), eta=eta),))
+
+
+def pair_score(z, z_prime, cks, spec):
+    """TracInCP influence of z on z': the cross entry of their two-member profile."""
+    return influence_profile(0, [z, z_prime], cks, spec).scores[0, 1]
+
+
+def self_scores(examples, cks, spec):
+    """Self-influences of examples, each its own one-example group of the kernel."""
+    X = np.array([x for x, _ in examples], dtype=float)
+    return _tracin_gram(X[:, None], np.array([[y] for _, y in examples]), cks, spec)[:, 0, 0]
 
 
 class TestCheckpointSet:
@@ -88,7 +95,7 @@ class TestTracinCp:
         z = (np.array([1.0, 2.0]), 0)
         z_prime = (np.array([-1.0, 0.5]), 1)
         expected = 0.07 * float(grad(SPEC, theta, z) @ grad(SPEC, theta, z_prime))
-        assert tracin_cp(z, z_prime, cks, SPEC) == pytest.approx(expected, abs=1e-15)
+        assert pair_score(z, z_prime, cks, SPEC) == pytest.approx(expected, abs=1e-15)
 
     def test_multi_checkpoint_sums_over_checkpoints(self):
         rng = np.random.default_rng(0)
@@ -103,39 +110,28 @@ class TestTracinCp:
             (0.1 / (i + 1)) * float(grad(SPEC, t, z) @ grad(SPEC, t, z_prime))
             for i, t in enumerate(thetas)
         )
-        assert tracin_cp(z, z_prime, cks, SPEC) == pytest.approx(expected, rel=1e-12)
+        assert pair_score(z, z_prime, cks, SPEC) == pytest.approx(expected, rel=1e-12)
 
     def test_zero_gradient_gives_zero(self):
         # saturated correct prediction: gradient vanishes, so all influence does
         theta = np.array([50.0, 0.0, -50.0, 0.0, 0.0, 0.0])
         cks = single_ckpt(theta)
         z = (np.array([1.0, 0.0]), 0)
-        assert abs(tracin_cp(z, z, cks, SPEC)) < 1e-12
+        assert abs(pair_score(z, z, cks, SPEC)) < 1e-12
 
     def test_self_influence_is_eta_times_squared_norm(self):
         theta = np.array([0.3, -0.2, 0.1, 0.0, 0.05, -0.05])
         cks = single_ckpt(theta, eta=0.1)
         z = (np.array([1.0, 2.0]), 0)
         g = grad(SPEC, theta, z)
-        assert self_influence(z, cks, SPEC) == pytest.approx(0.1 * float(g @ g), abs=1e-15)
-
-    @pytest.mark.parametrize("hidden_dim", [0, 3])
-    def test_self_influence_is_tracin_of_z_with_itself(self, hidden_dim):
-        spec = ModelSpec(input_dim=2, hidden_dim=hidden_dim, num_classes=2)
-        rng = np.random.default_rng(3)
-        cks = CheckpointSet(tuple(
-            Checkpoint(step=100 * (i + 1), theta=rng.standard_normal(spec.num_params), eta=0.1 / (i + 1))
-            for i in range(3)
-        ))
-        z = (np.array([0.5, -1.0]), 1)
-        assert self_influence(z, cks, spec) == tracin_cp(z, z, cks, spec)
+        assert self_scores([z], cks, SPEC)[0] == pytest.approx(0.1 * float(g @ g), abs=1e-15)
 
     def test_self_influence_nonnegative(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
             theta = rng.standard_normal(SPEC.num_params)
             z = (rng.standard_normal(2), int(rng.integers(2)))
-            assert self_influence(z, single_ckpt(theta), SPEC) >= 0.0
+            assert self_scores([z], single_ckpt(theta), SPEC)[0] >= 0.0
 
 
 def grad_loop_scores(examples, cks, spec):
@@ -188,10 +184,12 @@ class TestGramKernel:
         expected = grad_loop_scores(examples, cks, spec)
         profile = influence_profile(0, examples, cks, spec)
         np.testing.assert_allclose(profile.scores, expected, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(
+            self_scores(examples, cks, spec), np.diag(expected), rtol=1e-12, atol=0
+        )
         for i in range(L):
-            assert self_influence(examples[i], cks, spec) == pytest.approx(expected[i, i], rel=1e-12)
             for j in range(L):
-                assert tracin_cp(examples[i], examples[j], cks, spec) == pytest.approx(
+                assert pair_score(examples[i], examples[j], cks, spec) == pytest.approx(
                     expected[i, j], rel=1e-12
                 )
 
@@ -218,7 +216,7 @@ class TestGramKernel:
         assert grouped.shape == (15, 1, 1)
         for r in range(15):
             z = (dataset.features[r], int(dataset.labels[r]))
-            assert grouped[r, 0, 0] == pytest.approx(self_influence(z, cks, spec), rel=1e-12)
+            assert grouped[r, 0, 0] == pytest.approx(pair_score(z, z, cks, spec), rel=1e-12)
 
     def test_labels_must_match_grouped_inputs(self):
         with pytest.raises(ShapeMismatchError):
@@ -248,36 +246,34 @@ class TestInfluenceInputs:
         with pytest.raises(ShapeMismatchError):
             influence_profile(0, [self.GOOD, bad], self.CKS, SPEC)
         with pytest.raises(ShapeMismatchError):
-            tracin_cp(self.GOOD, bad, self.CKS, SPEC)
+            self_scores([bad], self.CKS, SPEC)
 
     def test_negative_label_rejected(self):
         bad = (np.array([0.5, 0.5]), -1)
         with pytest.raises(ShapeMismatchError):
             influence_profile(0, [self.GOOD, bad], self.CKS, SPEC)
         with pytest.raises(ShapeMismatchError):
-            tracin_cp(self.GOOD, bad, self.CKS, SPEC)
+            self_scores([bad], self.CKS, SPEC)
 
     def test_fractional_label_rejected(self):
         bad = (np.array([0.5, 0.5]), 1.7)
         with pytest.raises(ShapeMismatchError):
             influence_profile(0, [self.GOOD, bad], self.CKS, SPEC)
         with pytest.raises(ShapeMismatchError):
-            tracin_cp(self.GOOD, bad, self.CKS, SPEC)
-        with pytest.raises(ShapeMismatchError):
-            self_influence(bad, self.CKS, SPEC)
+            self_scores([bad], self.CKS, SPEC)
 
     @pytest.mark.parametrize("x", [np.zeros(3), np.zeros(1), np.zeros((2, 1)), np.float64(1.0)])
     def test_input_of_wrong_shape_rejected(self, x):
         with pytest.raises(ShapeMismatchError):
             influence_profile(0, [self.GOOD, (x, 1)], self.CKS, SPEC)
         with pytest.raises(ShapeMismatchError):
-            tracin_cp((x, 1), self.GOOD, self.CKS, SPEC)
+            self_scores([(x, 1)], self.CKS, SPEC)
         with pytest.raises(ShapeMismatchError):
             influence_profile(0, [(x, 1), self.GOOD], self.CKS, SPEC).scores[1]
 
     def test_numpy_integer_labels_accepted(self):
         z = (np.array([0.5, 0.5]), np.int64(1))
-        assert tracin_cp(self.GOOD, z, self.CKS, SPEC) == tracin_cp(self.GOOD, (z[0], 1), self.CKS, SPEC)
+        assert pair_score(self.GOOD, z, self.CKS, SPEC) == pair_score(self.GOOD, (z[0], 1), self.CKS, SPEC)
 
 
 class TestInfluenceVector:
@@ -369,7 +365,7 @@ class TestInfU:
             scores = rng.standard_normal((L, L)) * rng.choice([1e-3, 1.0, 40.0, 800.0])
             entropies = []
             for row in scores:
-                p = softmax(row)
+                p = _softmax(row)
                 nz = p[p > 0]
                 entropies.append(float(-(nz * np.log(nz)).sum() / math.log(L)))
             assert infu_from_scores(scores) == float(np.mean(entropies))
@@ -384,19 +380,26 @@ class TestInfU:
         for k in range(3):
             for j in range(3):
                 assert profile.scores[k, j] == pytest.approx(
-                    tracin_cp(examples[k], examples[j], cks, SPEC), rel=1e-12
+                    pair_score(examples[k], examples[j], cks, SPEC), rel=1e-12
                 )
         assert profile.infu == pytest.approx(infu_from_scores(profile.scores), abs=0)
 
     def test_softmax_is_shift_invariant_and_normalized(self):
         s = np.array([1.0, -2.0, 0.5])
-        p = softmax(s)
+        p = _softmax(s)
         assert p.sum() == pytest.approx(1.0, abs=1e-12)
-        np.testing.assert_allclose(softmax(s + 100.0), p, atol=1e-12)
+        np.testing.assert_allclose(_softmax(s + 100.0), p, atol=1e-12)
 
 
 class TestLooInfluence:
     MODEL = ModelSpec(input_dim=2, hidden_dim=0, num_classes=2)
+
+    def loo(self, dataset, x_index, cfg, eval_point, event_class):
+        """P(event | D) - P(event | D without x_index), one coupled retrain."""
+        p, p_without = loo_probabilities(
+            dataset, self.MODEL, cfg, [[Variant()], [Variant(x_index)]], eval_point, event_class
+        )
+        return p - p_without
 
     def test_duplicated_example_has_negligible_effect(self):
         # well-separated classes so the fit saturates: the remaining twin
@@ -408,8 +411,7 @@ class TestLooInfluence:
         dataset = LabeledDataset(features=features, labels=labels, languages=("en",) * 20)
         cfg = TrainConfig(base_lr=0.5, total_steps=2000, batch_size=20, seed=0,
                           clip_threshold=100.0, optimizer="sgd", weight_decay=1e-3)
-        delta = loo_influence(dataset, 19, self.MODEL, cfg,
-                              eval_point=np.array([2.0, 2.0]), event_class=1)
+        delta = self.loo(dataset, 19, cfg, eval_point=np.array([2.0, 2.0]), event_class=1)
         assert abs(delta) < 1e-3
 
     def test_sole_class_member_has_large_positive_effect(self):
@@ -419,8 +421,7 @@ class TestLooInfluence:
         dataset = LabeledDataset(features=features, labels=labels, languages=("en",) * 12)
         cfg = TrainConfig(base_lr=0.2, total_steps=300, batch_size=12, seed=0,
                           clip_threshold=100.0, optimizer="sgd", weight_decay=0.01)
-        delta = loo_influence(dataset, 11, self.MODEL, cfg,
-                              eval_point=np.array([4.0, 4.0]), event_class=1)
+        delta = self.loo(dataset, 11, cfg, eval_point=np.array([4.0, 4.0]), event_class=1)
         assert delta > 0.3
 
     def test_coupled_retrain_only_depends_on_excluded_slot(self):
@@ -430,8 +431,8 @@ class TestLooInfluence:
                                  languages=("en",) * 8)
         cfg = TrainConfig(base_lr=0.1, total_steps=100, batch_size=4, seed=1)
         point = np.array([1.0, 1.0])
-        a = loo_influence(dataset, 3, self.MODEL, cfg, point, 0)
-        b = loo_influence(dataset, 3, self.MODEL, cfg, point, 0)
+        a = self.loo(dataset, 3, cfg, point, 0)
+        b = self.loo(dataset, 3, cfg, point, 0)
         assert a == b  # fully deterministic
 
     def test_index_validation(self):
@@ -442,17 +443,13 @@ class TestLooInfluence:
         cfg = TrainConfig(base_lr=0.1, total_steps=10, batch_size=2, seed=0,
                           warmup_steps=0)
         with pytest.raises(IndexError):
-            loo_influence(dataset, 4, self.MODEL, cfg, np.zeros(2), 0)
+            self.loo(dataset, 4, cfg, np.zeros(2), 0)
 
     def test_errors_are_typed(self):
         cfg = TrainConfig(base_lr=0.1, total_steps=10, batch_size=1, seed=0, warmup_steps=0)
-        one = LabeledDataset(features=np.zeros((1, 2)), labels=[0], languages=("en",))
-        with pytest.raises(TooFewExamplesError) as info:
-            loo_influence(one, 0, self.MODEL, cfg, np.zeros(2), 0)
-        assert isinstance(info.value, MlprivError) and isinstance(info.value, ValueError)
         two = LabeledDataset(features=np.zeros((2, 2)), labels=[0, 1], languages=("en",) * 2)
         with pytest.raises(ExcludeIndexError) as info:
-            loo_influence(two, -1, self.MODEL, cfg, np.zeros(2), 0)
+            self.loo(two, -1, cfg, np.zeros(2), 0)
         assert isinstance(info.value, MlprivError) and isinstance(info.value, IndexError)
 
 

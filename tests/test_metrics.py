@@ -338,6 +338,7 @@ class TestPairwiseReport:
         assert report.aggregate == pytest.approx(
             np.mean([report.per_pair[k] for k in sorted(report.per_pair)]), abs=0
         )
+        assert all(v == report.per_pair[b, a] for (a, b), v in report.per_pair.items())
 
     def test_cka_uses_upper_triangle(self, embedding_set):
         report = pairwise_report(embedding_set, "cka")

@@ -1,4 +1,4 @@
-"""Embedding storage: pooling, the EMB1 binary format, and manifests."""
+"""Embedding storage: the EMB1 binary format and manifests."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mlpriv.errors import (
-    AllMaskedError,
     DuplicateKeyError,
     FormatError,
     MissingLanguageError,
@@ -18,42 +17,10 @@ from mlpriv.repr_store import (
     EMB_MAGIC,
     EmbeddingSet,
     Manifest,
-    TokenMatrix,
     load_set,
-    mean_pool,
     read_embeddings,
     write_embeddings,
 )
-
-
-class TestTokenMatrixAndPooling:
-    def test_single_unmasked_row_is_identity(self):
-        tm = TokenMatrix(values=[[3.0, -1.0], [9.0, 9.0]], mask=[True, False])
-        np.testing.assert_array_equal(mean_pool(tm), [3.0, -1.0])
-
-    def test_equal_rows_pool_to_that_row(self):
-        tm = TokenMatrix(values=[[2.0, 5.0]] * 4, mask=[True] * 4)
-        np.testing.assert_array_equal(mean_pool(tm), [2.0, 5.0])
-
-    def test_masked_row_excluded_from_mean(self):
-        tm = TokenMatrix(
-            values=[[1.0, 0.0], [0.0, 1.0], [9.0, 9.0]],
-            mask=[True, True, False],
-        )
-        np.testing.assert_allclose(mean_pool(tm), [0.5, 0.5])
-
-    def test_all_masked_rejected(self):
-        tm = TokenMatrix(values=[[1.0, 2.0]], mask=[False])
-        with pytest.raises(AllMaskedError):
-            mean_pool(tm)
-
-    def test_mask_length_mismatch_rejected(self):
-        with pytest.raises(ShapeMismatchError):
-            TokenMatrix(values=[[1.0, 2.0]], mask=[True, False])
-
-    def test_nonfinite_values_rejected(self):
-        with pytest.raises(NonFiniteError):
-            TokenMatrix(values=[[np.nan, 0.0]], mask=[True])
 
 
 class TestEmb1Format:
@@ -180,6 +147,11 @@ class TestManifest:
     def test_bad_field_count_rejected(self, tmp_path):
         (tmp_path / "manifest.tsv").write_text("en\t0\n")
         with pytest.raises(FormatError):
+            Manifest.read(tmp_path / "manifest.tsv")
+
+    def test_non_integer_layer_names_file_and_line(self, tmp_path):
+        (tmp_path / "manifest.tsv").write_text("en\t0\ten.emb\nfr\tzero\tfr.emb\n")
+        with pytest.raises(FormatError, match=r"manifest\.tsv:2: layer 'zero' is not an integer"):
             Manifest.read(tmp_path / "manifest.tsv")
 
     def test_duplicate_key_rejected(self):

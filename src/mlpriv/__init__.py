@@ -1,7 +1,7 @@
 """Multilingual compression metrics, DP training with Renyi accounting,
 and training-data influence estimation on desk-scale synthetic data."""
 
-from .accountant import MechanismParams, PrivacySpending, epsilon_for, sigma_for
+from .accountant import PrivacySpending, epsilon_for, sigma_for
 from .influence import CheckpointSet, InfluenceProfile, influence_profiles
 from .metrics import (
     MetricReport,
@@ -33,7 +33,6 @@ __all__ = [
     "InfluenceProfile",
     "LabeledDataset",
     "Manifest",
-    "MechanismParams",
     "MetricReport",
     "ModelSpec",
     "PrivacySpending",

@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import DomainError, EmptyOrdersError, UnboundedError, UnsatisfiableError
+from .errors import DomainError, UnboundedError, UnsatisfiableError
 
 DEFAULT_ORDERS: tuple[int, ...] = tuple(range(2, 513))
 
@@ -28,39 +28,12 @@ SIGMA_LO = 1e-3
 SIGMA_HI = 1e3
 SIGMA_REL_TOL = 1e-4
 
-# sigma_for bounds epsilon from above with the orders[:BOUND_ORDERS] (2..32 of the
-# default grid) before it pays for the full curve
+# sigma_for bounds epsilon from above with DEFAULT_ORDERS[:BOUND_ORDERS] (2..32)
+# before it pays for the full curve
 BOUND_ORDERS = 31
 # np.exp returns exactly 0.0 at and below this argument (e^-745.14 is half the
 # smallest subnormal), so rdp_curve leaves such terms at zero instead of calling exp
 EXP_ZERO_AT = -746.0
-
-
-@dataclass(frozen=True)
-class MechanismParams:
-    """Subsampled Gaussian mechanism: rate q, noise sigma, T steps, delta."""
-
-    q: float
-    sigma: float
-    steps: int
-    delta: float
-    orders: tuple[int, ...] = DEFAULT_ORDERS
-
-    def __post_init__(self):
-        if not 0.0 < self.q <= 1.0:
-            raise DomainError(f"sampling rate q must be in (0, 1], got {self.q}")
-        if not self.sigma > 0.0:
-            raise DomainError(f"sigma must be > 0, got {self.sigma}")
-        if not 1 <= self.steps <= sys.float_info.max:
-            raise DomainError(f"steps must be in [1, {sys.float_info.max:g}], got {self.steps}")
-        if not 0.0 < self.delta < 1.0:
-            raise DomainError(f"delta must be in (0, 1), got {self.delta}")
-        orders = tuple(self.orders)
-        if not orders:
-            raise EmptyOrdersError("need at least one Renyi order")
-        if any(a <= 1 for a in orders) or list(orders) != sorted(set(orders)):
-            raise DomainError("orders must be strictly ascending and all > 1")
-        object.__setattr__(self, "orders", orders)
 
 
 @dataclass(frozen=True)
@@ -71,6 +44,19 @@ class PrivacySpending:
     def __post_init__(self):
         if not math.isfinite(self.epsilon) or self.epsilon < 0:
             raise DomainError(f"epsilon must be finite and >= 0, got {self.epsilon}")
+
+
+def _check(q: float, sigma: float, steps: int, delta: float) -> None:
+    """Raise DomainError unless q, sigma, steps and delta describe a subsampled
+    Gaussian mechanism: rate q, noise sigma, T steps, delta."""
+    if not 0.0 < q <= 1.0:
+        raise DomainError(f"sampling rate q must be in (0, 1], got {q}")
+    if not sigma > 0.0:
+        raise DomainError(f"sigma must be > 0, got {sigma}")
+    if not 1 <= steps <= sys.float_info.max:
+        raise DomainError(f"steps must be in [1, {sys.float_info.max:g}], got {steps}")
+    if not 0.0 < delta < 1.0:
+        raise DomainError(f"delta must be in (0, 1), got {delta}")
 
 
 @lru_cache(maxsize=4)
@@ -125,20 +111,20 @@ def _packed_triangle(orders: tuple[int, ...]) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-def rdp_curve(q: float, sigma: float, orders: tuple[int, ...]) -> dict[int, float]:
-    """One-step RDP of the sampled Gaussian mechanism at every order at once.
+def rdp_curve(q: float, sigma: float, orders: tuple[int, ...]) -> np.ndarray:
+    """One-step RDP of the sampled Gaussian mechanism at every order at once,
+    as an array aligned with orders.
 
     The terms of all orders' binomial sums sit in one packed triangle (row
     k = 0..alpha per order), reduced by a segmented log-sum-exp. Only terms
     above EXP_ZERO_AT go through exp; the rest are the 0.0 exp would return, so
     the segmented sum adds the same array in the same order.
     """
-    orders = tuple(int(a) for a in orders)
     two_var = 2.0 * sigma * sigma
     if two_var == 0.0:  # sigma^2 underflows: the k = 2 term is infinite at every order
-        return dict.fromkeys(orders, math.inf)
+        return np.full(len(orders), math.inf)
     if q == 1.0:
-        return {a: a / two_var for a in orders}
+        return np.array(orders, dtype=np.float64) / two_var
     starts, lengths, k, alpha_minus_k, k_k1, log_binom = _packed_triangle(orders)
     # terms = ln C(alpha, k) + (alpha - k) ln(1-q) + k ln q + k(k-1)/(2 sigma^2)
     terms = alpha_minus_k * math.log1p(-q)
@@ -160,66 +146,53 @@ def rdp_curve(q: float, sigma: float, orders: tuple[int, ...]) -> dict[int, floa
         values = np.log1p(np.add.reduceat(powers, starts) / ties) + np.log(ties) + top
     values[np.isinf(top)] = np.inf
     values /= lengths - 2
-    return dict(zip(orders, np.maximum(values, 0.0).tolist()))
+    return np.maximum(values, 0.0)
 
 
-def epsilon_for(
-    q: float,
-    sigma: float,
-    steps: int,
-    delta: float,
-    orders: tuple[int, ...] = DEFAULT_ORDERS,
-) -> PrivacySpending:
+def epsilon_for(q: float, sigma: float, steps: int, delta: float) -> PrivacySpending:
     """Total (epsilon, delta) spending of T subsampled Gaussian steps."""
-    return _spending(MechanismParams(q=q, sigma=sigma, steps=steps, delta=delta, orders=orders))
+    _check(q, sigma, steps, delta)
+    return _spending(q, sigma, steps, delta, DEFAULT_ORDERS)
 
 
-def _spending(params: MechanismParams) -> PrivacySpending:
-    """epsilon_for of validated params: the one-step curve composed over
-    params.steps (RDP adds up, one product per order), then ``_to_dp``."""
-    one_step = rdp_curve(params.q, params.sigma, params.orders)
-    curve = np.fromiter(one_step.values(), dtype=np.float64, count=len(one_step))
-    return _to_dp(params.orders, curve * float(params.steps), params.delta)
+def _spending(q: float, sigma: float, steps: int, delta: float,
+              orders: tuple[int, ...]) -> PrivacySpending:
+    """epsilon_for of checked values over orders: the one-step curve composed
+    over the steps (RDP adds up, one product per order), then ``_to_dp``."""
+    return _to_dp(orders, rdp_curve(q, sigma, orders) * float(steps), delta)
 
 
-def sigma_for(
-    target_epsilon: float,
-    q: float,
-    steps: int,
-    delta: float,
-    orders: tuple[int, ...] = DEFAULT_ORDERS,
-    lo: float = SIGMA_LO,
-    hi: float = SIGMA_HI,
-) -> float:
-    """Smallest noise multiplier whose total epsilon meets the target.
+def sigma_for(target_epsilon: float, q: float, steps: int, delta: float) -> float:
+    """Smallest noise multiplier in [SIGMA_LO, SIGMA_HI] whose total epsilon
+    meets the target.
 
-    target_epsilon = inf means non-private training and returns sigma = 0.
+    target_epsilon = inf means non-private training and returns sigma = 0,
+    once q, steps and delta are checked.
 
-    The check at hi and each bisection step first take epsilon over
-    orders[:BOUND_ORDERS], a minimum over a subset of the full curve's values
-    and so an upper bound on the full epsilon. A bound below the target by
-    more than the tolerance settles the check or step (sigma high enough)
+    The check at SIGMA_HI and each bisection step first take epsilon over
+    DEFAULT_ORDERS[:BOUND_ORDERS], a minimum over a subset of the full curve's
+    values and so an upper bound on the full epsilon. A bound below the target
+    by more than the tolerance settles the check or step (sigma high enough)
     exactly as the full curve would; every other step, the stopping test, the
-    final nudge and the check at lo use the full curve.
+    final nudge and the check at SIGMA_LO use the full curve.
     """
     if math.isnan(target_epsilon) or target_epsilon <= 0:
         raise DomainError(f"target epsilon must be > 0, got {target_epsilon}")
+    lo, hi = SIGMA_LO, SIGMA_HI
+    _check(q, hi, steps, delta)
     if target_epsilon == math.inf:
         return 0.0
 
-    orders = tuple(orders)
-    prefix = orders[:BOUND_ORDERS]
+    prefix = DEFAULT_ORDERS[:BOUND_ORDERS]
     tol = SIGMA_REL_TOL * target_epsilon
 
     def eps(sigma: float) -> float:
-        return epsilon_for(q, sigma, steps, delta, orders).epsilon
+        return epsilon_for(q, sigma, steps, delta).epsilon
 
     def below_target(sigma: float) -> bool:
         """The prefix bound alone shows eps(sigma) below the target beyond tol."""
-        if prefix == orders:
-            return False
         try:
-            bound = _spending(MechanismParams(q, sigma, steps, delta, prefix)).epsilon
+            bound = _spending(q, sigma, steps, delta, prefix).epsilon
         except UnboundedError:  # infinite at every prefix order: no bound
             return False
         return bound < target_epsilon and abs(bound - target_epsilon) > tol

@@ -13,7 +13,6 @@ import argparse
 import csv
 import dataclasses
 import inspect
-import math
 import sys
 import typing
 from pathlib import Path
@@ -54,10 +53,6 @@ def _parse_value(raw: str, target_type):
         if raw.lower() in ("false", "0", "no"):
             return False
         raise ConfigError(f"cannot parse {raw!r} as bool")
-    if target_type is float:
-        if raw.lower() in ("inf", "infinity"):
-            return math.inf
-        return float(raw)
     if typing.get_origin(target_type) is list:  # comma-separated
         item_type, = typing.get_args(target_type)
         return [_parse_value(item, item_type) for item in raw.split(",")]
@@ -144,8 +139,13 @@ def _read_labels(path: Path) -> tuple[np.ndarray, tuple[str, ...]]:
 
 
 def _load_dataset(data_dir: Path) -> LabeledDataset:
-    features = read_embeddings(data_dir / "features.emb")
-    labels, tags = _read_labels(data_dir / "labels.tsv")
+    features_path, labels_path = data_dir / "features.emb", data_dir / "labels.tsv"
+    features = read_embeddings(features_path)
+    labels, tags = _read_labels(labels_path)
+    if len(labels) != len(features):
+        raise FormatError(
+            f"{labels_path} holds {len(labels)} labels but {features_path} has {len(features)} rows"
+        )
     return LabeledDataset(features=features, labels=labels, languages=tags)
 
 

@@ -67,10 +67,6 @@ class DomainError(MlprivError):
     """Scalar parameter outside its valid domain."""
 
 
-class EmptyOrdersError(MlprivError):
-    """An accountant call was given no Renyi orders."""
-
-
 class UnboundedError(MlprivError):
     """Privacy loss is infinite at every available order."""
 

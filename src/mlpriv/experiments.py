@@ -146,6 +146,7 @@ def run_theorem2(
 
 THEOREM1_SIGMAS = (0.0, 0.5, 2.0)
 THEOREM1_LOO_NOISE_SEEDS = 10  # noise seeds averaged per leave-one-out probability at sigma > 0
+THEOREM1_LOO_CANDIDATES = 8  # top self-influence points searched for the dominant removal
 
 
 def _theorem1_dataset(seed: int, num_languages: int, tuples: int, dim: int,
@@ -181,7 +182,6 @@ def loo_margins(
     model: ModelSpec,
     config: TrainConfig,
     cells: list[tuple[float, CheckpointSet, list[int] | None]],
-    candidates: int = 8,
 ) -> list[float | None]:
     """Interpretability margin from the LOO oracle at the planted point, one
     per cell (sigma, cks, noise_seeds).
@@ -189,20 +189,21 @@ def loo_margins(
     p is the full-data probability of the planted example's class at the
     planted point. The dominant example (p_d) and runner-up (p_2) are the
     two training points whose coupled leave-one-out removal lowers that
-    probability the most, searched over the planted example plus the
-    top-`candidates` points by self-influence over `cks`, the checkpoints
-    of the cell's full-data run. Every probability is averaged over the
-    cell's noise seeds (one run when None) and trained at the cell's sigma
-    on config's batch stream; all cells' retrains are one ``train_many``
-    call. A cell's margin is None when no two removals lower the
-    probability (the margin premise fails).
+    probability the most, searched over the planted example plus the top
+    THEOREM1_LOO_CANDIDATES points by self-influence over `cks`, the
+    checkpoints of the cell's full-data run. Every probability is averaged
+    over the cell's noise seeds (one run when None) and trained at the
+    cell's sigma on config's batch stream; all cells' retrains are one
+    ``train_many`` call. A cell's margin is None when no two removals lower
+    the probability (the margin premise fails).
     """
     groups, sizes = [], []
     for sigma, cks, noise_seeds in cells:
         # one-example groups: each example's self-influence alone, no N x N Gram
         self_inf = _tracin_gram(dataset.features[:, None], dataset.labels[:, None], cks, model)
         ranked = sorted(zip(self_inf[:, 0, 0].tolist(), range(len(dataset))), reverse=True)
-        exclusions = [None, *sorted({i for _, i in ranked[:candidates]} | {planted_index})]
+        shortlist = {i for _, i in ranked[:THEOREM1_LOO_CANDIDATES]} | {planted_index}
+        exclusions = [None, *sorted(shortlist)]
         groups += [[Variant(e, ns, sigma) for ns in noise_seeds or [None]] for e in exclusions]
         sizes.append(len(exclusions))
     probs = loo_probabilities(

@@ -54,17 +54,6 @@ class EmbeddingSet:
         object.__setattr__(self, "languages", tuple(self.languages))
         object.__setattr__(self, "matrices", mats)
 
-    @property
-    def num_tuples(self) -> int:
-        return self.matrices[0].shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.matrices[0].shape[1]
-
-    def matrix(self, language: str) -> np.ndarray:
-        return self.matrices[self.languages.index(language)]
-
 
 @dataclass
 class Manifest:
@@ -96,7 +85,10 @@ class Manifest:
             p = Path(rel)
             if not p.is_absolute():
                 p = base / p
-            manifest.add(lang, layer, p)
+            try:
+                manifest.add(lang, layer, p)
+            except DuplicateKeyError as exc:
+                raise DuplicateKeyError(f"{path}:{lineno}: {exc}") from None
         return manifest
 
     def write(self, path: Path | str) -> None:

@@ -42,6 +42,8 @@ DIVERGENCE_LOSS_CAP = 1e6
 
 DRAW_BLOCK = 32  # steps whose batches and Gaussian noise are drawn at once
 
+INIT_SCALE = 0.1  # standard deviation of the Gaussian initial parameters
+
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -184,9 +186,9 @@ class TrainResult:
         ]
 
 
-def init_theta(spec: ModelSpec, seed: int = 0, scale: float = 0.1) -> np.ndarray:
+def init_theta(spec: ModelSpec, seed: int = 0) -> np.ndarray:
     rng = np.random.default_rng(seed)
-    return scale * rng.standard_normal(spec.num_params)
+    return INIT_SCALE * rng.standard_normal(spec.num_params)
 
 
 def _unpack(spec: ModelSpec, theta: np.ndarray):

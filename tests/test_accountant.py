@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mlpriv import accountant
 from mlpriv.accountant import (
     BOUND_ORDERS,
     DEFAULT_ORDERS,
@@ -15,15 +16,15 @@ from mlpriv.accountant import (
     SIGMA_HI,
     SIGMA_LO,
     SIGMA_REL_TOL,
-    MechanismParams,
     PrivacySpending,
     epsilon_for,
     rdp_curve,
     sigma_for,
     _packed_triangle,
+    _spending,
     _to_dp,
 )
-from mlpriv.errors import DomainError, EmptyOrdersError, UnboundedError, UnsatisfiableError
+from mlpriv.errors import DomainError, UnboundedError, UnsatisfiableError
 
 
 def gaussian_epsilon(sigma: float, delta: float) -> float:
@@ -55,10 +56,13 @@ def binomial_sum_rdp(q: float, sigma: float, alpha: int) -> float:
     return max((top + math.log(math.fsum(math.exp(t - top) for t in terms))) / (alpha - 1), 0.0)
 
 
-def full_curve_sigma(target, q, steps, delta, orders=DEFAULT_ORDERS, lo=SIGMA_LO, hi=SIGMA_HI):
-    """Reference: sigma_for's bisection with the full curve at every step."""
+def full_curve_sigma(target, q, steps, delta):
+    """Reference: sigma_for's bisection with the full curve at every step, on
+    the accountant's current order grid and bracket."""
+    lo, hi = accountant.SIGMA_LO, accountant.SIGMA_HI
+
     def eps(sigma):
-        return epsilon_for(q, sigma, steps, delta, orders).epsilon
+        return epsilon_for(q, sigma, steps, delta).epsilon
 
     e_hi = eps(hi)
     if e_hi > target:
@@ -107,28 +111,27 @@ class TestRdpCurve:
     @pytest.mark.parametrize("q", [1e-4, 0.01, 0.3, 0.999])
     def test_matches_per_order_oracle(self, q, sigma, orders):
         curve = rdp_curve(q, sigma, orders)
-        assert list(curve) == list(orders)
-        for alpha in orders:
+        assert curve.shape == (len(orders),)
+        for alpha, value in zip(orders, curve):
             ref = binomial_sum_rdp(q, sigma, alpha)
             # ln C(alpha, k) is a difference of log-factorials as large as
             # ln(alpha!), so two evaluations of (alpha - 1) * rdp can agree only
             # to rounding of that size; near-zero values cannot agree to 1e-12
             # relative (q = 1e-4, sigma = 1e3, alpha = 2 gives rdp ~ 1e-14).
             scale = abs(ref) + _LOG_FACTORIAL[alpha] / (alpha - 1)
-            assert abs(curve[alpha] - ref) <= 1e-12 * scale, (alpha, curve[alpha], ref)
+            assert abs(value - ref) <= 1e-12 * scale, (alpha, value, ref)
 
     @pytest.mark.parametrize("q, sigma", [(1e-4, 3.0), (0.3, 0.5), (0.999, 1e3), (1.0, 2.0)])
     def test_rdp_step_is_one_order_of_the_curve(self, q, sigma):
         full = rdp_curve(q, sigma, DEFAULT_ORDERS)
         for alpha in (2, 3, 17, 256, 512):
-            assert rdp_curve(q, sigma, (alpha,))[alpha] == full[alpha]
+            assert rdp_curve(q, sigma, (alpha,))[0] == full[DEFAULT_ORDERS.index(alpha)]
 
     @pytest.mark.parametrize("orders", [DEFAULT_ORDERS, (2, 3, 17, 256)], ids=["default", "sparse"])
     @pytest.mark.parametrize("sigma", [1e-3, 1.0, 1e3])
     @pytest.mark.parametrize("q", [1e-4, 0.01, 6 / 36, 0.3, 0.999])
     def test_equals_dense_exp_bit_for_bit(self, q, sigma, orders):
-        got = np.array(list(rdp_curve(q, sigma, orders).values()))
-        assert got.tobytes() == dense_rdp_curve(q, sigma, orders).tobytes()
+        assert rdp_curve(q, sigma, orders).tobytes() == dense_rdp_curve(q, sigma, orders).tobytes()
 
     def test_exp_is_zero_at_the_cutoff(self):
         below = np.array([EXP_ZERO_AT, np.nextafter(EXP_ZERO_AT, -np.inf), -1e4, -np.inf] * 16)
@@ -140,12 +143,12 @@ class TestRdpCurve:
     def test_order_prefix_is_bit_identical(self, q, sigma):
         full = rdp_curve(q, sigma, DEFAULT_ORDERS)
         prefix = rdp_curve(q, sigma, DEFAULT_ORDERS[:BOUND_ORDERS])
-        assert [full[a].hex() for a in prefix] == [v.hex() for v in prefix.values()]
+        assert full[:BOUND_ORDERS].tobytes() == prefix.tobytes()
 
     @pytest.mark.parametrize("sigma", [1e-160, 5e-324])
     def test_vanishing_sigma_is_unbounded(self, sigma):
         # 1e-160: k(k-1)/(2 sigma^2) overflows to inf; 5e-324: sigma^2 underflows to 0
-        assert all(v == math.inf for v in rdp_curve(0.01, sigma, DEFAULT_ORDERS).values())
+        assert all(v == math.inf for v in rdp_curve(0.01, sigma, DEFAULT_ORDERS))
         with pytest.raises(UnboundedError):
             epsilon_for(q=0.01, sigma=sigma, steps=1, delta=1e-5)
 
@@ -157,20 +160,18 @@ class TestRdpCurve:
 
 class TestRdpStep:
     def test_full_batch_closed_form(self):
-        assert rdp_curve(q=1.0, sigma=2.0, orders=(4,))[4] == pytest.approx(0.5, abs=1e-12)
+        assert rdp_curve(q=1.0, sigma=2.0, orders=(4,))[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_binomial_sum_at_order_two(self):
         q = 0.01
         expected = math.log(1 + q**2 * (math.e - 1))
-        assert rdp_curve(q=q, sigma=1.0, orders=(2,))[2] == pytest.approx(expected, rel=1e-12)
+        assert rdp_curve(q=q, sigma=1.0, orders=(2,))[0] == pytest.approx(expected, rel=1e-12)
 
     def test_domain_checks(self):
         with pytest.raises(DomainError):
-            epsilon_for(q=1.5, sigma=1.0, steps=1, delta=1e-5, orders=(2,))
+            epsilon_for(q=1.5, sigma=1.0, steps=1, delta=1e-5)
         with pytest.raises(DomainError):
-            epsilon_for(q=0.5, sigma=0.0, steps=1, delta=1e-5, orders=(2,))
-        with pytest.raises(DomainError):
-            epsilon_for(q=0.5, sigma=1.0, steps=1, delta=1e-5, orders=(1,))
+            epsilon_for(q=0.5, sigma=0.0, steps=1, delta=1e-5)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -180,8 +181,8 @@ class TestRdpStep:
     )
     def test_nonnegative_and_monotone_in_alpha(self, q, sigma, alpha):
         curve = rdp_curve(q, sigma, (alpha, alpha + 1))
-        assert curve[alpha] >= 0.0
-        assert curve[alpha + 1] >= curve[alpha] - 1e-12
+        assert curve[0] >= 0.0
+        assert curve[1] >= curve[0] - 1e-12
 
 
 class TestCompose:
@@ -190,16 +191,17 @@ class TestCompose:
     ORDERS = (2, 3, 17, 256)
 
     def composed(self, q, sigma, steps):
-        curve = np.array(list(rdp_curve(q, sigma, self.ORDERS).values()))
-        return _to_dp(self.ORDERS, curve * steps, 1e-5)
+        return _to_dp(self.ORDERS, rdp_curve(q, sigma, self.ORDERS) * steps, 1e-5)
 
-    def test_identity(self):
-        assert epsilon_for(0.01, 1.5, 1, 1e-5, self.ORDERS) == self.composed(0.01, 1.5, 1)
+    def test_identity(self, monkeypatch):
+        monkeypatch.setattr(accountant, "DEFAULT_ORDERS", self.ORDERS)
+        assert epsilon_for(0.01, 1.5, 1, 1e-5) == self.composed(0.01, 1.5, 1)
 
-    def test_linearity(self):
-        assert epsilon_for(0.01, 1.5, 10, 1e-5, self.ORDERS) == self.composed(0.01, 1.5, 10)
+    def test_linearity(self, monkeypatch):
         # full batch: 4 steps at sigma cost alpha / (2 (sigma / 2)^2), one step at sigma / 2
         assert epsilon_for(1.0, 2.0, 4, 1e-5) == epsilon_for(1.0, 1.0, 1, 1e-5)
+        monkeypatch.setattr(accountant, "DEFAULT_ORDERS", self.ORDERS)
+        assert epsilon_for(0.01, 1.5, 10, 1e-5) == self.composed(0.01, 1.5, 10)
 
 
 class TestRdpToDp:
@@ -212,10 +214,6 @@ class TestRdpToDp:
     def test_all_infinite_is_unbounded(self):
         with pytest.raises(UnboundedError):
             _to_dp((2, 3), np.array([math.inf, math.inf]), delta=1e-5)
-
-    def test_empty_orders_rejected(self):
-        with pytest.raises(EmptyOrdersError):
-            epsilon_for(q=0.5, sigma=1.0, steps=1, delta=1e-5, orders=())
 
     def test_pointwise_larger_curve_never_smaller_epsilon(self):
         # more steps compose to a pointwise larger curve
@@ -271,9 +269,15 @@ class TestSigmaFor:
     def test_infinite_target_is_nonprivate(self):
         assert sigma_for(math.inf, q=0.1, steps=100, delta=1e-5) == 0.0
 
-    def test_unsatisfiable_target(self):
+    @pytest.mark.parametrize("q, steps, delta", [(5.0, 100, 1e-5), (0.1, 0, 1e-5), (0.1, 100, 7.0)])
+    def test_infinite_target_still_checks_inputs(self, q, steps, delta):
+        with pytest.raises(DomainError):
+            sigma_for(math.inf, q=q, steps=steps, delta=delta)
+
+    def test_unsatisfiable_target(self, monkeypatch):
+        monkeypatch.setattr(accountant, "SIGMA_HI", 1.0)
         with pytest.raises(UnsatisfiableError):
-            sigma_for(1e-9, q=1.0, steps=10**6, delta=1e-12, hi=1.0)
+            sigma_for(1e-9, q=1.0, steps=10**6, delta=1e-12)
 
     @pytest.mark.parametrize("bracket", [(SIGMA_LO, SIGMA_HI), (0.05, 50.0)], ids=["default", "custom"])
     @pytest.mark.parametrize("orders", [DEFAULT_ORDERS, tuple(range(2, 20)), (2, 3, 17, 256)],
@@ -281,28 +285,32 @@ class TestSigmaFor:
     @pytest.mark.parametrize("target, q, steps", [
         (4.0, 6 / 36, 60), (1.0, 0.01, 1000), (0.3, 0.01, 1000), (8.0, 1.0, 1), (0.5, 0.3, 60),
     ])
-    def test_matches_full_curve_bisection(self, target, q, steps, orders, bracket):
-        lo, hi = bracket
+    def test_matches_full_curve_bisection(self, target, q, steps, orders, bracket, monkeypatch):
+        monkeypatch.setattr(accountant, "DEFAULT_ORDERS", orders)
+        monkeypatch.setattr(accountant, "SIGMA_LO", bracket[0])
+        monkeypatch.setattr(accountant, "SIGMA_HI", bracket[1])
         try:
-            expected = full_curve_sigma(target, q, steps, 1e-5, orders, lo, hi)
+            expected = full_curve_sigma(target, q, steps, 1e-5)
         except UnsatisfiableError as exc:
             with pytest.raises(UnsatisfiableError) as got:
-                sigma_for(target, q, steps, 1e-5, orders, lo, hi)
+                sigma_for(target, q, steps, 1e-5)
             assert str(got.value) == str(exc)
         else:
-            assert sigma_for(target, q, steps, 1e-5, orders, lo, hi).hex() == expected.hex()
+            assert sigma_for(target, q, steps, 1e-5).hex() == expected.hex()
 
     @pytest.mark.parametrize("target, steps, lo, hi, side", [
         (0.1, 100, SIGMA_LO, 3.0, "hi"),    # eps(3) = 0.129 (order 81), orders 2..32 give 0.247
         (0.25, 1000, 5.0, SIGMA_HI, "lo"),  # eps(5) = 0.234 (order 60), orders 2..32 give 0.294
     ])
-    def test_bracket_errors_report_the_full_epsilon(self, target, steps, lo, hi, side):
+    def test_bracket_errors_report_the_full_epsilon(self, target, steps, lo, hi, side, monkeypatch):
         sigma = hi if side == "hi" else lo
         full = epsilon_for(0.01, sigma, steps, 1e-5).epsilon
-        bound = epsilon_for(0.01, sigma, steps, 1e-5, DEFAULT_ORDERS[:BOUND_ORDERS]).epsilon
+        bound = _spending(0.01, sigma, steps, 1e-5, DEFAULT_ORDERS[:BOUND_ORDERS]).epsilon
         assert bound > full
+        monkeypatch.setattr(accountant, "SIGMA_LO", lo)
+        monkeypatch.setattr(accountant, "SIGMA_HI", hi)
         with pytest.raises(UnsatisfiableError, match="^" + re.escape(f"epsilon({sigma}) = {full} ")):
-            sigma_for(target, q=0.01, steps=steps, delta=1e-5, lo=lo, hi=hi)
+            sigma_for(target, q=0.01, steps=steps, delta=1e-5)
 
     def test_nonpositive_target_rejected(self):
         with pytest.raises(DomainError):
@@ -317,15 +325,11 @@ class TestSigmaFor:
 class TestDataclasses:
     def test_mechanism_params_validation(self):
         with pytest.raises(DomainError):
-            MechanismParams(q=0.0, sigma=1.0, steps=1, delta=1e-5)
+            epsilon_for(q=0.0, sigma=1.0, steps=1, delta=1e-5)
         with pytest.raises(DomainError):
-            MechanismParams(q=0.5, sigma=1.0, steps=1, delta=1e-5, orders=(1, 2))
+            epsilon_for(q=0.5, sigma=math.nan, steps=1, delta=1e-5)
         with pytest.raises(DomainError):
-            MechanismParams(q=0.5, sigma=math.nan, steps=1, delta=1e-5)
-        with pytest.raises(DomainError):
-            MechanismParams(q=0.5, sigma=1.0, steps=10**400, delta=1e-5)
-        with pytest.raises(EmptyOrdersError):
-            MechanismParams(q=0.5, sigma=1.0, steps=1, delta=1e-5, orders=())
+            epsilon_for(q=0.5, sigma=1.0, steps=10**400, delta=1e-5)
 
     def test_privacy_spending_validation(self):
         with pytest.raises(DomainError):

@@ -110,8 +110,9 @@ class TestConfigParsing:
 
     def test_inf_parses_for_floats(self, tmp_path):
         path = tmp_path / "c.cfg"
-        path.write_text("compression = inf\n")
-        assert read_config(path, SYNTH_SCHEMA)["compression"] == math.inf
+        for text in ("inf", "Infinity", "INF"):
+            path.write_text(f"compression = {text}\n")
+            assert read_config(path, SYNTH_SCHEMA)["compression"] == math.inf
 
 
 class TestSynthCommand:
@@ -267,6 +268,17 @@ class TestTrainCommand:
         assert code == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and "labels.tsv:2: " in err
+
+    def test_label_count_differing_from_feature_rows_exits_2_naming_both(self, synth_dir, tmp_path,
+                                                                         capsys):
+        rows = (synth_dir / "labels.tsv").read_text().splitlines()
+        (synth_dir / "labels.tsv").write_text("".join(row + "\n" for row in rows[:5]))
+        capsys.readouterr()
+        code, _ = self.run_train(synth_dir, tmp_path)
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "labels.tsv holds 5 labels" in err and f"features.emb has {len(rows)} rows" in err
 
     @pytest.mark.parametrize("key", ["adam_beta1", "adam_eps", "noise_seed"])
     def test_library_constant_is_an_unknown_key(self, synth_dir, tmp_path, capsys, key):
@@ -505,9 +517,14 @@ class TestAccountantCommand:
         assert main(["accountant", "--q", "0.1", "--sigma", "1.0", "--epsilon", "3.0",
                      "--steps", "10", "--delta", "1e-5"]) == EXIT_VALIDATION
 
-    def test_invalid_domain_exits_2(self):
-        assert main(["accountant", "--q", "2.0", "--sigma", "1.0",
-                     "--steps", "10", "--delta", "1e-5"]) == EXIT_VALIDATION
+    def test_invalid_domain_exits_2(self, capsys):
+        for argv in (["--q", "2.0", "--sigma", "1.0", "--steps", "10", "--delta", "1e-5"],
+                     # an infinite target still checks q, steps and delta
+                     ["--q", "5", "--epsilon", "inf", "--steps", "0", "--delta", "7"]):
+            assert main(["accountant", *argv]) == EXIT_VALIDATION
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: sampling rate q ") and captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--epsilon", "nan", "target epsilon must be > 0"),

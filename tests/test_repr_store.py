@@ -95,9 +95,8 @@ class TestEmbeddingSet:
     def test_happy_path(self):
         mats = [np.random.default_rng(i).standard_normal((10, 4)) for i in range(2)]
         es = EmbeddingSet(languages=("en", "fr"), matrices=tuple(mats))
-        assert es.num_tuples == 10
-        assert es.dim == 4
-        np.testing.assert_array_equal(es.matrix("fr"), mats[1])
+        assert es.matrices[0].shape == (10, 4)
+        np.testing.assert_array_equal(es.matrices[es.languages.index("fr")], mats[1])
 
     def test_row_count_mismatch_rejected(self):
         with pytest.raises(ShapeMismatchError):
@@ -123,8 +122,8 @@ class TestManifest:
         manifest.write(tmp_path / "manifest.tsv")
         loaded = load_set(Manifest.read(tmp_path / "manifest.tsv"), layer=0)
         assert loaded.languages == ("en", "de", "fi")  # manifest order preserved
-        for lang, matrix in mats.items():
-            np.testing.assert_array_equal(loaded.matrix(lang), matrix)
+        for got, matrix in zip(loaded.matrices, mats.values()):
+            np.testing.assert_array_equal(got, matrix)
 
     def test_comments_and_blank_lines_skipped(self, tmp_path):
         write_embeddings(tmp_path / "a.emb", np.ones((2, 2)))
@@ -142,7 +141,7 @@ class TestManifest:
         write_embeddings(sub / "b.emb", np.ones((2, 2)))
         (sub / "manifest.tsv").write_text("en\t0\ta.emb\nfr\t0\tb.emb\n")
         loaded = load_set(Manifest.read(sub / "manifest.tsv"), layer=0)
-        assert loaded.num_tuples == 2
+        assert loaded.matrices[0].shape[0] == 2
 
     def test_bad_field_count_rejected(self, tmp_path):
         (tmp_path / "manifest.tsv").write_text("en\t0\n")
@@ -152,6 +151,12 @@ class TestManifest:
     def test_non_integer_layer_names_file_and_line(self, tmp_path):
         (tmp_path / "manifest.tsv").write_text("en\t0\ten.emb\nfr\tzero\tfr.emb\n")
         with pytest.raises(FormatError, match=r"manifest\.tsv:2: layer 'zero' is not an integer"):
+            Manifest.read(tmp_path / "manifest.tsv")
+
+    def test_duplicate_key_names_file_and_line(self, tmp_path):
+        (tmp_path / "manifest.tsv").write_text("en\t0\ta.emb\nen\t0\tb.emb\n")
+        with pytest.raises(DuplicateKeyError,
+                           match=r"manifest\.tsv:2: duplicate manifest key \(en, 0\)"):
             Manifest.read(tmp_path / "manifest.tsv")
 
     def test_duplicate_key_rejected(self):

@@ -5,6 +5,9 @@ Exit codes: 0 success, 2 validation error, 3 training divergence,
 unknown keys are rejected. A train config's keys are ``TrainConfig``'s fields
 plus the model keys, a synth config's are ``SynthSpec``'s fields, and an
 experiment config's are the experiment function's parameters.
+
+This module owns the text formats: the library computes, and every CSV table
+the commands write goes through ``_write_csv``, floats as ``.17g``.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import numpy as np
 
 from . import accountant, experiments, metrics
 from .errors import DivergenceError, FormatError, MlprivError
-from .influence import CheckpointSet, influence_profiles, write_influence_csv
+from .influence import CheckpointSet, influence_profiles
 from .repr_store import Manifest, load_set, read_embeddings, write_embeddings
 from .synth import SynthSpec, gen_classification_data, gen_parallel_set
 from .trainer import (
@@ -32,7 +35,6 @@ from .trainer import (
     read_checkpoint,
     train,
     write_checkpoint,
-    write_training_log,
 )
 
 EXIT_OK = 0
@@ -115,6 +117,17 @@ SYNTH_SCHEMA = _schema(SynthSpec)
 EXPERIMENT_SCHEMA = _schema(*experiments.EXPERIMENTS.values())
 
 
+def _write_csv(path: Path | str, header: list[str], rows) -> None:
+    """A CSV table: the header line (none when it is empty), then one line per
+    row; a float field is written as ``.17g``, which round-trips exactly."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        if header:
+            writer.writerow(header)
+        writer.writerows([format(v, ".17g") if isinstance(v, float) else v for v in row]
+                         for row in rows)
+
+
 def _write_labels(path: Path, dataset: LabeledDataset) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for label, lang in zip(dataset.labels, dataset.languages):
@@ -153,11 +166,13 @@ def cmd_metrics(args) -> int:
     manifest = Manifest.read(args.manifest)
     embedding_set = load_set(manifest, args.layer)
     out = Path(args.out)
-    requested = args.metrics.split(",")
+    requested = [name.strip() for name in args.metrics.split(",")]
     for name in requested:
-        report = metrics.pairwise_report(embedding_set, name.strip())
+        report = metrics.pairwise_report(embedding_set, name)
         target = out if len(requested) == 1 else out.with_name(f"{out.stem}_{name}{out.suffix}")
-        report.write_csv(target)
+        rows = [[name, a, b, report.layer, v] for (a, b), v in sorted(report.per_pair.items())]
+        rows.append([name, "ALL", "ALL", report.layer, report.aggregate])
+        _write_csv(target, ["metric", "lang_a", "lang_b", "layer", "value"], rows)
         print(f"{name}: aggregate = {report.aggregate:.6f} -> {target}")
     return EXIT_OK
 
@@ -201,18 +216,19 @@ def cmd_train(args) -> int:
     (out / MODEL_FILE).write_text(
         "".join(f"{key} = {getattr(model, key)}\n" for key in MODEL_SCHEMA), encoding="utf-8"
     )
-    write_training_log(out / "train_log.csv", result.log)
+    _write_csv(out / "train_log.csv", ["step", "lr", "loss", "accuracy"], zip(
+        range(1, len(result.lrs) + 1), result.lrs,
+        result.losses.tolist(), result.accuracies.tolist(),
+    ))
     accuracy, per_language = evaluate(result.theta, model, dataset)
     variance, gap = metrics.linguistic_fairness_gap(per_language)
-    with open(out / "eval.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["key", "value"])
-        writer.writerow(["sigma", format(result.sigma, ".17g")])
-        writer.writerow(["accuracy", format(accuracy, ".17g")])
-        for lang, loss in per_language.items():
-            writer.writerow([f"loss_{lang}", format(loss, ".17g")])
-        writer.writerow(["fairness_variance", format(variance, ".17g")])
-        writer.writerow(["fairness_gap", format(gap, ".17g")])
+    _write_csv(out / "eval.csv", ["key", "value"], [
+        ["sigma", result.sigma],
+        ["accuracy", accuracy],
+        *([f"loss_{lang}", loss] for lang, loss in per_language.items()),
+        ["fairness_variance", variance],
+        ["fairness_gap", gap],
+    ])
     print(f"accuracy = {accuracy:.4f}, fairness gap = {gap:.6f} -> {out}")
     return EXIT_OK
 
@@ -242,7 +258,13 @@ def cmd_influence(args) -> int:
     if cks.checkpoints[0].theta.size != model.num_params:
         raise ConfigError("checkpoint parameter count does not match the dataset model")
     profiles = influence_profiles(dataset, cks, model)
-    write_influence_csv(args.out, profiles, list(dict.fromkeys(dataset.languages)))
+    languages = list(dict.fromkeys(dataset.languages))
+    rows = []
+    for prof in profiles:  # per (anchor, target) score rows, then the tuple's InfU
+        rows += [[prof.tuple_index, anchor, target, prof.scores[k, j]]
+                 for k, anchor in enumerate(languages) for j, target in enumerate(languages)]
+        rows.append([prof.tuple_index, "ALL", "ALL", prof.infu])
+    _write_csv(args.out, ["tuple_index", "anchor_lang", "target_lang", "score"], rows)
     print(f"wrote {len(profiles)} influence profiles -> {args.out}")
     return EXIT_OK
 
@@ -260,8 +282,10 @@ def cmd_accountant(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    if args.name not in experiments.EXPERIMENT_NAMES:
-        raise ConfigError(f"unknown experiment {args.name!r}; choose from {experiments.EXPERIMENT_NAMES}")
+    if args.name not in experiments.EXPERIMENTS:
+        raise ConfigError(
+            f"unknown experiment {args.name!r}; choose from {tuple(experiments.EXPERIMENTS)}"
+        )
     kwargs = {}
     if args.config:
         values = read_config(args.config, EXPERIMENT_SCHEMA)
@@ -270,10 +294,17 @@ def cmd_experiment(args) -> int:
         if unknown:
             raise ConfigError(f"{args.config}: {args.name} does not take {', '.join(unknown)}")
         kwargs = values
-    result = experiments.run_experiment(args.name, **kwargs)
+    result = experiments.EXPERIMENTS[args.name](**kwargs)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    result.write_csv(out / f"{args.name}.csv")
+    # rows arrive formatted, and summary values are written as str(), not .17g
+    header = list(result.rows[0]) if result.rows else []
+    _write_csv(out / f"{args.name}.csv", header,
+               [[str(row[key]) for key in header] for row in result.rows])
+    _write_csv(out / f"{args.name}.summary.csv", ["key", "value"], [
+        ["verdict", "pass" if result.passed else "fail"],
+        *([key, str(value)] for key, value in result.summary.items()),
+    ])
     print(f"{args.name}: {'pass' if result.passed else 'fail'}")
     for key, value in result.summary.items():
         print(f"  {key} = {value}")

@@ -32,7 +32,7 @@ class NonFiniteLossError(NonFiniteError, ValueError):
 
 
 class UnknownNameError(MlprivError, ValueError):
-    """A metric or experiment name is not one the package defines."""
+    """A metric name is not one the package defines."""
 
 
 class DuplicateKeyError(MlprivError, ValueError):

@@ -19,15 +19,13 @@ Three named experiments:
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from . import metrics
-from .errors import InvalidConfigError, UndefinedMarginError, UnknownNameError
+from .errors import InvalidConfigError, UndefinedMarginError
 from .influence import (
     CheckpointSet,
     influence_profiles,
@@ -55,20 +53,6 @@ class ExperimentResult:
     passed: bool
     summary: dict
     rows: list[dict]  # per-seed / per-point records for the CSV
-
-    def write_csv(self, path: Path | str) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            if self.rows:
-                writer = csv.DictWriter(fh, fieldnames=list(self.rows[0].keys()))
-                writer.writeheader()
-                writer.writerows(self.rows)
-        summary_path = Path(path).with_suffix(".summary.csv")
-        with open(summary_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["key", "value"])
-            writer.writerow(["verdict", "pass" if self.passed else "fail"])
-            for k, v in self.summary.items():
-                writer.writerow([k, v])
 
 
 def _train_config(
@@ -333,10 +317,3 @@ EXPERIMENTS = {
     "theorem2": run_theorem2,
     "fig2-correlation": run_fig2_correlation,
 }
-EXPERIMENT_NAMES = tuple(EXPERIMENTS)
-
-
-def run_experiment(name: str, **kwargs) -> ExperimentResult:
-    if name not in EXPERIMENTS:
-        raise UnknownNameError(f"unknown experiment {name!r}")
-    return EXPERIMENTS[name](**kwargs)

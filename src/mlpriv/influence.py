@@ -14,10 +14,8 @@ exactly 1.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -248,15 +246,3 @@ def interpretability_margin(p: float, p_d: float, p_2: float) -> float:
             f"need p > p_2 and p > p_d, got p={p}, p_d={p_d}, p_2={p_2}"
         )
     return math.log((p - p_d) / (p - p_2))
-
-
-def write_influence_csv(path: Path | str, profiles: list[InfluenceProfile], languages: list[str]) -> None:
-    """Influence CSV: per-(anchor, target) score rows plus an InfU row per tuple."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["tuple_index", "anchor_lang", "target_lang", "score"])
-        for prof in profiles:
-            for k, anchor in enumerate(languages):
-                for j, target in enumerate(languages):
-                    writer.writerow([prof.tuple_index, anchor, target, format(prof.scores[k, j], ".17g")])
-            writer.writerow([prof.tuple_index, "ALL", "ALL", format(prof.infu, ".17g")])

@@ -12,12 +12,10 @@ languages' point clouds.
 
 from __future__ import annotations
 
-import csv
 import functools
 import itertools
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.stats import rankdata
@@ -37,10 +35,6 @@ from .errors import (
 )
 from .repr_store import EmbeddingSet
 
-AGG_FULL_OFF_DIAGONAL = "full-off-diagonal"
-AGG_UPPER_TRIANGLE = "upper-triangle"
-AGG_POOLED = "pooled"
-
 
 @dataclass(frozen=True)
 class MetricReport:
@@ -50,15 +44,6 @@ class MetricReport:
     layer: int
     per_pair: dict[tuple[str, str], float]
     aggregate: float
-    aggregation: str
-
-    def write_csv(self, path: Path | str) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["metric", "lang_a", "lang_b", "layer", "value"])
-            for (a, b), v in sorted(self.per_pair.items()):
-                writer.writerow([self.metric, a, b, self.layer, format(v, ".17g")])
-            writer.writerow([self.metric, "ALL", "ALL", self.layer, format(self.aggregate, ".17g")])
 
 
 def _clamp_to_range(value: float, lo: float, hi: float, name: str) -> float:
@@ -263,7 +248,6 @@ def pairwise_report(embedding_set: EmbeddingSet, metric: str) -> MetricReport:
             layer=embedding_set.layer,
             per_pair={},
             aggregate=isoscore(np.vstack(mats)),
-            aggregation=AGG_POOLED,
         )
     # rsa_score(mats[q], mats[r]) with each language's RDM ranked once
     ranked = functools.cache(lambda q: _ranked_rdm(mats[q]))
@@ -282,9 +266,7 @@ def pairwise_report(embedding_set: EmbeddingSet, metric: str) -> MetricReport:
         except Exception as exc:
             exc.args = (f"{exc} [language pair ({langs[q]}, {langs[r]})]",)
             raise
-    rule = AGG_UPPER_TRIANGLE
     if metric == "retrieval":  # retrieval_precision counts both directions: (r, q) equals (q, r)
-        rule = AGG_FULL_OFF_DIAGONAL
         values.update({(r, q): v for (q, r), v in values.items()})
     pairs = {(langs[q], langs[r]): v for (q, r), v in sorted(values.items())}
 
@@ -295,5 +277,4 @@ def pairwise_report(embedding_set: EmbeddingSet, metric: str) -> MetricReport:
         layer=embedding_set.layer,
         per_pair=pairs,
         aggregate=float(np.mean(ordered)),
-        aggregation=rule,
     )

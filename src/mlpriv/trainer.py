@@ -14,7 +14,6 @@ f64-LE learning rate, u32-LE parameter count, then float64-LE parameters.
 
 from __future__ import annotations
 
-import csv
 import math
 import numbers
 import struct
@@ -173,17 +172,6 @@ class TrainResult:
     lrs: list[float]         # per step, steps 1..T
     losses: np.ndarray       # (T,) mean loss over the batch kept at each step
     accuracies: np.ndarray   # (T,)
-
-    @property
-    def log(self) -> list[dict]:
-        """Per step: step, lr, loss, accuracy."""
-        return [
-            {"step": step, "lr": lr, "loss": loss, "accuracy": acc}
-            for step, lr, loss, acc in zip(
-                range(1, len(self.lrs) + 1), self.lrs,
-                self.losses.tolist(), self.accuracies.tolist(),
-            )
-        ]
 
 
 def init_theta(spec: ModelSpec, seed: int = 0) -> np.ndarray:
@@ -589,16 +577,3 @@ def read_checkpoint(path: Path | str) -> Checkpoint:
         raise FormatError(f"{path}: payload does not match declared count {count}")
     theta = np.frombuffer(data, dtype="<f8", offset=header).astype(np.float64)
     return Checkpoint(step=step, theta=theta, eta=eta)
-
-
-def write_training_log(path: Path | str, log: list[dict]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "lr", "loss", "accuracy"])
-        for row in log:
-            writer.writerow([
-                row["step"],
-                format(row["lr"], ".17g"),
-                format(row["loss"], ".17g"),
-                format(row["accuracy"], ".17g"),
-            ])

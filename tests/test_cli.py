@@ -26,8 +26,19 @@ from mlpriv.cli import (
     main,
     read_config,
 )
-from mlpriv.repr_store import read_embeddings, write_embeddings
-from mlpriv.trainer import Checkpoint, read_checkpoint, write_checkpoint
+from mlpriv.influence import CheckpointSet, influence_profiles
+from mlpriv.metrics import linguistic_fairness_gap, pairwise_report
+from mlpriv.repr_store import Manifest, load_set, read_embeddings, write_embeddings
+from mlpriv.trainer import (
+    Checkpoint,
+    LabeledDataset,
+    ModelSpec,
+    TrainConfig,
+    evaluate,
+    read_checkpoint,
+    train,
+    write_checkpoint,
+)
 
 
 def write_config(path, **kwargs):
@@ -176,15 +187,21 @@ class TestMetricsCommand:
         assert len(pair_rows) == 6 and len(all_rows) == 1  # |L| = 3 ordered pairs
         assert float(all_rows[0]["value"]) == 1.0
 
-    def test_multiple_metrics_split_files(self, synth_dir, tmp_path):
-        out = tmp_path / "m.csv"
-        code = main([
-            "metrics", "--manifest", str(synth_dir / "manifest.tsv"),
-            "--metrics", "cka,rsa", "--out", str(out),
-        ])
-        assert code == EXIT_OK
-        assert (tmp_path / "m_cka.csv").exists()
-        assert (tmp_path / "m_rsa.csv").exists()
+    def test_multiple_metrics_split_files(self, synth_dir, tmp_path, capsys):
+        for requested, names in [("cka,rsa", ["cka", "rsa"]),
+                                 ("retrieval, cka", ["retrieval", "cka"])]:
+            out = tmp_path / names[0] / "m.csv"
+            out.parent.mkdir()
+            capsys.readouterr()
+            code = main([
+                "metrics", "--manifest", str(synth_dir / "manifest.tsv"),
+                "--metrics", requested, "--out", str(out),
+            ])
+            assert code == EXIT_OK
+            assert sorted(p.name for p in out.parent.iterdir()) == sorted(
+                f"m_{name}.csv" for name in names)
+            printed = capsys.readouterr().out.splitlines()
+            assert [line.split(": ")[0] for line in printed] == names
 
     def test_missing_manifest_exits_2(self, tmp_path):
         code = main([
@@ -642,7 +659,7 @@ class TestExperimentCommand:
     @given(data=st.data())
     def test_fuzzed_config_exit_code_is_documented(self, tmp_path_factory, data):
         assert self.EXPERIMENT_FUZZ.keys() == EXPERIMENT_SCHEMA.keys()
-        name = data.draw(st.sampled_from(experiments.EXPERIMENT_NAMES), label="name")
+        name = data.draw(st.sampled_from(list(experiments.EXPERIMENTS)), label="name")
         accepted = inspect.signature(experiments.EXPERIMENTS[name]).parameters
         fields = {k: v for k, v in self.EXPERIMENT_FUZZ.items() if k in accepted}
         # the default seeds, sizes and step counts take seconds: always set them
@@ -655,16 +672,106 @@ class TestExperimentCommand:
         assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_DIVERGENCE, EXIT_CRITERION)
         assert (code in (EXIT_OK, EXIT_CRITERION)) == (err == "")
 
-    def test_unknown_name_exits_2(self, tmp_path):
+    def test_unknown_name_exits_2(self, tmp_path, capsys):
         code = main(["experiment", "nonsense", "--out", str(tmp_path / "exp")])
         assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "'nonsense'" in err
+        assert "choose from ('theorem1', 'theorem2', 'fig2-correlation')" in err
 
     def test_failed_criterion_exits_4(self, tmp_path, monkeypatch):
-        from mlpriv import experiments
+        def fake(**kwargs):
+            return experiments.ExperimentResult("theorem2", False, {"x": 1.0}, [])
 
-        def fake(name, **kwargs):
-            return experiments.ExperimentResult(name, False, {"x": 1.0}, [])
-
-        monkeypatch.setattr(experiments, "run_experiment", fake)
-        code = main(["experiment", "theorem2", "--out", str(tmp_path / "exp")])
+        monkeypatch.setitem(experiments.EXPERIMENTS, "theorem2", fake)
+        out = tmp_path / "exp"
+        code = main(["experiment", "theorem2", "--out", str(out)])
         assert code == EXIT_CRITERION
+        assert (out / "theorem2.csv").read_bytes() == b""  # no rows: an empty table
+        assert (out / "theorem2.summary.csv").read_bytes() == \
+            b"key,value\r\nverdict,fail\r\nx,1.0\r\n"
+
+
+def csv_bytes(header, rows):
+    """A text table as the CLI writes it: comma-joined fields, CRLF line ends."""
+    return "".join(",".join(map(str, line)) + "\r\n" for line in [header, *rows]).encode()
+
+
+def g17(value):
+    return format(value, ".17g")
+
+
+class TestTextTables:
+    def test_pipeline_tables_are_byte_exact(self, tmp_path):
+        """synth -> metrics -> train -> influence -> experiment theorem2: each CSV
+        equals the table built here from the library's own results, floats as
+        .17g and experiment rows and summaries as str()."""
+        cfg = write_config(tmp_path / "synth.cfg", num_languages=3, tuples=8, dim=4, classes=2,
+                           compression=0.5, seed=1)
+        data = tmp_path / "data"
+        assert main(["synth", "--config", cfg, "--out", str(data)]) == EXIT_OK
+        features = read_embeddings(data / "features.emb")
+        labels, tags = zip(*(line.split("\t")
+                             for line in (data / "labels.tsv").read_text().splitlines()))
+        dataset = LabeledDataset(features=features, labels=np.array([int(v) for v in labels]),
+                                 languages=tags)
+        languages = ["L00", "L01", "L02"]
+
+        # metrics, from a manifest moved to layer 2
+        manifest = data / "manifest.tsv"
+        manifest.write_text(manifest.read_text().replace("\t0\t", "\t2\t"))
+        assert main(["metrics", "--manifest", str(manifest), "--layer", "2",
+                     "--out", str(tmp_path / "m.csv")]) == EXIT_OK
+        embedding_set = load_set(Manifest.read(manifest), 2)
+        for name in ("retrieval", "cka", "rsa", "isoscore"):
+            report = pairwise_report(embedding_set, name)
+            rows = [[name, a, b, 2, g17(v)] for (a, b), v in sorted(report.per_pair.items())]
+            rows.append([name, "ALL", "ALL", 2, g17(report.aggregate)])
+            assert (tmp_path / f"m_{name}.csv").read_bytes() == csv_bytes(
+                ["metric", "lang_a", "lang_b", "layer", "value"], rows)
+
+        # train: the per-step log and the evaluation
+        cfg = write_config(tmp_path / "train.cfg", base_lr=0.1, total_steps=300, batch_size=8,
+                           seed=0, noise_multiplier=0.5, hidden_dim=2)
+        run = tmp_path / "run"
+        assert main(["train", "--config", cfg, "--data", str(data), "--out", str(run)]) == EXIT_OK
+        model = ModelSpec(input_dim=4, hidden_dim=2, num_classes=2)
+        result = train(dataset, model, TrainConfig(base_lr=0.1, total_steps=300, batch_size=8,
+                                                   seed=0, noise_multiplier=0.5))
+        assert (run / "train_log.csv").read_bytes() == csv_bytes(
+            ["step", "lr", "loss", "accuracy"],
+            [[step, g17(lr), g17(loss), g17(acc)] for step, (lr, loss, acc)
+             in enumerate(zip(result.lrs, result.losses, result.accuracies), 1)])
+        accuracy, per_language = evaluate(result.theta, model, dataset)
+        variance, gap = linguistic_fairness_gap(per_language)
+        assert list(per_language) == languages
+        assert (run / "eval.csv").read_bytes() == csv_bytes(["key", "value"], [
+            ["sigma", "0.5"], ["accuracy", g17(accuracy)],
+            *([f"loss_{lang}", g17(loss)] for lang, loss in per_language.items()),
+            ["fairness_variance", g17(variance)], ["fairness_gap", g17(gap)],
+        ])
+
+        # influence over the last two of the three checkpoints
+        out = tmp_path / "influence.csv"
+        assert main(["influence", "--checkpoints", str(run), "--data", str(data), "--out", str(out),
+                     "--last", "2", "--hidden-dim", "2"]) == EXIT_OK
+        rows = []
+        for prof in influence_profiles(dataset, CheckpointSet.last_k(result.checkpoints, 2), model):
+            rows += [[prof.tuple_index, anchor, target, g17(prof.scores[k, j])]
+                     for k, anchor in enumerate(languages) for j, target in enumerate(languages)]
+            rows.append([prof.tuple_index, "ALL", "ALL", g17(prof.infu)])
+        assert out.read_bytes() == csv_bytes(["tuple_index", "anchor_lang", "target_lang", "score"],
+                                             rows)
+
+        # experiment: rows and summary values as str(), so sigma = 0.0 stays 0.0
+        cfg = write_config(tmp_path / "exp.cfg", tuples=20, total_steps=120)
+        assert main(["experiment", "theorem2", "--config", cfg,
+                     "--out", str(tmp_path / "exp")]) == EXIT_OK
+        outcome = experiments.run_theorem2(tuples=20, total_steps=120)
+        header = list(outcome.rows[0])
+        assert (tmp_path / "exp" / "theorem2.csv").read_bytes() == csv_bytes(
+            header, [[str(row[key]) for key in header] for row in outcome.rows])
+        summary = (tmp_path / "exp" / "theorem2.summary.csv").read_bytes()
+        assert summary == csv_bytes(["key", "value"], [
+            ["verdict", "pass"], *([key, str(value)] for key, value in outcome.summary.items())])
+        assert b"\r\nloss_variance,0.0\r\n" in summary

@@ -6,8 +6,8 @@ import math
 import pytest
 
 from mlpriv import experiments, influence, trainer
-from mlpriv.errors import MlprivError, UndefinedMarginError, UnknownNameError
-from mlpriv.experiments import THEOREM1_SIGMAS, run_experiment, run_theorem1
+from mlpriv.errors import UndefinedMarginError
+from mlpriv.experiments import THEOREM1_SIGMAS, run_theorem1
 from mlpriv.influence import (
     CheckpointSet,
     influence_profiles,
@@ -72,9 +72,3 @@ def test_theorem1_matches_per_cell_reference():
             continue
         assert math.isfinite(expected)
         assert float(row["epsilon_i"]) == pytest.approx(expected, rel=1e-12)
-
-
-def test_unknown_experiment_is_typed():
-    with pytest.raises(UnknownNameError, match="'nonsense'") as info:
-        run_experiment("nonsense")
-    assert isinstance(info.value, MlprivError) and isinstance(info.value, ValueError)

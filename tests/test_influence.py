@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from mlpriv.cli import EXIT_OK, main
 from mlpriv.errors import (
     CheckpointOrderError,
     ExcludeIndexError,
@@ -23,10 +24,18 @@ from mlpriv.influence import (
     influence_profiles,
     interpretability_margin,
     loo_probabilities,
-    write_influence_csv,
     _tracin_gram,
 )
-from mlpriv.trainer import Checkpoint, LabeledDataset, ModelSpec, TrainConfig, Variant, _softmax
+from mlpriv.repr_store import write_embeddings
+from mlpriv.trainer import (
+    Checkpoint,
+    LabeledDataset,
+    ModelSpec,
+    TrainConfig,
+    Variant,
+    _softmax,
+    write_checkpoint,
+)
 
 from per_example import grad
 
@@ -470,10 +479,12 @@ class TestInterpretabilityMargin:
 class TestInfluenceCsv:
     def test_layout(self, tmp_path):
         theta = np.random.default_rng(9).standard_normal(SPEC.num_params)
-        examples = [(np.array([1.0, 0.0]), 0), (np.array([0.0, 1.0]), 1)]
-        profile = influence_profile(0, examples, single_ckpt(theta), SPEC)
+        write_checkpoint(tmp_path / "ckpt_000100.ckpt", Checkpoint(step=100, theta=theta, eta=0.1))
+        write_embeddings(tmp_path / "features.emb", np.array([[1.0, 0.0], [0.0, 1.0]]))
+        (tmp_path / "labels.tsv").write_text("0\ten\n1\tfr\n")
         path = tmp_path / "influence.csv"
-        write_influence_csv(path, [profile], ["en", "fr"])
+        assert main(["influence", "--checkpoints", str(tmp_path), "--data", str(tmp_path),
+                     "--out", str(path), "--last", "1"]) == EXIT_OK
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "tuple_index,anchor_lang,target_lang,score"
         assert len(lines) == 1 + 4 + 1  # header + 2x2 scores + InfU row

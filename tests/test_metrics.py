@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from mlpriv.cli import EXIT_OK, main
 from mlpriv.errors import (
     DegenerateInputError,
     DegenerateInputWarning,
@@ -27,9 +28,6 @@ from mlpriv.errors import (
 )
 from mlpriv.metrics import (
     _rdm_upper,
-    AGG_FULL_OFF_DIAGONAL,
-    AGG_POOLED,
-    AGG_UPPER_TRIANGLE,
     cosine_similarity_matrix,
     isoscore,
     linear_cka,
@@ -39,7 +37,7 @@ from mlpriv.metrics import (
     rsa_score,
     spearman_rho,
 )
-from mlpriv.repr_store import EmbeddingSet
+from mlpriv.repr_store import EmbeddingSet, Manifest, write_embeddings
 
 finite_matrices = arrays(
     np.float64,
@@ -333,7 +331,6 @@ class TestPairwiseReport:
 
     def test_retrieval_uses_all_ordered_pairs(self, embedding_set):
         report = pairwise_report(embedding_set, "retrieval")
-        assert report.aggregation == AGG_FULL_OFF_DIAGONAL
         assert len(report.per_pair) == 6
         assert report.aggregate == pytest.approx(
             np.mean([report.per_pair[k] for k in sorted(report.per_pair)]), abs=0
@@ -342,12 +339,11 @@ class TestPairwiseReport:
 
     def test_cka_uses_upper_triangle(self, embedding_set):
         report = pairwise_report(embedding_set, "cka")
-        assert report.aggregation == AGG_UPPER_TRIANGLE
         assert set(report.per_pair) == {("en", "de"), ("en", "fi"), ("de", "fi")}
+        assert report.aggregate == np.mean([report.per_pair[k] for k in sorted(report.per_pair)])
 
     def test_isoscore_is_pooled(self, embedding_set):
         report = pairwise_report(embedding_set, "isoscore")
-        assert report.aggregation == AGG_POOLED
         assert report.per_pair == {}
         pooled = isoscore(np.vstack(embedding_set.matrices))
         assert report.aggregate == pytest.approx(pooled, abs=0)
@@ -394,9 +390,14 @@ class TestPairwiseReport:
             pairwise_report(es, "retrieval")
 
     def test_csv_layout(self, embedding_set, tmp_path):
-        report = pairwise_report(embedding_set, "retrieval")
+        manifest = Manifest()
+        for lang, matrix in zip(embedding_set.languages, embedding_set.matrices):
+            write_embeddings(tmp_path / f"{lang}.emb", matrix)
+            manifest.add(lang, embedding_set.layer, f"{lang}.emb")
+        manifest.write(tmp_path / "manifest.tsv")
         path = tmp_path / "report.csv"
-        report.write_csv(path)
+        assert main(["metrics", "--manifest", str(tmp_path / "manifest.tsv"), "--layer", "2",
+                     "--metrics", "retrieval", "--out", str(path)]) == EXIT_OK
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "metric,lang_a,lang_b,layer,value"
         assert len(lines) == 1 + 6 + 1  # header + ordered pairs + ALL row

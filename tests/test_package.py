@@ -1,5 +1,8 @@
 """The package's public surface: the names ``import mlpriv`` exports."""
 
+import ast
+from pathlib import Path
+
 import mlpriv
 
 PUBLIC = {
@@ -16,3 +19,19 @@ def test_all_is_the_public_surface_and_every_name_resolves():
     assert len(mlpriv.__all__) == len(PUBLIC) == 29
     assert set(mlpriv.__all__) == PUBLIC
     assert all(getattr(mlpriv, name, None) is not None for name in mlpriv.__all__)
+
+
+def test_only_the_cli_writes_text_tables():
+    """The CSV formats live in one module: only cli.py imports csv."""
+    importers = []
+    for path in sorted(Path(mlpriv.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module]
+            else:
+                continue
+            if "csv" in modules:
+                importers.append(path.name)
+    assert importers == ["cli.py"]

@@ -422,9 +422,9 @@ class TestTrainMany:
             for a, b in zip(row.checkpoints, single.checkpoints):
                 assert a.eta == b.eta
                 np.testing.assert_allclose(a.theta, b.theta, rtol=0, atol=1e-12)
-            assert [(r["step"], r["lr"]) for r in row.log] == [(r["step"], r["lr"]) for r in single.log]
-            for key in ("loss", "accuracy"):
-                np.testing.assert_allclose([r[key] for r in row.log], [r[key] for r in single.log],
+            assert row.lrs == single.lrs
+            for key in ("losses", "accuracies"):
+                np.testing.assert_allclose(getattr(row, key), getattr(single, key),
                                            rtol=0, atol=1e-12)
             assert row.sigma == single.sigma == run_sigma
 
@@ -501,7 +501,7 @@ class TestTrainMany:
         def digest(rows):
             return [
                 (row.theta.tobytes(), [c.theta.tobytes() for c in row.checkpoints],
-                 [(r["loss"], r["accuracy"]) for r in row.log])
+                 row.losses.tolist(), row.accuracies.tolist())
                 for row in rows
             ]
 

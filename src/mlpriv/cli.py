@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import accountant, experiments, metrics
-from .errors import DivergenceError, FormatError, MlprivError
+from .errors import DivergenceError, FormatError, MlprivError, UnknownNameError
 from .influence import CheckpointSet, influence_profiles
 from .repr_store import Manifest, load_set, read_embeddings, write_embeddings
 from .synth import SynthSpec, gen_classification_data, gen_parallel_set
@@ -163,10 +163,13 @@ def _load_dataset(data_dir: Path) -> LabeledDataset:
 
 
 def cmd_metrics(args) -> int:
+    requested = [name.strip() for name in args.metrics.split(",")]
+    for name in requested:  # every name, before any file is read or written
+        if name not in metrics.METRIC_NAMES:
+            raise UnknownNameError(f"unknown metric {name!r}; choose from {metrics.METRIC_NAMES}")
     manifest = Manifest.read(args.manifest)
     embedding_set = load_set(manifest, args.layer)
     out = Path(args.out)
-    requested = [name.strip() for name in args.metrics.split(",")]
     for name in requested:
         report = metrics.pairwise_report(embedding_set, name)
         target = out if len(requested) == 1 else out.with_name(f"{out.stem}_{name}{out.suffix}")
@@ -321,8 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("metrics", help="compute compression metrics from a manifest")
     p.add_argument("--manifest", required=True)
     p.add_argument("--layer", type=int, default=0)
-    p.add_argument("--metrics", default="retrieval,cka,rsa,isoscore",
-                   help="comma-separated: retrieval,cka,rsa,isoscore")
+    p.add_argument("--metrics", default=",".join(metrics.METRIC_NAMES),
+                   help=f"comma-separated: {','.join(metrics.METRIC_NAMES)}")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_metrics)
 

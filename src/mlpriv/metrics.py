@@ -35,6 +35,8 @@ from .errors import (
 )
 from .repr_store import EmbeddingSet
 
+METRIC_NAMES = ("retrieval", "cka", "rsa", "isoscore")  # what pairwise_report evaluates
+
 
 @dataclass(frozen=True)
 class MetricReport:
@@ -239,6 +241,8 @@ def pairwise_report(embedding_set: EmbeddingSet, metric: str) -> MetricReport:
 
     Per-pair errors are re-raised with the offending pair named.
     """
+    if metric not in METRIC_NAMES:
+        raise UnknownNameError(f"unknown metric {metric!r}; choose from {METRIC_NAMES}")
     langs = embedding_set.languages
     mats = embedding_set.matrices
     L = len(langs)
@@ -255,9 +259,7 @@ def pairwise_report(embedding_set: EmbeddingSet, metric: str) -> MetricReport:
         "retrieval": lambda q, r: retrieval_precision(mats[q], mats[r]),
         "cka": lambda q, r: linear_cka(mats[q], mats[r]),
         "rsa": lambda q, r: _rank_correlation(*ranked(q), *ranked(r)),
-    }.get(metric)
-    if value is None:
-        raise UnknownNameError(f"unknown metric {metric!r}")
+    }[metric]
 
     values = {}
     for q, r in itertools.combinations(range(L), 2):

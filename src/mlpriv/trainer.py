@@ -37,8 +37,6 @@ from .errors import (
 
 CKPT_MAGIC = b"CKPT1"
 
-DIVERGENCE_LOSS_CAP = 1e6
-
 DRAW_BLOCK = 32  # steps whose batches and Gaussian noise are drawn at once
 
 INIT_SCALE = 0.1  # standard deviation of the Gaussian initial parameters
@@ -378,6 +376,19 @@ def train(
     return train_many(dataset, spec, config, [Variant(exclude_index)])[0]
 
 
+def _mean_loss(p_true: np.ndarray, keep: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """Each run's mean cross-entropy over the examples it kept: p_true and
+    keep (..., B, R), count (..., R). p_true is overwritten with the
+    per-example losses, so a block's buffer needs no temporaries of its size.
+    A step's (B, R) and a block's (n, B, R) sum each run's column in the
+    same order, so their rows have the same bits."""
+    loss = np.maximum(p_true, np.finfo(np.float64).tiny, out=p_true)
+    np.log(loss, out=loss)
+    np.negative(loss, out=loss)
+    loss[~keep] = 0.0
+    return loss.sum(axis=-2) / count
+
+
 def _which_run(variants: list[Variant], r: int) -> str:
     return f" in run {r} (variant {variants[r]})" if len(variants) > 1 else ""
 
@@ -407,23 +418,31 @@ def train_many(
     noise_multiplier) at once; a shorter tuple leaves the rest None.
 
     Row r equals ``train(dataset, spec, replace(config, noise_multiplier=s),
-    exclude_index=e)`` for variants[r] = (e, None, s), with s = None keeping
-    the config's sigma; a noise seed ns in place of None only swaps the
-    noise stream. All runs share the initial parameters and one batch draw
-    per step; a run's excluded example is masked out of each batch that
-    holds it and its gradient mean divides by the examples it kept. A
-    sigma = 0 run draws no noise. Runs with sigma > 0 draw from one
-    generator per distinct noise seed (their own, else a stream spawned off
-    config.seed): runs that share a seed read the same draws, exactly as
-    they would with a generator each.
+    exclude_index=e)`` for variants[r] = (e, None, s) to rounding (1e-12),
+    with s = None keeping the config's sigma; a noise seed ns in place of
+    None only swaps the noise stream. Parameters match byte for byte below
+    65 runs; from there the one matrix product of ``_dense`` over every
+    run's weights may round the last runs' logits differently. From 8
+    examples per batch a lone run's losses, which numpy sums pairwise, may
+    differ in the last bits from a stacked row's. All runs share the
+    initial parameters and one batch draw per step; a run's excluded
+    example is masked out of each batch that holds it and its gradient
+    mean divides by the examples it kept. A sigma = 0 run draws no noise.
+    Runs with sigma > 0 draw from one generator per distinct noise seed
+    (their own, else a stream spawned off config.seed): runs that share a
+    seed read the same draws, exactly as they would with a generator each.
     Per-example gradients are never formed: for each (d, a) layer pair of
     ``_backward`` the gradient is outer(d, [a; 1]), whose norm is
     |d| * sqrt(|a|^2 + 1) (Goodfellow 2015, arXiv 1510.01799), so the clip
     factors come from per-layer norms and the clipped sum of each layer is
     one matrix product.
-    Each step does only the work that reads the parameters: the batches,
+    Each step does only the work that updates the parameters: the batches,
     keep masks and noise of DRAW_BLOCK steps are drawn and gathered at the
-    block's first step, in the order one draw per step would take them.
+    block's first step, in the order one draw per step would take them, and
+    the block's losses and accuracies are formed at its last step from the
+    probabilities of the labels and the hits its steps stored. A step tests
+    only its parameters for divergence: a nan loss makes them nan at the
+    same step.
     """
     variants = [Variant(*v) for v in variants]
     N = len(dataset)
@@ -466,9 +485,15 @@ def train_many(
 
     state = OptimizerState.init(np.tile(init_theta(spec, seed=config.seed), (R, 1)))
     params = _unpack(spec, state.theta)  # views: optimizer_step updates state.theta in place
+    # the step's clipped sum, written through each layer's weight and bias views
+    grad = np.empty((R, P))
+    grad_views = _unpack(spec, grad)
+    grad_layers = [(W.reshape(R, -1), b) for W, b in zip(grad_views[::2], grad_views[1::2])]
     lrs = [lr_at(step, config) for step in range(1, T + 1)]
     losses = np.empty((T, R))
     accuracies = np.empty((T, R))
+    p_true_block = np.empty((DRAW_BLOCK, B, R))
+    hit_block = np.empty((DRAW_BLOCK, B, R), dtype=bool)
     snapshots: list[tuple[int, float, np.ndarray]] = []
     tiny = np.finfo(np.float64).tiny
 
@@ -479,24 +504,22 @@ def train_many(
             idx = np.stack([batch_rng.choice(N, size=B, replace=False) for _ in range(n)])
             X_block = dataset.features[idx]  # (n, B, d)
             y_block = dataset.labels[idx]
+            y_col_block = y_block[:, :, None]
             keep_block = idx[:, :, None] != excluded  # (n, B, R)
             count_block = keep_block.sum(axis=1)
             factor_block = input_factor[idx][:, :, None]
+            full = count_block.all(axis=1)
+            first_empty = int(np.argmin(full)) if not full.all() else DRAW_BLOCK
             for r, rng in enumerate(noise_rngs):
                 rng.standard_normal(out=noise[r, :n])
-        keep, count = keep_block[j], count_block[j]
-        if not count.all():
+        if j == first_empty:
             raise EmptyBatchError(
-                f"step {step}: run {int(np.argmin(count))} excludes every example of its batch"
+                f"step {step}: run {int(np.argmin(count_block[j]))} excludes every example of its batch"
             )
-        y = y_block[j]
-        probs, p_true, layers = _backward(spec, params, X_block[j], y)
-        loss = np.where(keep, -np.log(np.maximum(p_true, tiny)), 0.0).sum(axis=0) / count
-        acc = ((probs.argmax(axis=2) == y[:, None]) & keep).sum(axis=0) / count
-        ok = loss <= DIVERGENCE_LOSS_CAP  # False for nan too
-        if not ok.all():
-            r = int(np.argmin(ok))
-            raise DivergenceError(step, f"loss = {loss[r]}{_which_run(variants, r)}")
+        keep, count = keep_block[j], count_block[j]
+        probs, p_true, layers = _backward(spec, params, X_block[j], y_block[j])
+        p_true_block[j] = p_true
+        np.equal(probs.argmax(axis=2), y_col_block[j], out=hit_block[j])
 
         # (B, R) squared norms; deeper layers' inputs are per run
         (d, _), *deeper = layers
@@ -505,23 +528,33 @@ def train_many(
             norm_sq += _reduce_last(np.add, d * d) * (_reduce_last(np.add, a * a) + 1.0)
         scale = np.minimum(1.0, C / np.maximum(np.sqrt(norm_sq), tiny))
         scale = (scale * keep)[:, :, None]
-        parts = []
-        for d, a in layers:
+        for (d, a), (weights, bias) in zip(layers, grad_layers):
             clipped = d * scale
-            parts += [_outer_sum(clipped, a), clipped.sum(axis=0)]
-        total = np.concatenate(parts, axis=1)
+            weights[...] = _outer_sum(clipped, a)
+            clipped.sum(axis=0, out=bias)
         if noised.size:
-            total[noised] += noise_scale * noise[stream_of, j]
-        noisy = total / count[:, None]
+            grad[noised] += noise_scale * noise[stream_of, j]
+        grad /= count[:, None]
 
         eta = lrs[step - 1]
-        optimizer_step(state, noisy, eta, config)
+        optimizer_step(state, grad, eta, config)
         if not np.isfinite(state.theta).all():
+            # a nan probability makes both the run's loss and its parameters
+            # nan at this step (the loss itself is at most -log(tiny)), so the
+            # loss needs reading only here, to name the cause
+            loss = _mean_loss(p_true, keep, count)
+            if np.isnan(loss).any():
+                r = int(np.argmax(np.isnan(loss)))
+                raise DivergenceError(step, f"loss = {loss[r]}{_which_run(variants, r)}")
             r = int(np.argmin(np.isfinite(state.theta).all(axis=1)))
             raise DivergenceError(step, f"non-finite parameters{_which_run(variants, r)}")
 
-        losses[step - 1] = loss
-        accuracies[step - 1] = acc
+        if j == n - 1:  # the block's last step: its losses and accuracies
+            rows = slice(step - n, step)
+            losses[rows] = _mean_loss(p_true_block[:n], keep_block, count_block)
+            hits = hit_block[:n]
+            hits &= keep_block
+            accuracies[rows] = hits.sum(axis=1) / count_block
         if step % config.checkpoint_interval == 0:
             snapshots.append((step, eta, state.theta.copy()))
 

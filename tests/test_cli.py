@@ -203,6 +203,23 @@ class TestMetricsCommand:
             printed = capsys.readouterr().out.splitlines()
             assert [line.split(": ")[0] for line in printed] == names
 
+    @pytest.mark.parametrize("requested, bad", [("retrieval,rsa,bogus", "'bogus'"),
+                                                ("cka,", "''")])
+    def test_unknown_metric_exits_2_before_any_work(self, synth_dir, tmp_path, capsys,
+                                                     requested, bad):
+        out = tmp_path / "out" / "m.csv"
+        out.parent.mkdir()
+        capsys.readouterr()
+        code = main([
+            "metrics", "--manifest", str(synth_dir / "manifest.tsv"),
+            "--metrics", requested, "--out", str(out),
+        ])
+        assert code == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: unknown metric {bad}")
+        assert list(out.parent.iterdir()) == []
+
     def test_missing_manifest_exits_2(self, tmp_path):
         code = main([
             "metrics", "--manifest", str(tmp_path / "nope.tsv"),

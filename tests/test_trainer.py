@@ -524,6 +524,47 @@ class TestTrainMany:
         with pytest.raises(DivergenceError, match="in run 0"):
             train_many(dataset, model, cfg, [(None, None), (1, None)])
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("scale, base_lr, clip, cause", [
+        (10.0, 3e306, 1e10, "loss = nan"),
+        (1.0, 1e300, 1e6, "non-finite parameters"),
+    ], ids=["loss", "parameters"])
+    def test_divergence_names_its_cause(self, scale, base_lr, clip, cause):
+        """A nan probability diverges both the loss and the parameters at
+        one step and is reported as the loss; parameters that overflow with
+        every probability finite are reported as such."""
+        base = make_dataset(n=12)
+        dataset = LabeledDataset(features=scale * base.features, labels=base.labels,
+                                 languages=base.languages)
+        cfg = TrainConfig(base_lr=base_lr, total_steps=20, batch_size=4, seed=0,
+                          warmup_steps=0, optimizer="sgd", clip_threshold=clip)
+        with pytest.raises(DivergenceError) as info:
+            train_many(dataset, ModelSpec(3, 0, 3), cfg, [(None, None), (1, None)])
+        assert info.value.step == 2
+        assert str(info.value).startswith(f"training diverged at step 2: {cause} in run 0 (variant ")
+
+    def test_rows_of_a_large_stack_match_single_runs(self):
+        """From 65 runs on, the shared-input matrix product may round a row's
+        logits differently from the run alone; rows still agree to rounding."""
+        dataset = make_dataset(n=64, d=8, seed=8)
+        model = ModelSpec(input_dim=8, hidden_dim=0, num_classes=3)
+        cfg = TrainConfig(base_lr=0.1, total_steps=6, batch_size=16, seed=2, warmup_steps=1,
+                          clip_threshold=0.5, noise_multiplier=1.0, checkpoint_interval=3)
+        variants = [(r % 64 if r % 5 else None, r % 3, (None, 0.0, 0.5, 2.0)[r % 4])
+                    for r in range(70)]
+        rows = train_many(dataset, model, cfg, variants)
+        for variant, row in zip(variants, rows):
+            alone = train_many(dataset, model, cfg, [variant])[0]
+            np.testing.assert_allclose(row.theta, alone.theta, rtol=0, atol=1e-12)
+            for a, b in zip(row.checkpoints, alone.checkpoints, strict=True):
+                assert (a.step, a.eta) == (b.step, b.eta)
+                np.testing.assert_allclose(a.theta, b.theta, rtol=0, atol=1e-12)
+            for key in ("losses", "accuracies"):
+                np.testing.assert_allclose(getattr(row, key), getattr(alone, key),
+                                           rtol=0, atol=1e-12)
+            assert row.sigma == alone.sigma
+
 
 def first_draws(config, examples, steps):
     """Step (1-based) at which each example is first drawn into a batch, from
@@ -542,7 +583,8 @@ class TestDrawBlocks:
     outputs and error order are those of one draw per step."""
 
     @pytest.mark.parametrize("runs", [1, 3])
-    @pytest.mark.parametrize("steps", [1, DRAW_BLOCK, DRAW_BLOCK + 1])
+    @pytest.mark.parametrize("steps", [1, DRAW_BLOCK, DRAW_BLOCK + 1, 2 * DRAW_BLOCK,
+                                       2 * DRAW_BLOCK + 1])
     def test_rows_and_reruns_are_byte_identical_across_block_edges(self, steps, runs):
         dataset = make_dataset(n=16, seed=4)
         model = ModelSpec(input_dim=3, hidden_dim=4, num_classes=3)

@@ -8,10 +8,17 @@ delta)-DP with the improved bound
                       - (ln delta + ln alpha) / (alpha - 1) ],
 
 and bisection for the smallest noise multiplier meeting a target epsilon.
+
+The minimum stops early. At an integer order the subsampled Gaussian's RDP
+is a Renyi divergence (Mironov, Talwar & Zhang 2019), which never decreases
+as the order grows (van Erven & Harremoes 2014, Thm 3). So once the orders
+evaluated so far show that no higher order can beat the best epsilon, the
+higher orders are never computed.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import sys
 from dataclasses import dataclass
@@ -31,6 +38,15 @@ SIGMA_REL_TOL = 1e-4
 # sigma_for bounds epsilon from above with DEFAULT_ORDERS[:BOUND_ORDERS] (2..32)
 # before it pays for the full curve
 BOUND_ORDERS = 31
+# _spending evaluates the orders in blocks that end at these order values
+# (2..32, 33..64, 65..128, 129..256) and one block above the last edge
+BLOCK_EDGES = (32, 64, 128, 256)
+# _spending's allowance for rounding when T rdp at one order bounds T rdp at a
+# higher order from below: ten times the 1e-12 (|rdp| + ln(alpha!) / (alpha - 1))
+# to which rdp_curve agrees with an exact per-order sum, with ln(alpha!) /
+# (alpha - 1) <= ln(max order). The T ln(max order) part also covers a few ulps
+# of the epsilon arithmetic whenever there is a second block (max order >= 33).
+PRUNE_SLACK = 1e-11
 # np.exp returns exactly 0.0 at and below this argument (e^-745.14 is half the
 # smallest subnormal), so rdp_curve leaves such terms at zero instead of calling exp
 EXP_ZERO_AT = -746.0
@@ -72,25 +88,39 @@ def _order_terms(orders: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.nd
     return arrays
 
 
+def _epsilons(orders: tuple[int, ...], curve: np.ndarray, delta: float) -> np.ndarray:
+    """Each order's epsilon for an RDP curve given at the first len(curve)
+    orders: the same correctly rounded operations per order as
+
+        eps_rdp + ln(1 - 1/alpha) - (ln delta + ln alpha) / (alpha - 1)."""
+    log1m, log_alpha, alpha_minus_1 = (a[:len(curve)] for a in _order_terms(orders))
+    eps = curve + log1m
+    eps -= (math.log(delta) + log_alpha) / alpha_minus_1
+    return eps
+
+
 def _to_dp(orders: tuple[int, ...], curve: np.ndarray, delta: float) -> PrivacySpending:
-    """(epsilon, delta)-DP of an RDP curve (its values at orders, as an
-    array): the same correctly rounded operations per order as
-
-        eps_rdp + ln(1 - 1/alpha) - (ln delta + ln alpha) / (alpha - 1),
-
-    then the first minimum over the finite entries."""
-    log1m, log_alpha, alpha_minus_1 = _order_terms(orders)
+    """(epsilon, delta)-DP of an RDP curve given at the first len(curve)
+    orders, as an array: ``_epsilons``, then the first minimum over the
+    finite entries."""
     finite = np.isfinite(curve)
     if not finite.any():
         raise UnboundedError("RDP infinite at every order")
-    eps = curve + log1m
-    eps -= (math.log(delta) + log_alpha) / alpha_minus_1
+    eps = _epsilons(orders, curve, delta)
     eps[~finite] = math.inf
     best = int(np.argmin(eps))
     return PrivacySpending(epsilon=max(float(eps[best]), 0.0), best_order=orders[best])
 
 
 @lru_cache(maxsize=4)
+def _block_stops(orders: tuple[int, ...]) -> tuple[int, ...]:
+    """Cached end index of each non-empty block of the ascending orders,
+    split at BLOCK_EDGES."""
+    stops = {bisect.bisect_right(orders, edge) for edge in BLOCK_EDGES}
+    return tuple(sorted((stops | {len(orders)}) - {0}))
+
+
+@lru_cache(maxsize=16)
 def _packed_triangle(orders: tuple[int, ...]) -> tuple[np.ndarray, ...]:
     """Cached rows k = 0..alpha of every order, laid end to end in flat arrays.
 
@@ -124,7 +154,8 @@ def rdp_curve(q: float, sigma: float, orders: tuple[int, ...]) -> np.ndarray:
     if two_var == 0.0:  # sigma^2 underflows: the k = 2 term is infinite at every order
         return np.full(len(orders), math.inf)
     if q == 1.0:
-        return np.array(orders, dtype=np.float64) / two_var
+        with np.errstate(over="ignore"):  # a tiny sigma overflows to inf
+            return np.array(orders, dtype=np.float64) / two_var
     starts, lengths, k, alpha_minus_k, k_k1, log_binom = _packed_triangle(orders)
     # terms = ln C(alpha, k) + (alpha - k) ln(1-q) + k ln q + k(k-1)/(2 sigma^2)
     terms = alpha_minus_k * math.log1p(-q)
@@ -157,9 +188,39 @@ def epsilon_for(q: float, sigma: float, steps: int, delta: float) -> PrivacySpen
 
 def _spending(q: float, sigma: float, steps: int, delta: float,
               orders: tuple[int, ...]) -> PrivacySpending:
-    """epsilon_for of checked values over orders: the one-step curve composed
-    over the steps (RDP adds up, one product per order), then ``_to_dp``."""
-    return _to_dp(orders, rdp_curve(q, sigma, orders) * float(steps), delta)
+    """epsilon_for of checked values over the ascending orders: the one-step
+    curve composed over the steps (RDP adds up, one product per order), then
+    ``_to_dp``, evaluated block by block (``_block_stops``).
+
+    Every higher order's RDP is at least that of the block's last order
+    alpha_j, so each higher order's epsilon is at least T rdp(alpha_j) plus
+    the smallest g(alpha) = ln(1 - 1/alpha) - (ln delta + ln alpha) /
+    (alpha - 1) above alpha_j. When that bound, less a rounding slack
+    (PRUNE_SLACK), exceeds the best epsilon so far, or T rdp(alpha_j) is
+    infinite, no higher order can reach the minimum and the search stops: the
+    epsilon, best order and UnboundedError are those of the full curve, since
+    a later tie would lose to the first minimum anyway.
+    """
+    steps = float(steps)
+    stops = _block_stops(orders)
+    curve = np.empty(len(orders))
+    if len(stops) > 1:  # the smallest g over the orders from each index on
+        g = _epsilons(orders, np.zeros(len(orders)), delta)
+        later_g = np.minimum.accumulate(g[::-1])[::-1]
+    start = 0
+    for stop in stops:
+        block = curve[start:stop]
+        with np.errstate(over="ignore"):  # T * rdp may overflow to inf, as rdp itself may
+            np.multiply(rdp_curve(q, sigma, orders[start:stop]), steps, out=block)
+        spending = _to_dp(orders, curve[:stop], delta)
+        top = float(block[-1])
+        if stop == len(orders) or top == math.inf:
+            break
+        slack = PRUNE_SLACK * (abs(top) + steps * math.log(orders[-1]))
+        if top - slack + later_g[stop] > spending.epsilon:
+            break
+        start = stop
+    return spending
 
 
 def sigma_for(target_epsilon: float, q: float, steps: int, delta: float) -> float:
@@ -170,11 +231,12 @@ def sigma_for(target_epsilon: float, q: float, steps: int, delta: float) -> floa
     once q, steps and delta are checked.
 
     The check at SIGMA_HI and each bisection step first take epsilon over
-    DEFAULT_ORDERS[:BOUND_ORDERS], a minimum over a subset of the full curve's
-    values and so an upper bound on the full epsilon. A bound below the target
-    by more than the tolerance settles the check or step (sigma high enough)
-    exactly as the full curve would; every other step, the stopping test, the
-    final nudge and the check at SIGMA_LO use the full curve.
+    DEFAULT_ORDERS[:BOUND_ORDERS] (the first block of ``_spending``), a
+    minimum over a subset of the full curve's values and so an upper bound on
+    the full epsilon. A bound below the target by more than the tolerance
+    settles the check or step (sigma high enough) exactly as the full curve
+    would; every other step, the stopping test, the final nudge and the check
+    at SIGMA_LO use epsilon_for.
     """
     if math.isnan(target_epsilon) or target_epsilon <= 0:
         raise DomainError(f"target epsilon must be > 0, got {target_epsilon}")

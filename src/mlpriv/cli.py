@@ -1,10 +1,11 @@
 """Command-line surface: metrics, train, influence, accountant, synth, experiment.
 
-Exit codes: 0 success, 2 validation error, 3 training divergence,
-4 experiment criterion failed. Config files are flat ``key = value`` text;
-unknown keys are rejected. A train config's keys are ``TrainConfig``'s fields
-plus the model keys, a synth config's are ``SynthSpec``'s fields, and an
-experiment config's are the experiment function's parameters.
+Exit codes: 0 success, 2 validation error (a malformed command line
+included), 3 training divergence, 4 experiment criterion failed. Config
+files are flat ``key = value`` text; unknown keys are rejected. A train
+config's keys are ``TrainConfig``'s fields plus the model keys, a synth
+config's are ``SynthSpec``'s fields, and an experiment config's are the
+experiment function's parameters.
 
 This module owns the text formats: the library computes, and every CSV table
 the commands write goes through ``_write_csv``, floats as ``.17g``.
@@ -45,6 +46,14 @@ EXIT_CRITERION = 4
 
 class ConfigError(MlprivError):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reports a malformed command line as a
+    ConfigError, so ``main`` prints one ``error:`` line and exits 2."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
 
 
 def _parse_value(raw: str, target_type):
@@ -315,7 +324,7 @@ def cmd_experiment(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mlpriv",
         description="Multilingual compression metrics, DP training, and influence analysis",
     )
@@ -366,9 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)

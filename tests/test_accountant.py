@@ -1,7 +1,9 @@
 """Renyi-DP accounting: analytic oracles, monotonicity, and sigma search."""
 
+import bisect
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 from mlpriv import accountant
 from mlpriv.accountant import (
+    BLOCK_EDGES,
     BOUND_ORDERS,
     DEFAULT_ORDERS,
     EXP_ZERO_AT,
@@ -20,6 +23,7 @@ from mlpriv.accountant import (
     epsilon_for,
     rdp_curve,
     sigma_for,
+    _block_stops,
     _packed_triangle,
     _spending,
     _to_dp,
@@ -56,13 +60,20 @@ def binomial_sum_rdp(q: float, sigma: float, alpha: int) -> float:
     return max((top + math.log(math.fsum(math.exp(t - top) for t in terms))) / (alpha - 1), 0.0)
 
 
+def full_curve_spending(q, sigma, steps, delta):
+    """Reference: epsilon_for with every order of the accountant's current
+    order grid evaluated, no early stop."""
+    orders = accountant.DEFAULT_ORDERS
+    return _to_dp(orders, rdp_curve(q, sigma, orders) * float(steps), delta)
+
+
 def full_curve_sigma(target, q, steps, delta):
     """Reference: sigma_for's bisection with the full curve at every step, on
     the accountant's current order grid and bracket."""
     lo, hi = accountant.SIGMA_LO, accountant.SIGMA_HI
 
     def eps(sigma):
-        return epsilon_for(q, sigma, steps, delta).epsilon
+        return full_curve_spending(q, sigma, steps, delta).epsilon
 
     e_hi = eps(hi)
     if e_hi > target:
@@ -85,6 +96,29 @@ def full_curve_sigma(target, q, steps, delta):
             high = mid
         if high - low <= 1e-12 * high:
             return high
+
+
+def early_stop_grid():
+    """(q, sigma, [(steps, delta), ...]) for the early-stop test: 250 seeded
+    random (q, sigma) with four (steps, delta) each, a fifth of them at edge
+    sigmas; then sigma = 1e300 and inf composed over 1e16 and more steps. There
+    the one-step RDP is 0 or ~1e-16 (rounding noise, not monotone) at each
+    order, and the composed noise is of order 1."""
+    rng = np.random.default_rng(0)
+    cases = []
+    for _ in range(250):
+        q = 1.0 if rng.random() < 0.1 else float(10 ** rng.uniform(-4, 0))
+        if rng.random() < 0.2:
+            sigma = float(rng.choice([1e-160, 1e-153, SIGMA_LO, 1e300, math.inf]))
+        else:
+            sigma = float(10 ** rng.uniform(math.log10(0.03), 2))
+        uses = [(int(10 ** rng.uniform(0, 5)), float(10 ** rng.uniform(-12, math.log10(0.5))))
+                for _ in range(4)]
+        cases.append((q, sigma, uses))
+    for sigma in (1e300, math.inf):
+        for q in (0.01, 0.3, 0.7):
+            cases.append((q, sigma, [(10**16, 1e-10), (10**16, 1e-3), (10**18, 1e-6)]))
+    return cases
 
 
 def dense_rdp_curve(q, sigma, orders):
@@ -138,12 +172,24 @@ class TestRdpCurve:
         assert np.exp(EXP_ZERO_AT) == 0.0
         assert not np.exp(below).any()
 
-    @pytest.mark.parametrize("sigma", [1e-3, 0.3, 1.0, 4.0, 1e3])
+    def test_blocks_split_by_order_value(self):
+        # 2..32 (sigma_for's prefix bound), 33..64, 65..128, 129..256, 257..512
+        assert _block_stops(DEFAULT_ORDERS) == (BOUND_ORDERS, 63, 127, 255, 511)
+        assert _block_stops((2, 3, 17, 256)) == (3, 4)
+        assert _block_stops((40, 600)) == (1, 2)
+
+    # sigma = 1e-153: the rows of orders 30 and up overflow to inf
+    @pytest.mark.parametrize("sigma", [1e-3, 0.3, 1.0, 4.0, 1e3, 1e-153])
     @pytest.mark.parametrize("q", [1e-4, 0.01, 6 / 36, 0.999, 1.0])
     def test_order_prefix_is_bit_identical(self, q, sigma):
-        full = rdp_curve(q, sigma, DEFAULT_ORDERS)
-        prefix = rdp_curve(q, sigma, DEFAULT_ORDERS[:BOUND_ORDERS])
-        assert full[:BOUND_ORDERS].tobytes() == prefix.tobytes()
+        """Every block the accountant evaluates on its own holds the full
+        curve's bytes at its orders."""
+        for orders in (DEFAULT_ORDERS, (2, 3, 17, 256)):
+            full = rdp_curve(q, sigma, orders)
+            start = 0
+            for stop in _block_stops(orders):
+                assert rdp_curve(q, sigma, orders[start:stop]).tobytes() == full[start:stop].tobytes()
+                start = stop
 
     @pytest.mark.parametrize("sigma", [1e-160, 5e-324])
     def test_vanishing_sigma_is_unbounded(self, sigma):
@@ -151,6 +197,14 @@ class TestRdpCurve:
         assert all(v == math.inf for v in rdp_curve(0.01, sigma, DEFAULT_ORDERS))
         with pytest.raises(UnboundedError):
             epsilon_for(q=0.01, sigma=sigma, steps=1, delta=1e-5)
+
+    @pytest.mark.parametrize("q, sigma, steps", [(0.5, 1e-153, 10**5), (1.0, 1e-160, 1)])
+    def test_overflow_to_inf_warns_nothing(self, q, sigma, steps):
+        # the CLI's stderr holds one error line, no RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UnboundedError):
+                epsilon_for(q, sigma, steps, 1e-5)
 
     def test_overflowing_sigma_square_is_finite(self):
         spending = epsilon_for(q=0.01, sigma=1e300, steps=100, delta=1e-5)
@@ -177,9 +231,10 @@ class TestRdpStep:
     @given(
         q=st.floats(1e-4, 1.0),
         sigma=st.floats(0.3, 20.0),
-        alpha=st.integers(2, 64),
+        alpha=st.integers(2, 511),
     )
     def test_nonnegative_and_monotone_in_alpha(self, q, sigma, alpha):
+        # the early stop needs this only to within its slack, at least 6e-11
         curve = rdp_curve(q, sigma, (alpha, alpha + 1))
         assert curve[0] >= 0.0
         assert curve[1] >= curve[0] - 1e-12
@@ -247,6 +302,61 @@ class TestEpsilonFor:
                 violations += 1
         assert violations == 0
 
+    def test_early_stop_is_exact(self, monkeypatch):
+        """epsilon_for's epsilon bits, best order and UnboundedError are the
+        full curve's, and no block is evaluated after a row that composes to
+        inf (every later row is infinite too)."""
+        evaluated = []
+
+        def recording_rdp_curve(q, sigma, orders):
+            curve = rdp_curve(q, sigma, orders)
+            evaluated.append(curve)
+            return curve
+
+        monkeypatch.setattr(accountant, "rdp_curve", recording_rdp_curve)
+        best_blocks, cases, unbounded = set(), 0, 0
+        for q, sigma, uses in early_stop_grid():
+            curve = rdp_curve(q, sigma, DEFAULT_ORDERS)
+            for steps, delta in uses:
+                cases += 1
+                evaluated.clear()
+                case = (q, sigma, steps, delta)
+                try:
+                    with np.errstate(over="ignore"):
+                        expected = _to_dp(DEFAULT_ORDERS, curve * float(steps), delta)
+                except UnboundedError:
+                    unbounded += 1
+                    with pytest.raises(UnboundedError):
+                        epsilon_for(q, sigma, steps, delta)
+                else:
+                    got = epsilon_for(q, sigma, steps, delta)
+                    assert got.epsilon.hex() == expected.epsilon.hex(), case
+                    assert got.best_order == expected.best_order, case
+                    best_blocks.add(bisect.bisect_left(BLOCK_EDGES, got.best_order))
+                assert all(float(rows[-1]) * steps < math.inf for rows in evaluated[:-1]), case
+        assert cases >= 1000
+        assert unbounded > 0
+        assert best_blocks == set(range(len(BLOCK_EDGES) + 1))  # a best order in every block
+
+    def test_early_stop_is_exact_for_any_nondecreasing_curve(self, monkeypatch):
+        """The stop assumes only that RDP does not decrease with the order. On
+        rdp_curve's curves epsilon(alpha) has had a single minimum, so even a
+        stop that ignores the orders beyond a block passes the grid above;
+        step curves, flat between seeded random jumps, give epsilon a second,
+        lower minimum beyond a block edge."""
+        curve = np.zeros(len(DEFAULT_ORDERS))
+        monkeypatch.setattr(accountant, "rdp_curve",
+                            lambda q, sigma, orders: curve[np.asarray(orders) - DEFAULT_ORDERS[0]])
+        rng = np.random.default_rng(1)
+        for _ in range(300):
+            jumps = rng.exponential(10 ** rng.uniform(-3, 1), len(DEFAULT_ORDERS))
+            curve[:] = np.cumsum(jumps * (rng.random(len(DEFAULT_ORDERS)) < rng.choice([0.003, 0.03, 0.3])))
+            steps = int(rng.choice([1, 10, 1000]))
+            delta = float(10 ** rng.uniform(-12, math.log10(0.5)))
+            expected = _to_dp(DEFAULT_ORDERS, curve * float(steps), delta)
+            got = epsilon_for(0.5, 1.0, steps, delta)
+            assert (got.epsilon.hex(), got.best_order) == (expected.epsilon.hex(), expected.best_order)
+
     def test_invalid_params_rejected(self):
         with pytest.raises(DomainError):
             epsilon_for(q=0.0, sigma=1.0, steps=1, delta=1e-5)
@@ -304,7 +414,7 @@ class TestSigmaFor:
     ])
     def test_bracket_errors_report_the_full_epsilon(self, target, steps, lo, hi, side, monkeypatch):
         sigma = hi if side == "hi" else lo
-        full = epsilon_for(0.01, sigma, steps, 1e-5).epsilon
+        full = full_curve_spending(0.01, sigma, steps, 1e-5).epsilon
         bound = _spending(0.01, sigma, steps, 1e-5, DEFAULT_ORDERS[:BOUND_ORDERS]).epsilon
         assert bound > full
         monkeypatch.setattr(accountant, "SIGMA_LO", lo)

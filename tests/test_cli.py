@@ -576,6 +576,29 @@ class TestAccountantCommand:
         eps, _ = capsys.readouterr().out.strip().split(",")
         assert math.isfinite(float(eps))
 
+    @pytest.mark.parametrize("argv, named", [
+        (["accountant", "--q", "0.1", "--sigma", "1", "--steps", "1e3", "--delta", "1e-5"],
+         "argument --steps: invalid int value: '1e3'"),
+        (["accountant", "--q", "abc", "--sigma", "1", "--steps", "10", "--delta", "1e-5"],
+         "argument --q: invalid float value: 'abc'"),
+        (["accountant", "--q", "0.1", "--sigma", "1", "--steps", "10"],
+         "the following arguments are required: --delta"),
+        (["nonsense", "--q", "0.1"], "invalid choice: 'nonsense'"),
+    ], ids=["steps-1e3", "q-abc", "no-delta", "unknown-command"])
+    def test_malformed_flags_exit_2_with_one_error_line(self, capsys, argv, named):
+        assert main(argv) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: mlpriv") and captured.err.count("\n") == 1
+        assert named in captured.err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["accountant", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: mlpriv")
+
     def test_steps_beyond_float_range_exits_2(self):
         assert main(["accountant", "--q", "0.1", "--sigma", "1.0",
                      "--steps", str(10**400), "--delta", "1e-5"]) == EXIT_VALIDATION

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import inspect
 import sys
 import typing
@@ -323,6 +324,7 @@ def cmd_experiment(args) -> int:
     return EXIT_OK if result.passed else EXIT_CRITERION
 
 
+@functools.cache  # built once per process; in-process callers run main many times
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="mlpriv",

@@ -157,7 +157,7 @@ def planted_influence_margin(
     first = planted_index - planted_index % L
     members = slice(first, first + L)
     scores = _tracin_gram(dataset.features[None, members], dataset.labels[None, members], cks, model)
-    return float(_softmax(scores[0, planted_index - first]).max())
+    return float(_softmax(scores[0, planted_index - first][:, None]).max())
 
 
 def loo_margins(

@@ -114,13 +114,15 @@ def _tracin_gram(X: np.ndarray, y: np.ndarray, cks: CheckpointSet, spec: ModelSp
     G, L = y.shape
 
     def gram(V: np.ndarray) -> np.ndarray:
-        """Per-group Gram matrices of rows V: (G, 1, L, L) for an input
-        shared by every checkpoint (G * L, m), (G, K, L, L) for
-        per-checkpoint rows (G * L, K, m)."""
-        V = V.reshape(G, L, -1, V.shape[-1]).swapaxes(1, 2)
+        """Per-group Gram matrices of the examples' columns V: (G, 1, L, L)
+        for an input shared by every checkpoint (m, G * L), (G, K, L, L) for
+        per-checkpoint columns (K, m, G * L)."""
+        V = V.reshape(-1, V.shape[-2], G, L).transpose(2, 0, 3, 1)
         return V @ V.swapaxes(-1, -2)
 
-    _, _, layers = _backward(spec, _unpack(spec, cks.thetas), X.reshape(G * L, -1), y.reshape(-1))
+    XT = X.reshape(G * L, -1).T
+    Y = np.eye(spec.num_classes)[:, y.reshape(-1)]
+    _, layers = _backward(spec, _unpack(spec, cks.thetas), XT, Y)
     return sum(np.einsum("k,gkij->gij", cks.etas, gram(d) * (gram(a) + 1.0)) for d, a in layers)
 
 
@@ -139,7 +141,7 @@ def infu_from_scores(scores: np.ndarray) -> float:
     L = scores.shape[0]
     if scores.ndim != 2 or scores.shape != (L, L) or L < 2:
         raise TooFewLanguagesError(f"need a square |L| x |L| matrix with |L| >= 2, got {scores.shape}")
-    p = _softmax(scores)
+    p = _softmax(scores.T).T  # each anchor row's softmax
     plogp = p * np.log(np.where(p > 0, p, 1.0))  # 0 log 0 = 0
     return float(np.mean(-plogp.sum(axis=1) / math.log(L)))
 
@@ -203,9 +205,9 @@ def _tuple_shape(dataset: LabeledDataset) -> tuple[int, int]:
 def event_probability(
     theta: np.ndarray, spec: ModelSpec, eval_point: np.ndarray, event_class: int
 ) -> float:
-    x = np.asarray(eval_point, dtype=np.float64)[None, :]
+    x = np.asarray(eval_point, dtype=np.float64)[:, None]
     probs, _ = _forward_batch(spec, _unpack(spec, theta), x)
-    return float(probs[0, event_class])
+    return float(probs[event_class, 0])
 
 
 def loo_probabilities(

@@ -18,7 +18,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import (
     DegenerateInputError,
@@ -158,9 +157,30 @@ def _centred_ranks(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     these vectors then has the same bits whether a loop, a reduction or a
     matrix product computes it.
     """
-    ranks = rankdata(a, method="average", axis=-1)
+    ranks = _average_ranks(a)
     dev = ranks - ranks.mean(axis=-1, keepdims=True)
     return dev, np.linalg.norm(dev, axis=-1)
+
+
+def _average_ranks(a: np.ndarray) -> np.ndarray:
+    """1-based ranks along the last axis, tied values sharing their mean rank
+    (scipy's ``rankdata(a, method="average", axis=-1)``; a row with a nan is
+    all nan). A tie group that fills sorted places first..last gets
+    (first + last) / 2 + 1, an exact multiple of 1/2."""
+    order = np.argsort(a, axis=-1, kind="stable")
+    ordered = np.take_along_axis(a, order, axis=-1)
+    n = a.shape[-1]
+    place = np.broadcast_to(np.arange(n), a.shape)
+    starts = np.ones(a.shape, dtype=bool)  # a tie group starts where the sorted value changes
+    starts[..., 1:] = ordered[..., 1:] != ordered[..., :-1]
+    ends = np.ones(a.shape, dtype=bool)
+    ends[..., :-1] = starts[..., 1:]
+    first = np.maximum.accumulate(np.where(starts, place, 0), axis=-1)
+    last = np.minimum.accumulate(np.where(ends, place, n - 1)[..., ::-1], axis=-1)[..., ::-1]
+    ranks = np.empty(a.shape)
+    np.put_along_axis(ranks, order, (first + last) / 2 + 1, axis=-1)
+    ranks[np.isnan(a).any(axis=-1)] = np.nan
+    return ranks
 
 
 def _rank_correlation(da: np.ndarray, na: float, db: np.ndarray, nb: float) -> float:

@@ -39,6 +39,8 @@ CKPT_MAGIC = b"CKPT1"
 
 DRAW_BLOCK = 32  # steps whose batches and Gaussian noise are drawn at once
 
+FOLD_RUNS = 32  # stacked runs from which a unit-axis reduction folds slices
+
 INIT_SCALE = 0.1  # standard deviation of the Gaussian initial parameters
 
 ADAM_BETA1 = 0.9
@@ -198,81 +200,96 @@ def _unpack(spec: ModelSpec, theta: np.ndarray):
     return W1, b1, W2, b2
 
 
-def _reduce_last(ufunc: np.ufunc, a: np.ndarray) -> np.ndarray:
-    """ufunc.reduce over the last axis. Below 8 entries numpy's own reduce
-    folds left to right, so this fold of whole slices is bit-identical, but
-    it makes one call per entry instead of one per row, which at a large run
-    stack is an order of magnitude faster. Below about 128 rows (a batch of
-    32 at R <= 3) the single reduce call is the faster one."""
-    if a.shape[-1] >= 8 or a.size < 128 * a.shape[-1]:
-        return ufunc.reduce(a, axis=-1)
-    out = a[..., 0]
-    for k in range(1, a.shape[-1]):
-        out = ufunc(out, a[..., k])
+def _reduce_units(ufunc: np.ufunc, a: np.ndarray) -> np.ndarray:
+    """ufunc.reduce over axis -2, the unit axis of the (..., n, B) layout.
+    numpy reduces an axis that is not the innermost in memory as a left
+    fold whatever its length, so for a C-order array folding whole slices
+    left to right has the same bytes. The fold makes one call per unit, the
+    reduce one pass that walks each (run, unit) row on its own; from
+    FOLD_RUNS stacked runs the fold is the faster."""
+    if a.ndim < 3 or a.shape[0] < FOLD_RUNS:
+        return ufunc.reduce(a, axis=-2)
+    out = a[..., 0, :]
+    for k in range(1, a.shape[-2]):
+        out = ufunc(out, a[..., k, :])
     return out
 
 
+def _hits(probs: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Whether each example's label is its most probable class, the lowest
+    index winning ties as in numpy's argmax: probs (R, c, B), labels (B,).
+    From FOLD_RUNS stacked runs on it folds over the class slices as
+    ``_reduce_units`` does; the fold differs from argmax only at a nan."""
+    if probs.shape[0] < FOLD_RUNS:
+        return probs.argmax(axis=1) == y
+    c = probs.shape[1]
+    best = probs[:, 0]
+    hit = np.empty(best.shape, dtype=bool)
+    hit[...] = y == 0
+    for k in range(1, c):
+        above = probs[:, k] > best  # a later class wins only if strictly more probable
+        hit = (hit & ~above) | (above & (y == k))
+        if k < c - 1:
+            best = np.maximum(best, probs[:, k])
+    return hit
+
+
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - _reduce_last(np.maximum, logits)[..., None]
-    exp = np.exp(shifted)
-    return exp / _reduce_last(np.add, exp)[..., None]
+    """Softmax over axis -2, the class axis of the (..., c, B) layout."""
+    out = logits - _reduce_units(np.maximum, logits)[..., None, :]
+    np.exp(out, out=out)
+    out /= _reduce_units(np.add, out)[..., None, :]
+    return out
 
 
-def _dense(inputs: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """inputs @ W^T: (B, k) x (n, k) -> (B, n); for a stack of R weight
-    matrices (R, n, k), inputs (B, k) or (B, R, k) -> (B, R, n)."""
-    if W.ndim == 2:
-        return inputs @ W.T
-    R, n, k = W.shape
-    if inputs.ndim == 2:  # inputs shared by every run: one matrix product
-        return (inputs @ W.reshape(R * n, k).T).reshape(-1, R, n)
-    return np.matmul(inputs.swapaxes(0, 1), W.swapaxes(1, 2)).swapaxes(0, 1)
+def _dense(W: np.ndarray, inputs: np.ndarray) -> np.ndarray:
+    """W @ inputs for weights (n, k) or a stack (R, n, k): inputs (k, B)
+    shared by every run, or (R, k, B) per run, give (n, B) or (R, n, B)."""
+    if inputs.ndim == 2:  # shared inputs: one matrix product over every run's rows
+        # (a copy of the weights when R > 1); from two examples on, OpenBLAS
+        # rounds a run's logits the same wherever the run sits in the stack
+        return (W.reshape(-1, W.shape[-1]) @ inputs).reshape(*W.shape[:-1], -1)
+    return W @ inputs
 
 
-def _outer_sum(S: np.ndarray, inputs: np.ndarray) -> np.ndarray:
-    """Per-run sum over the batch of outer(S_b, inputs_b), flattened row-major:
-    S (B, R, n) with inputs (B, k) or (B, R, k) -> (R, n * k)."""
-    B, R, n = S.shape
-    if inputs.ndim == 2:
-        return (S.reshape(B, R * n).T @ inputs).reshape(R, -1)
-    return np.matmul(S.transpose(1, 2, 0), inputs.swapaxes(0, 1)).reshape(R, -1)
-
-
-def _forward_batch(spec: ModelSpec, params: tuple, X: np.ndarray):
+def _forward_batch(spec: ModelSpec, params: tuple, XT: np.ndarray):
     """Returns (probs, hidden activations or None) for the layer views
-    ``params`` of ``_unpack``: (B, c) and (B, h) for one parameter vector,
-    (B, R, c) and (B, R, h) for a stack of R."""
-    # a contiguous bias stack lets the broadcast add run as one flat loop
+    ``params`` of ``_unpack`` and the batch's inputs as columns, XT (d, B):
+    (c, B) and (h, B) for one parameter vector, (R, c, B) and (R, h, B)
+    for a stack of R."""
     if spec.hidden_dim == 0:
         W, b = params
-        return _softmax(_dense(X, W) + np.ascontiguousarray(b)), None
+        logits = _dense(W, XT)
+        logits += b[..., None]
+        return _softmax(logits), None
     W1, b1, W2, b2 = params
-    A = np.tanh(_dense(X, W1) + np.ascontiguousarray(b1))
-    return _softmax(_dense(A, W2) + np.ascontiguousarray(b2)), A
+    A = _dense(W1, XT)
+    A += b1[..., None]
+    np.tanh(A, out=A)
+    logits = _dense(W2, A)
+    logits += b2[..., None]
+    return _softmax(logits), A
 
 
-def _backward(spec: ModelSpec, params: tuple, X: np.ndarray, y: np.ndarray):
+def _backward(spec: ModelSpec, params: tuple, XT: np.ndarray, Y: np.ndarray):
     """Forward pass plus every dense layer's (d, a) pair, in parameter order.
 
-    Returns (probs, p_true, layers): p_true is each example's probability of
-    its label, (B,) or (B, R); layers is [(delta, X)] for the linear model and
-    [(dZ, X), (delta, A)] for the tanh model, where d is the loss derivative
-    at the layer's output (delta = dloss/dlogits, dZ = dloss/d(hidden
-    pre-activation)) and a is the layer's input (A = hidden activations).
-    ``params`` are ``_unpack``'s layer views and shapes follow
-    ``_forward_batch``. A layer's parameters are its row-major weights, then
-    its bias, and its per-example gradient is outer(d, [a; 1]): weights
-    outer(d, a), bias d.
+    XT (d, B) holds the batch's inputs as columns and Y (c, B) their one-hot
+    labels. Returns (probs, layers): layers is [(delta, XT)] for the linear
+    model and [(dZ, XT), (delta, A)] for the tanh model, where d is the loss
+    derivative at the layer's output (delta = dloss/dlogits = probs - Y,
+    dZ = dloss/d(hidden pre-activation)) and a is the layer's input (A =
+    hidden activations). ``params`` are ``_unpack``'s layer views and shapes
+    follow ``_forward_batch``: examples on the last axis, units before them.
+    A layer's parameters are its row-major weights, then its bias, and its
+    per-example gradient is outer(d, [a; 1]): weights outer(d, a), bias d.
     """
-    probs, A = _forward_batch(spec, params, X)
-    rows = np.arange(len(y))
-    p_true = probs[rows, ..., y]
-    delta = probs.copy()
-    delta[rows, ..., y] = p_true - 1.0
+    probs, A = _forward_batch(spec, params, XT)
+    delta = probs - Y  # p - 1.0 and p - 0.0: the bits of p_y - 1 and p
     if spec.hidden_dim == 0:
-        return probs, p_true, [(delta, X)]
-    dZ = _dense(delta, params[2].swapaxes(-1, -2)) * (1.0 - A**2)
-    return probs, p_true, [(dZ, X), (delta, A)]
+        return probs, [(delta, XT)]
+    dZ = (params[2].swapaxes(-1, -2) @ delta) * (1.0 - A**2)
+    return probs, [(dZ, XT), (delta, A)]
 
 
 def _check_labels(y, spec: ModelSpec) -> np.ndarray:
@@ -378,15 +395,15 @@ def train(
 
 def _mean_loss(p_true: np.ndarray, keep: np.ndarray, count: np.ndarray) -> np.ndarray:
     """Each run's mean cross-entropy over the examples it kept: p_true and
-    keep (..., B, R), count (..., R). p_true is overwritten with the
+    keep (..., R, B), count (..., R). p_true is overwritten with the
     per-example losses, so a block's buffer needs no temporaries of its size.
-    A step's (B, R) and a block's (n, B, R) sum each run's column in the
-    same order, so their rows have the same bits."""
+    Every run's losses are one contiguous row summed on its own, so a step,
+    a block, a lone run and a row of any stack give the same bits."""
     loss = np.maximum(p_true, np.finfo(np.float64).tiny, out=p_true)
     np.log(loss, out=loss)
     np.negative(loss, out=loss)
     loss[~keep] = 0.0
-    return loss.sum(axis=-2) / count
+    return loss.sum(axis=-1) / count
 
 
 def _which_run(variants: list[Variant], r: int) -> str:
@@ -420,11 +437,12 @@ def train_many(
     Row r equals ``train(dataset, spec, replace(config, noise_multiplier=s),
     exclude_index=e)`` for variants[r] = (e, None, s) to rounding (1e-12),
     with s = None keeping the config's sigma; a noise seed ns in place of
-    None only swaps the noise stream. Parameters match byte for byte below
-    65 runs; from there the one matrix product of ``_dense`` over every
-    run's weights may round the last runs' logits differently. From 8
-    examples per batch a lone run's losses, which numpy sums pairwise, may
-    differ in the last bits from a stacked row's. All runs share the
+    None only swaps the noise stream. With two or more examples per batch
+    every output matches byte for byte as well: at theorem1's sizes no row
+    of stacks of 1 to 260 runs differed from its lone run, since each run's
+    logits and clipped sums are entries of matrix products that OpenBLAS
+    rounds the same wherever the run sits (a batch of one takes a
+    matrix-vector path that may not). All runs share the
     initial parameters and one batch draw per step; a run's excluded
     example is masked out of each batch that holds it and its gradient
     mean divides by the examples it kept. A sigma = 0 run draws no noise.
@@ -434,8 +452,9 @@ def train_many(
     Per-example gradients are never formed: for each (d, a) layer pair of
     ``_backward`` the gradient is outer(d, [a; 1]), whose norm is
     |d| * sqrt(|a|^2 + 1) (Goodfellow 2015, arXiv 1510.01799), so the clip
-    factors come from per-layer norms and the clipped sum of each layer is
-    one matrix product.
+    factors come from per-unit sums of squares and the clipped sum of each
+    layer is one matrix product. The examples sit on the last axis, (R, n, B),
+    so those sums and the softmax reduce over axis -2 in a few calls.
     Each step does only the work that updates the parameters: the batches,
     keep masks and noise of DRAW_BLOCK steps are drawn and gathered at the
     block's first step, in the order one draw per step would take them, and
@@ -478,62 +497,96 @@ def train_many(
     noise_rngs = [np.random.default_rng(noise_ss if s is None else s) for s in streams]
     noise_scale = np.array([sigmas[r] * C for r in noised])[:, None]
     noise = np.empty((len(streams), DRAW_BLOCK, P))
+    # with a generator per noised run, a block's normals are scaled once and
+    # each step adds a slice; runs that share a seed gather theirs per step
+    shared = len(streams) < len(noised)
+    if noised.size and noised[-1] - noised[0] == noised.size - 1:  # consecutive runs: a view
+        noised = slice(noised[0], noised[-1] + 1)
     excluded = np.array([-1 if v.exclude_index is None else v.exclude_index for v in variants])
     # the first layer's input is the batch itself, so its per-example |x|^2 + 1
     # (the bias column) is one table over the dataset
-    input_factor = _reduce_last(np.add, dataset.features * dataset.features) + 1.0
+    features_T = np.ascontiguousarray(dataset.features.T)  # C order: the reduction folds left
+    input_factor = _reduce_units(np.add, features_T * features_T) + 1.0
+    # the rows with a ones column: the first layer's clipped weight and bias
+    # sums are one product
+    features_1 = np.hstack([dataset.features, np.ones((N, 1))])
+    one_hot = np.eye(spec.num_classes)
+    cols = np.arange(B)
 
     state = OptimizerState.init(np.tile(init_theta(spec, seed=config.seed), (R, 1)))
     params = _unpack(spec, state.theta)  # views: optimizer_step updates state.theta in place
     # the step's clipped sum, written through each layer's weight and bias views
     grad = np.empty((R, P))
     grad_views = _unpack(spec, grad)
-    grad_layers = [(W.reshape(R, -1), b) for W, b in zip(grad_views[::2], grad_views[1::2])]
+    grad_layers = list(zip(grad_views[::2], grad_views[1::2]))
     lrs = [lr_at(step, config) for step in range(1, T + 1)]
     losses = np.empty((T, R))
     accuracies = np.empty((T, R))
-    p_true_block = np.empty((DRAW_BLOCK, B, R))
-    hit_block = np.empty((DRAW_BLOCK, B, R), dtype=bool)
+    p_true_block = np.empty((DRAW_BLOCK, R, B))
+    hit_block = np.empty((DRAW_BLOCK, R, B), dtype=bool)
     snapshots: list[tuple[int, float, np.ndarray]] = []
-    tiny = np.finfo(np.float64).tiny
 
     for step in range(1, T + 1):
         j = (step - 1) % DRAW_BLOCK
         if j == 0:  # the next block's draws; each generator's stream continues exactly
             n = min(DRAW_BLOCK, T - step + 1)
             idx = np.stack([batch_rng.choice(N, size=B, replace=False) for _ in range(n)])
-            X_block = dataset.features[idx]  # (n, B, d)
+            X1_block = features_1[idx]  # (n, B, d + 1)
             y_block = dataset.labels[idx]
-            y_col_block = y_block[:, :, None]
-            keep_block = idx[:, :, None] != excluded  # (n, B, R)
-            count_block = keep_block.sum(axis=1)
-            factor_block = input_factor[idx][:, :, None]
+            Y_block = one_hot[:, y_block].transpose(1, 0, 2).copy()  # (n, c, B)
+            keep_block = idx[:, None, :] != excluded[:, None]  # (n, R, B)
+            # a batch holds each example at most once, so a run keeps B less
+            # one if its excluded example is in it; column N stands for -1
+            in_batch = np.zeros((n, N + 1), dtype=bool)
+            np.put_along_axis(in_batch, idx, True, axis=1)
+            count_block = B - in_batch[:, excluded]  # (n, R)
+            factor_block = input_factor[idx]
             full = count_block.all(axis=1)
             first_empty = int(np.argmin(full)) if not full.all() else DRAW_BLOCK
             for r, rng in enumerate(noise_rngs):
                 rng.standard_normal(out=noise[r, :n])
+            if not shared:
+                noise[:, :n] *= noise_scale[:, :, None]
         if j == first_empty:
             raise EmptyBatchError(
                 f"step {step}: run {int(np.argmin(count_block[j]))} excludes every example of its batch"
             )
         keep, count = keep_block[j], count_block[j]
-        probs, p_true, layers = _backward(spec, params, X_block[j], y_block[j])
+        X1 = X1_block[j]
+        probs, layers = _backward(spec, params, X1[:, :-1].T, Y_block[j])
+        y = y_block[j]
+        p_true = probs[:, y, cols]  # each example's probability of its label
         p_true_block[j] = p_true
-        np.equal(probs.argmax(axis=2), y_col_block[j], out=hit_block[j])
+        hit_block[j] = _hits(probs, y)
 
-        # (B, R) squared norms; deeper layers' inputs are per run
+        # (R, B) squared norms; deeper layers' inputs are per run
         (d, _), *deeper = layers
-        norm_sq = _reduce_last(np.add, d * d) * factor_block[j]
+        norm_sq = _reduce_units(np.add, d * d)
+        norm_sq *= factor_block[j]
         for d, a in deeper:
-            norm_sq += _reduce_last(np.add, d * d) * (_reduce_last(np.add, a * a) + 1.0)
-        scale = np.minimum(1.0, C / np.maximum(np.sqrt(norm_sq), tiny))
-        scale = (scale * keep)[:, :, None]
+            a_sq = _reduce_units(np.add, a * a)
+            a_sq += 1.0
+            d_sq = _reduce_units(np.add, d * d)
+            d_sq *= a_sq
+            norm_sq += d_sq
+        np.sqrt(norm_sq, out=norm_sq)
+        scale = C / np.maximum(norm_sq, C)
+        scale *= keep
         for (d, a), (weights, bias) in zip(layers, grad_layers):
-            clipped = d * scale
-            weights[...] = _outer_sum(clipped, a)
-            clipped.sum(axis=0, out=bias)
-        if noised.size:
+            clipped = d * scale[:, None, :]
+            if a.ndim == 2:  # the shared batch: one product over every run's rows
+                # (d + 1, R * n); in this orientation OpenBLAS rounds a run's
+                # entries the same wherever the run sits in the stack
+                sums = X1.T @ clipped.reshape(-1, B).T
+                weights[...] = sums[:-1].T.reshape(weights.shape)
+                bias[...] = sums[-1].reshape(bias.shape)
+            else:
+                np.matmul(clipped, a.swapaxes(1, 2), out=weights)
+                clipped.sum(axis=2, out=bias)
+        if shared:
             grad[noised] += noise_scale * noise[stream_of, j]
+        elif streams:
+            grad[noised] += noise[:, j]
         grad /= count[:, None]
 
         eta = lrs[step - 1]
@@ -554,7 +607,7 @@ def train_many(
             losses[rows] = _mean_loss(p_true_block[:n], keep_block, count_block)
             hits = hit_block[:n]
             hits &= keep_block
-            accuracies[rows] = hits.sum(axis=1) / count_block
+            accuracies[rows] = hits.sum(axis=2) / count_block
         if step % config.checkpoint_interval == 0:
             snapshots.append((step, eta, state.theta.copy()))
 
@@ -575,11 +628,11 @@ def evaluate(
     theta: np.ndarray, spec: ModelSpec, dataset: LabeledDataset
 ) -> tuple[float, dict[str, float]]:
     """Accuracy (argmax, lowest index wins ties) and per-language mean loss."""
-    probs, _ = _forward_batch(spec, _unpack(spec, theta), dataset.features)
-    preds = probs.argmax(axis=1)
+    probs, _ = _forward_batch(spec, _unpack(spec, theta), dataset.features.T)
+    preds = probs.argmax(axis=0)
     labels = dataset.labels
     accuracy = float((preds == labels).mean())
-    p_true = np.maximum(probs[np.arange(len(dataset)), labels], np.finfo(np.float64).tiny)
+    p_true = np.maximum(probs[labels, np.arange(len(dataset))], np.finfo(np.float64).tiny)
     losses = -np.log(p_true)
     per_language: dict[str, float] = {}
     tags = np.array(dataset.languages)

@@ -422,6 +422,26 @@ class TestSigmaFor:
         with pytest.raises(UnsatisfiableError, match="^" + re.escape(f"epsilon({sigma}) = {full} ")):
             sigma_for(target, q=0.01, steps=steps, delta=1e-5)
 
+    @pytest.mark.parametrize("target, q, steps", [
+        (4.0, 32 / 240, 1500),  # mlpriv train's target epsilon in the CLI pipeline
+        (1.0, 0.01, 1000), (4.0, 0.01, 1000), (1.0, 0.05, 1000), (4.0, 0.05, 1000),
+    ])
+    def test_prefix_bound_keeps_cli_queries_in_the_first_block(self, target, q, steps, monkeypatch):
+        """At the CLI's target-epsilon queries every rdp_curve call covers
+        the one block of orders 2..32, 27 to 38 calls per query. Without the
+        prefix bound the bisection's far-off sigmas, whose best orders lie in
+        later blocks, make epsilon_for evaluate those blocks."""
+        evaluated = []
+
+        def recording_rdp_curve(q, sigma, orders):
+            evaluated.append(tuple(orders))
+            return rdp_curve(q, sigma, orders)
+
+        monkeypatch.setattr(accountant, "rdp_curve", recording_rdp_curve)
+        sigma_for(target, q, steps, 1e-5)
+        assert set(evaluated) == {DEFAULT_ORDERS[:BOUND_ORDERS]}
+        assert 27 <= len(evaluated) <= 38
+
     def test_nonpositive_target_rejected(self):
         with pytest.raises(DomainError):
             sigma_for(0.0, q=0.1, steps=100, delta=1e-5)

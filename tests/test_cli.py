@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlpriv import experiments
+from mlpriv import cli, experiments
 from mlpriv.accountant import epsilon_for, sigma_for
 from mlpriv.cli import (
     EXIT_CRITERION,
@@ -598,6 +598,27 @@ class TestAccountantCommand:
             main(argv)
         assert exit_info.value.code == 0
         assert capsys.readouterr().out.startswith("usage: mlpriv")
+
+    def test_one_parser_serves_every_call(self, capsys, monkeypatch):
+        """main builds its parser once per process; a malformed command line
+        in between leaves it parsing as before."""
+        parsers = []
+        parse_args = cli._Parser.parse_args
+
+        def recording_parse_args(self, *args, **kwargs):
+            parsers.append(self)
+            return parse_args(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "parse_args", recording_parse_args)
+        argv = ["accountant", "--q", "1.0", "--sigma", "4.0", "--steps", "1", "--delta", "1e-5"]
+        assert main(argv) == EXIT_OK
+        assert main(["accountant", "--q", "abc", "--steps", "1", "--delta", "1e-5"]) == EXIT_VALIDATION
+        assert main(argv) == EXIT_OK
+        assert len(parsers) == 3 and parsers[0] is parsers[1] is parsers[2]
+        captured = capsys.readouterr()
+        first, second = captured.out.splitlines()
+        assert first == second
+        assert captured.err.startswith("error: mlpriv") and captured.err.count("\n") == 1
 
     def test_steps_beyond_float_range_exits_2(self):
         assert main(["accountant", "--q", "0.1", "--sigma", "1.0",

@@ -53,7 +53,7 @@ def test_theorem1_matches_per_cell_reference():
         cks = CheckpointSet.last_k(train(dataset, model, cfg).checkpoints, 3)
 
         profile = influence_profiles(dataset, cks, model)[planted // 4]
-        margin = float(_softmax(profile.scores[planted % 4]).max())
+        margin = float(_softmax(profile.scores[planted % 4][:, None]).max())
         assert float(row["margin"]) == pytest.approx(margin, rel=1e-12)
 
         self_inf = _tracin_gram(dataset.features[:, None], dataset.labels[:, None], cks, model)

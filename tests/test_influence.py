@@ -374,7 +374,7 @@ class TestInfU:
             scores = rng.standard_normal((L, L)) * rng.choice([1e-3, 1.0, 40.0, 800.0])
             entropies = []
             for row in scores:
-                p = _softmax(row)
+                p = _softmax(row[:, None])[:, 0]
                 nz = p[p > 0]
                 entropies.append(float(-(nz * np.log(nz)).sum() / math.log(L)))
             assert infu_from_scores(scores) == float(np.mean(entropies))
@@ -394,10 +394,12 @@ class TestInfU:
         assert profile.infu == pytest.approx(infu_from_scores(profile.scores), abs=0)
 
     def test_softmax_is_shift_invariant_and_normalized(self):
-        s = np.array([1.0, -2.0, 0.5])
+        """The softmax runs over axis -2: each column of (classes, examples)."""
+        s = np.array([[1.0, 3.0], [-2.0, 0.0], [0.5, 0.0]])
         p = _softmax(s)
-        assert p.sum() == pytest.approx(1.0, abs=1e-12)
-        np.testing.assert_allclose(_softmax(s + 100.0), p, atol=1e-12)
+        np.testing.assert_allclose(p.sum(axis=0), 1.0, atol=1e-12)
+        np.testing.assert_allclose(_softmax(s + [100.0, -50.0]), p, atol=1e-12)
+        np.testing.assert_allclose(p[:, 1], np.exp(s[:, 1]) / np.exp(s[:, 1]).sum(), atol=1e-12)
 
 
 class TestLooInfluence:

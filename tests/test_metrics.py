@@ -27,6 +27,7 @@ from mlpriv.errors import (
     ZeroNormRowError,
 )
 from mlpriv.metrics import (
+    _average_ranks,
     _rdm_upper,
     cosine_similarity_matrix,
     isoscore,
@@ -230,6 +231,28 @@ class TestSpearman:
         rho = spearman_rho(a, b)
         assert spearman_rho(np.exp(a / 5), b) == pytest.approx(rho, abs=1e-12)
         assert spearman_rho(3 * a + 7, b) == pytest.approx(rho, abs=1e-12)
+
+
+class TestAverageRanks:
+    """The package's own average-tie ranks against scipy's rankdata."""
+
+    @pytest.mark.parametrize("shape", [(1,), (2,), (9,), (40,), (1, 6), (7, 5), (3, 4, 33)])
+    def test_match_rankdata_bit_for_bit_on_tied_rows(self, shape):
+        rng = np.random.default_rng(len(shape) * 100 + shape[-1])
+        for values in (rng.integers(-2, 3, size=shape).astype(np.float64),  # ties in most rows
+                       rng.integers(0, 2, size=shape) * 1e-300,
+                       rng.standard_normal(shape)):
+            values.flat[0] = -0.0  # ties with 0.0
+            if values.size > 2:
+                values.flat[1] = np.inf
+                values.flat[-1] = -np.inf
+            expected = rankdata(values, method="average", axis=-1)
+            assert _average_ranks(values).tobytes() == expected.tobytes()
+
+    def test_a_row_with_nan_is_all_nan(self):
+        values = np.array([[1.0, np.nan, 1.0], [2.0, 2.0, 0.0]])
+        np.testing.assert_array_equal(_average_ranks(values),
+                                      rankdata(values, method="average", axis=-1))
 
 
 class TestRsa:

@@ -1,6 +1,9 @@
 """The package's public surface: the names ``import mlpriv`` exports."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import mlpriv
@@ -35,3 +38,13 @@ def test_only_the_cli_writes_text_tables():
             if "csv" in modules:
                 importers.append(path.name)
     assert importers == ["cli.py"]
+
+
+def test_import_leaves_scipy_out():
+    """A fresh interpreter imports the package and its CLI without scipy;
+    the accountant imports scipy.special on its first curve."""
+    code = "import sys, mlpriv, mlpriv.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    src = str(Path(mlpriv.__file__).parent.parent)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"

@@ -41,7 +41,9 @@ from mlpriv.trainer import (
     train,
     train_many,
     write_checkpoint,
-    _reduce_last,
+    FOLD_RUNS,
+    _hits,
+    _reduce_units,
     _softmax,
 )
 
@@ -544,9 +546,25 @@ class TestTrainMany:
         assert info.value.step == 2
         assert str(info.value).startswith(f"training diverged at step 2: {cause} in run 0 (variant ")
 
+    def test_losses_of_stacked_rows_match_lone_runs_byte_for_byte(self):
+        """Each run's batch losses are one contiguous row, summed the same way
+        whether the run is alone or a row of a stack (theorem1's sizes)."""
+        dataset = make_dataset(n=64, d=8, seed=11)
+        model = ModelSpec(input_dim=8, hidden_dim=0, num_classes=3)
+        cfg = TrainConfig(base_lr=0.05, total_steps=40, batch_size=16, seed=3, warmup_steps=5,
+                          clip_threshold=0.5, noise_multiplier=1.0, checkpoint_interval=20)
+        variants = [(r * 3 if r % 4 else None, 100 + r % 5, (0.5, 2.0)[r % 2]) for r in range(20)]
+        rows = train_many(dataset, model, cfg, variants)
+        for variant, row in zip(variants, rows):
+            alone = train_many(dataset, model, cfg, [variant])[0]
+            assert row.losses.tobytes() == alone.losses.tobytes()
+            assert row.accuracies.tobytes() == alone.accuracies.tobytes()
+
     def test_rows_of_a_large_stack_match_single_runs(self):
-        """From 65 runs on, the shared-input matrix product may round a row's
-        logits differently from the run alone; rows still agree to rounding."""
+        """Rows of a 70-run stack agree with their lone runs to rounding. The
+        shared-input matrix products round each run's entries the same
+        wherever it sits: at theorem1's sizes (B = 16, d = 8, c = 3, 300
+        steps) no row of stacks of 1 to 260 runs differed in a byte."""
         dataset = make_dataset(n=64, d=8, seed=8)
         model = ModelSpec(input_dim=8, hidden_dim=0, num_classes=3)
         cfg = TrainConfig(base_lr=0.1, total_steps=6, batch_size=16, seed=2, warmup_steps=1,
@@ -630,34 +648,50 @@ class TestDrawBlocks:
 
 
 class TestClassAxisFold:
-    """The step's class-axis reductions fold slices left to right from 128
-    rows on; below 8 entries that is numpy's own order, so the bytes do not
-    change. 16 rows take numpy's reduce, 128 and 3040 the fold."""
+    """The step's unit-axis reductions (axis -2 of the (R, n, B) layout) fold
+    slices left to right from FOLD_RUNS stacked runs on. numpy reduces a
+    non-last axis in that order whatever its length, so the bytes do not
+    change: 1 and 8 runs take numpy's reduce, 190 the fold."""
 
     @pytest.mark.parametrize("dim", [3, 8, 11])
     @pytest.mark.parametrize("examples", [16, 200])
     def test_input_table_gathered_by_row_matches_batch_reduce(self, examples, dim):
         """train_many's per-example |x|^2 comes from one (N,) table over the
-        dataset; gathered by row it has the bytes of the batch's own reduce.
-        At N = 200 and d = 3 the table takes the fold, at 150 rows so does the batch."""
+        dataset's columns; gathered by example it has the bytes of the batch's
+        own reduce, and of every row of a stack that takes the fold."""
         rng = np.random.default_rng(examples + dim)
         F = rng.standard_normal((examples, dim)) * 10.0 ** rng.uniform(-6, 6, (examples, dim))
-        table = _reduce_last(np.add, F * F)
+        FT = np.ascontiguousarray(F.T)
+        table = _reduce_units(np.add, FT * FT)
         for batch in (1, 5, 16, 150):
             idx = rng.choice(examples, size=min(batch, examples), replace=False)
-            X = F[idx]
-            assert table[idx].tobytes() == _reduce_last(np.add, X * X).tobytes()
+            XT = np.ascontiguousarray(FT[:, idx])  # the block stage's C-order copy
+            assert table[idx].tobytes() == _reduce_units(np.add, XT * XT).tobytes()
+            stack = np.repeat((XT * XT)[None], FOLD_RUNS, axis=0)
+            assert _reduce_units(np.add, stack).tobytes() == np.tile(table[idx], (FOLD_RUNS, 1)).tobytes()
 
-    @pytest.mark.parametrize("classes", [1, 3, 7, 9])
+    @pytest.mark.parametrize("classes", [1, 3, 7, 9, 13])
     @pytest.mark.parametrize("runs", [1, 8, 190])
     def test_fold_matches_numpy_reductions(self, runs, classes):
         rng = np.random.default_rng(runs * 10 + classes)
-        shape = (16, runs, classes)
+        shape = (runs, classes, 16)
         a = rng.standard_normal(shape) * 10.0 ** rng.uniform(-6, 6, shape)
-        assert _reduce_last(np.maximum, a).tobytes() == a.max(axis=-1).tobytes()
-        assert _reduce_last(np.add, a).tobytes() == a.sum(axis=-1).tobytes()
-        exp = np.exp(a - a.max(axis=-1, keepdims=True))
-        assert _softmax(a).tobytes() == (exp / exp.sum(axis=-1, keepdims=True)).tobytes()
+        assert _reduce_units(np.maximum, a).tobytes() == np.maximum.reduce(a, axis=-2).tobytes()
+        assert _reduce_units(np.add, a).tobytes() == np.add.reduce(a, axis=-2).tobytes()
+        exp = np.exp(a - a.max(axis=-2, keepdims=True))
+        assert _softmax(a).tobytes() == (exp / exp.sum(axis=-2, keepdims=True)).tobytes()
+
+    @pytest.mark.parametrize("classes", [1, 2, 3, 7])
+    @pytest.mark.parametrize("runs", [1, 8, 190])
+    def test_hits_follow_argmax_ties(self, runs, classes):
+        """A hit is argmax == label, the lowest index winning ties, also where
+        the fold computes it; probabilities drawn from {0, 1/4, 1/2} tie often."""
+        rng = np.random.default_rng(runs + classes)
+        probs = rng.integers(0, 3, (runs, classes, 16)) / 4.0
+        y = rng.integers(0, classes, 16)
+        hits = _hits(probs, y)
+        assert hits.shape == (runs, 16)
+        np.testing.assert_array_equal(hits, probs.argmax(axis=1) == y)
 
 
 class TestEvaluate:

@@ -437,12 +437,14 @@ def train_many(
     Row r equals ``train(dataset, spec, replace(config, noise_multiplier=s),
     exclude_index=e)`` for variants[r] = (e, None, s) to rounding (1e-12),
     with s = None keeping the config's sigma; a noise seed ns in place of
-    None only swaps the noise stream. With two or more examples per batch
-    every output matches byte for byte as well: at theorem1's sizes no row
-    of stacks of 1 to 260 runs differed from its lone run, since each run's
-    logits and clipped sums are entries of matrix products that OpenBLAS
-    rounds the same wherever the run sits (a batch of one takes a
-    matrix-vector path that may not). All runs share the
+    None only swaps the noise stream. Only the 1e-12 is guaranteed. With
+    numpy's bundled OpenBLAS 0.3.31 (Haswell kernels) and two or more
+    examples per batch every output was also measured to match byte for
+    byte: at theorem1's sizes no row of stacks of 1 to 260 runs differed
+    from its lone run, since each run's logits and clipped sums are entries
+    of matrix products that this build rounds the same wherever the run
+    sits (a batch of one takes a matrix-vector path that may not); another
+    BLAS may round by position. All runs share the
     initial parameters and one batch draw per step; a run's excluded
     example is masked out of each batch that holds it and its gradient
     mean divides by the examples it kept. A sigma = 0 run draws no noise.
@@ -500,8 +502,6 @@ def train_many(
     # with a generator per noised run, a block's normals are scaled once and
     # each step adds a slice; runs that share a seed gather theirs per step
     shared = len(streams) < len(noised)
-    if noised.size and noised[-1] - noised[0] == noised.size - 1:  # consecutive runs: a view
-        noised = slice(noised[0], noised[-1] + 1)
     excluded = np.array([-1 if v.exclude_index is None else v.exclude_index for v in variants])
     # the first layer's input is the batch itself, so its per-example |x|^2 + 1
     # (the bias column) is one table over the dataset
@@ -535,11 +535,7 @@ def train_many(
             y_block = dataset.labels[idx]
             Y_block = one_hot[:, y_block].transpose(1, 0, 2).copy()  # (n, c, B)
             keep_block = idx[:, None, :] != excluded[:, None]  # (n, R, B)
-            # a batch holds each example at most once, so a run keeps B less
-            # one if its excluded example is in it; column N stands for -1
-            in_batch = np.zeros((n, N + 1), dtype=bool)
-            np.put_along_axis(in_batch, idx, True, axis=1)
-            count_block = B - in_batch[:, excluded]  # (n, R)
+            count_block = keep_block.sum(axis=2)
             factor_block = input_factor[idx]
             full = count_block.all(axis=1)
             first_empty = int(np.argmin(full)) if not full.all() else DRAW_BLOCK

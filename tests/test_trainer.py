@@ -548,7 +548,10 @@ class TestTrainMany:
 
     def test_losses_of_stacked_rows_match_lone_runs_byte_for_byte(self):
         """Each run's batch losses are one contiguous row, summed the same way
-        whether the run is alone or a row of a stack (theorem1's sizes)."""
+        whether the run is alone or a row of a stack (theorem1's sizes). The
+        probabilities they sum come from the stacked logits product, so this
+        rests on the BLAS rounding each run's entries the same wherever the
+        run sits, as numpy's bundled OpenBLAS 0.3.31 was measured to do."""
         dataset = make_dataset(n=64, d=8, seed=11)
         model = ModelSpec(input_dim=8, hidden_dim=0, num_classes=3)
         cfg = TrainConfig(base_lr=0.05, total_steps=40, batch_size=16, seed=3, warmup_steps=5,
@@ -563,8 +566,9 @@ class TestTrainMany:
     def test_rows_of_a_large_stack_match_single_runs(self):
         """Rows of a 70-run stack agree with their lone runs to rounding. The
         shared-input matrix products round each run's entries the same
-        wherever it sits: at theorem1's sizes (B = 16, d = 8, c = 3, 300
-        steps) no row of stacks of 1 to 260 runs differed in a byte."""
+        wherever it sits: with numpy's bundled OpenBLAS 0.3.31, at theorem1's
+        sizes (B = 16, d = 8, c = 3, 300 steps) no row of stacks of 1 to 260
+        runs differed in a byte. Only the 1e-12 is guaranteed."""
         dataset = make_dataset(n=64, d=8, seed=8)
         model = ModelSpec(input_dim=8, hidden_dim=0, num_classes=3)
         cfg = TrainConfig(base_lr=0.1, total_steps=6, batch_size=16, seed=2, warmup_steps=1,

@@ -13,7 +13,9 @@ The minimum stops early. At an integer order the subsampled Gaussian's RDP
 is a Renyi divergence (Mironov, Talwar & Zhang 2019), which never decreases
 as the order grows (van Erven & Harremoes 2014, Thm 3). So once the orders
 evaluated so far show that no higher order can beat the best epsilon, the
-higher orders are never computed.
+higher orders are never computed. By the same fact a bisection step of
+sigma_for stops as soon as the best epsilon so far lies below the target by
+more than the tolerance, since the full epsilon then does too.
 """
 
 from __future__ import annotations
@@ -34,13 +36,6 @@ SIGMA_LO = 1e-3
 SIGMA_HI = 1e3
 SIGMA_REL_TOL = 1e-4
 
-# sigma_for bounds epsilon from above with DEFAULT_ORDERS[:BOUND_ORDERS] (2..32)
-# before it pays for the full curve. epsilon_for's first block is the same
-# orders, but the bound still pays: without it sigma is bit-identical, yet
-# sigma_for at the CLI's target-epsilon queries went from 1.3-1.9 ms to
-# 9.6-24.5 ms warm, because the bisection's far-off sigmas have their best
-# orders in late blocks, where epsilon_for cannot stop early.
-BOUND_ORDERS = 31
 # _spending evaluates the orders in blocks that end at these order values
 # (2..32, 33..64, 65..128, 129..256) and one block above the last edge
 BLOCK_EDGES = (32, 64, 128, 256)
@@ -188,24 +183,31 @@ def rdp_curve(q: float, sigma: float, orders: tuple[int, ...]) -> np.ndarray:
 def epsilon_for(q: float, sigma: float, steps: int, delta: float) -> PrivacySpending:
     """Total (epsilon, delta) spending of T subsampled Gaussian steps."""
     _check(q, sigma, steps, delta)
-    return _spending(q, sigma, steps, delta, DEFAULT_ORDERS)
+    return _spending(q, sigma, steps, delta)
 
 
 def _spending(q: float, sigma: float, steps: int, delta: float,
-              orders: tuple[int, ...]) -> PrivacySpending:
-    """epsilon_for of checked values over the ascending orders: the one-step
-    curve composed over the steps (RDP adds up, one product per order), then
-    ``_to_dp``, evaluated block by block (``_block_stops``).
+              settle_below: float = -math.inf) -> PrivacySpending:
+    """epsilon_for of checked values over DEFAULT_ORDERS: the one-step curve
+    composed over the steps (RDP adds up, one product per order), then
+    ``_to_dp``, evaluated block by block (``_block_stops``). The search stops
+    after a block when either rule shows the rest cannot matter:
 
-    Every higher order's RDP is at least that of the block's last order
-    alpha_j, so each higher order's epsilon is at least T rdp(alpha_j) plus
-    the smallest g(alpha) = ln(1 - 1/alpha) - (ln delta + ln alpha) /
-    (alpha - 1) above alpha_j. When that bound, less a rounding slack
-    (PRUNE_SLACK), exceeds the best epsilon so far, or T rdp(alpha_j) is
-    infinite, no higher order can reach the minimum and the search stops: the
-    epsilon, best order and UnboundedError are those of the full curve, since
-    a later tie would lose to the first minimum anyway.
+    - Every higher order's RDP is at least that of the block's last order
+      alpha_j, so each higher order's epsilon is at least T rdp(alpha_j) plus
+      the smallest g(alpha) = ln(1 - 1/alpha) - (ln delta + ln alpha) /
+      (alpha - 1) above alpha_j. When that bound, less a rounding slack
+      (PRUNE_SLACK), exceeds the best epsilon so far, or T rdp(alpha_j) is
+      infinite, no higher order can reach the minimum: the epsilon, best
+      order and UnboundedError are those of the full curve, since a later
+      tie would lose to the first minimum anyway.
+    - When the best epsilon so far is below settle_below, more orders can
+      only lower the minimum, so the full epsilon is below settle_below too.
+      The returned spending is then an upper bound on the full curve's, not
+      its value; a caller that needs only which side of settle_below epsilon
+      lies on learns it from either. The default never settles.
     """
+    orders = DEFAULT_ORDERS
     steps = float(steps)
     stops = _block_stops(orders)
     curve = np.empty(len(orders))
@@ -219,7 +221,7 @@ def _spending(q: float, sigma: float, steps: int, delta: float,
             np.multiply(rdp_curve(q, sigma, orders[start:stop]), steps, out=block)
         spending = _to_dp(orders, curve[:stop], delta)
         top = float(block[-1])
-        if stop == len(orders) or top == math.inf:
+        if stop == len(orders) or top == math.inf or spending.epsilon < settle_below:
             break
         slack = PRUNE_SLACK * (abs(top) + steps * math.log(orders[-1]))
         if top - slack + later_g[stop] > spending.epsilon:
@@ -235,13 +237,12 @@ def sigma_for(target_epsilon: float, q: float, steps: int, delta: float) -> floa
     target_epsilon = inf means non-private training and returns sigma = 0,
     once q, steps and delta are checked.
 
-    The check at SIGMA_HI and each bisection step first take epsilon over
-    DEFAULT_ORDERS[:BOUND_ORDERS] (the first block of ``_spending``), a
-    minimum over a subset of the full curve's values and so an upper bound on
-    the full epsilon. A bound below the target by more than the tolerance
-    settles the check or step (sigma high enough) exactly as the full curve
-    would; every other step, the stopping test, the final nudge and the check
-    at SIGMA_LO use epsilon_for.
+    The check at SIGMA_HI, each bisection step and the final nudge ask
+    ``_spending`` to settle below target - tol: a value it settles is below
+    the target by more than the tolerance, as the full epsilon then is, so it
+    takes the same branch (sigma high enough) the full curve would, and every
+    other value it returns is the full curve's. The check at SIGMA_LO uses
+    epsilon_for, since its error reports the full epsilon.
     """
     if math.isnan(target_epsilon) or target_epsilon <= 0:
         raise DomainError(f"target epsilon must be > 0, got {target_epsilon}")
@@ -250,44 +251,32 @@ def sigma_for(target_epsilon: float, q: float, steps: int, delta: float) -> floa
     if target_epsilon == math.inf:
         return 0.0
 
-    prefix = DEFAULT_ORDERS[:BOUND_ORDERS]
     tol = SIGMA_REL_TOL * target_epsilon
 
     def eps(sigma: float) -> float:
-        return epsilon_for(q, sigma, steps, delta).epsilon
+        """The full epsilon, or any value below target - tol when it is below."""
+        return _spending(q, sigma, steps, delta, target_epsilon - tol).epsilon
 
-    def below_target(sigma: float) -> bool:
-        """The prefix bound alone shows eps(sigma) below the target beyond tol."""
-        try:
-            bound = _spending(q, sigma, steps, delta, prefix).epsilon
-        except UnboundedError:  # infinite at every prefix order: no bound
-            return False
-        return bound < target_epsilon and abs(bound - target_epsilon) > tol
-
-    if not below_target(hi):  # the error reports the full epsilon, never the bound
-        e_hi = eps(hi)
-        if e_hi > target_epsilon:
-            raise UnsatisfiableError(f"epsilon({hi}) = {e_hi} still exceeds {target_epsilon}")
-    e_lo = eps(lo)
+    e_hi = eps(hi)
+    if e_hi > target_epsilon:
+        raise UnsatisfiableError(f"epsilon({hi}) = {e_hi} still exceeds {target_epsilon}")
+    e_lo = epsilon_for(q, lo, steps, delta).epsilon
     if e_lo < target_epsilon:
         raise UnsatisfiableError(f"epsilon({lo}) = {e_lo} already below {target_epsilon}")
 
     low, high = lo, hi  # eps(low) >= target >= eps(high); eps decreasing in sigma
     while True:
         mid = 0.5 * (low + high)
-        if below_target(mid):
-            high = mid
+        e = eps(mid)
+        if abs(e - target_epsilon) <= tol:
+            # nudge up until the target is actually met, preserving <= contract
+            while e > target_epsilon:
+                mid *= 1.0 + SIGMA_REL_TOL
+                e = eps(mid)
+            return mid
+        if e > target_epsilon:
+            low = mid
         else:
-            e = eps(mid)
-            if abs(e - target_epsilon) <= tol:
-                # nudge up until the target is actually met, preserving <= contract
-                while e > target_epsilon:
-                    mid *= 1.0 + SIGMA_REL_TOL
-                    e = eps(mid)
-                return mid
-            if e > target_epsilon:
-                low = mid
-            else:
-                high = mid
+            high = mid
         if high - low <= 1e-12 * high:
             return high

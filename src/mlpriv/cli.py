@@ -212,17 +212,16 @@ def cmd_train(args) -> int:
     values = read_config(args.config, TRAIN_SCHEMA)
     hidden_dim = values.pop("hidden_dim", 0)
     num_classes = values.pop("num_classes", None)
-    data_dir = Path(args.data)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    dataset = _load_dataset(data_dir)
+    config = _from_config(TrainConfig, values, args.config)  # before any file is read
+    dataset = _load_dataset(Path(args.data))
     if num_classes is None:
         num_classes = int(dataset.labels.max()) + 1
     model = ModelSpec(
         input_dim=dataset.features.shape[1], hidden_dim=hidden_dim, num_classes=num_classes
     )
-    config = _from_config(TrainConfig, values, args.config)
     result = train(dataset, model, config)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)  # only once training succeeded
     print(f"sigma = {result.sigma}")
     for ckpt in result.checkpoints:
         write_checkpoint(out / f"ckpt_{ckpt.step:06d}.ckpt", ckpt)

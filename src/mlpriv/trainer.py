@@ -116,6 +116,12 @@ class TrainConfig:
             )
         if self.checkpoint_interval < 1:
             raise InvalidConfigError("checkpoint_interval must be >= 1")
+        if not 0.0 < self.delta < 1.0:
+            raise InvalidConfigError(f"delta must be in (0, 1), got {self.delta}")
+        if self.target_epsilon is not None and not self.target_epsilon > 0:  # nan fails too
+            raise InvalidConfigError(
+                f"target_epsilon must be > 0 (inf means non-private), got {self.target_epsilon}"
+            )
 
 
 @dataclass(frozen=True)

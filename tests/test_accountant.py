@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from mlpriv import accountant
 from mlpriv.accountant import (
     BLOCK_EDGES,
-    BOUND_ORDERS,
     DEFAULT_ORDERS,
     EXP_ZERO_AT,
     SIGMA_HI,
@@ -173,8 +172,8 @@ class TestRdpCurve:
         assert not np.exp(below).any()
 
     def test_blocks_split_by_order_value(self):
-        # 2..32 (sigma_for's prefix bound), 33..64, 65..128, 129..256, 257..512
-        assert _block_stops(DEFAULT_ORDERS) == (BOUND_ORDERS, 63, 127, 255, 511)
+        # 2..32, 33..64, 65..128, 129..256, 257..512
+        assert _block_stops(DEFAULT_ORDERS) == (31, 63, 127, 255, 511)
         assert _block_stops((2, 3, 17, 256)) == (3, 4)
         assert _block_stops((40, 600)) == (1, 2)
 
@@ -408,14 +407,31 @@ class TestSigmaFor:
         else:
             assert sigma_for(target, q, steps, 1e-5).hex() == expected.hex()
 
+    @pytest.mark.parametrize("target, q, steps, delta", [
+        (1.112946528624422, 0.07124891386210905, 506, 2.703604407611525e-10),
+        (0.5400145845391741, 0.2725671936595423, 1165, 2.114442460356004e-10),
+        (0.11704948022266273, 0.026563293175773252, 5477, 7.083546680026608e-10),
+    ])
+    def test_matches_full_curve_where_a_step_lands_within_tol(self, target, q, steps, delta):
+        """Seeded random cases at the default orders and bracket where a
+        bisection step's full epsilon lies within tol above the target: a
+        settle threshold of target + tol instead of target - tol would move
+        high there, where the full curve returns."""
+        expected = full_curve_sigma(target, q, steps, delta)
+        assert sigma_for(target, q, steps, delta).hex() == expected.hex()
+
     @pytest.mark.parametrize("target, steps, lo, hi, side", [
         (0.1, 100, SIGMA_LO, 3.0, "hi"),    # eps(3) = 0.129 (order 81), orders 2..32 give 0.247
         (0.25, 1000, 5.0, SIGMA_HI, "lo"),  # eps(5) = 0.234 (order 60), orders 2..32 give 0.294
+        (0.3, 100, 3.0, SIGMA_HI, "lo"),    # eps(3) = 0.129, orders 2..32 give 0.247 > 0.3 - tol
     ])
     def test_bracket_errors_report_the_full_epsilon(self, target, steps, lo, hi, side, monkeypatch):
+        """The message holds the full epsilon, never the bound of the first
+        block (orders 2..32) at which a settling search would stop."""
         sigma = hi if side == "hi" else lo
         full = full_curve_spending(0.01, sigma, steps, 1e-5).epsilon
-        bound = _spending(0.01, sigma, steps, 1e-5, DEFAULT_ORDERS[:BOUND_ORDERS]).epsilon
+        first = DEFAULT_ORDERS[:31]
+        bound = _to_dp(first, rdp_curve(0.01, sigma, first) * float(steps), 1e-5).epsilon
         assert bound > full
         monkeypatch.setattr(accountant, "SIGMA_LO", lo)
         monkeypatch.setattr(accountant, "SIGMA_HI", hi)
@@ -426,21 +442,27 @@ class TestSigmaFor:
         (4.0, 32 / 240, 1500),  # mlpriv train's target epsilon in the CLI pipeline
         (1.0, 0.01, 1000), (4.0, 0.01, 1000), (1.0, 0.05, 1000), (4.0, 0.05, 1000),
     ])
-    def test_prefix_bound_keeps_cli_queries_in_the_first_block(self, target, q, steps, monkeypatch):
-        """At the CLI's target-epsilon queries every rdp_curve call covers
-        the one block of orders 2..32, 27 to 38 calls per query. Without the
-        prefix bound the bisection's far-off sigmas, whose best orders lie in
-        later blocks, make epsilon_for evaluate those blocks."""
-        evaluated = []
+    def test_cli_queries_evaluate_one_block_per_search(self, target, q, steps, monkeypatch):
+        """At the CLI's target-epsilon queries every epsilon search makes one
+        rdp_curve call, over the block of orders 2..32, 22 to 28 calls per
+        query: the bisection's far-off sigmas, whose best orders lie in later
+        blocks, settle below the target in the first block."""
+        evaluated, searches = [], []
 
         def recording_rdp_curve(q, sigma, orders):
             evaluated.append(tuple(orders))
             return rdp_curve(q, sigma, orders)
 
+        def recording_spending(*args):
+            searches.append(args)
+            return _spending(*args)
+
         monkeypatch.setattr(accountant, "rdp_curve", recording_rdp_curve)
+        monkeypatch.setattr(accountant, "_spending", recording_spending)
         sigma_for(target, q, steps, 1e-5)
-        assert set(evaluated) == {DEFAULT_ORDERS[:BOUND_ORDERS]}
-        assert 27 <= len(evaluated) <= 38
+        assert set(evaluated) == {DEFAULT_ORDERS[:31]}
+        assert len(evaluated) == len(searches)
+        assert 22 <= len(evaluated) <= 28
 
     def test_nonpositive_target_rejected(self):
         with pytest.raises(DomainError):

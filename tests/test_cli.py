@@ -287,11 +287,28 @@ class TestTrainCommand:
         dict(checkpoint_interval=0),
         dict(num_classes=1),  # the lambda = 1 set has labels 0 and 1
         dict(noise_multiplier="nan"),
-    ], ids=["checkpoint_interval_0", "num_classes_below_labels", "noise_multiplier_nan"])
+        dict(delta=7.0),
+        dict(target_epsilon="nan"),
+    ], ids=["checkpoint_interval_0", "num_classes_below_labels", "noise_multiplier_nan",
+            "delta_7", "target_epsilon_nan"])
     def test_malformed_config_exits_2(self, synth_dir, tmp_path, capsys, overrides):
-        code, _ = self.run_train(synth_dir, tmp_path, **overrides)
+        capsys.readouterr()
+        code, out = self.run_train(synth_dir, tmp_path, **overrides)
         assert code == EXIT_VALIDATION
-        assert capsys.readouterr().err.startswith("error:")
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_config_is_checked_before_the_data(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "train.cfg", base_lr=-1, total_steps=10, batch_size=4, seed=0)
+        out = tmp_path / "run"
+        capsys.readouterr()
+        code = main(["train", "--config", cfg, "--data", str(tmp_path / "missing"),
+                     "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: base_lr") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_label_line_without_a_tab_exits_2_naming_the_line(self, synth_dir, tmp_path, capsys):
         rows = (synth_dir / "labels.tsv").read_text().splitlines()

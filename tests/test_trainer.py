@@ -806,6 +806,15 @@ class TestValidation:
         with pytest.raises(InvalidConfigError, match="^seed must be a nonnegative integer"):
             TrainConfig(base_lr=0.1, total_steps=10, batch_size=2, seed=bad)
 
+    @pytest.mark.parametrize("field, value", [
+        ("delta", 7.0), ("delta", 0.0), ("delta", 1.0), ("delta", math.nan),
+        ("target_epsilon", math.nan), ("target_epsilon", 0.0), ("target_epsilon", -math.inf),
+    ])
+    def test_privacy_setting_outside_its_domain_rejected(self, field, value):
+        fields = dict(base_lr=0.1, total_steps=10, batch_size=2, seed=0, warmup_steps=0)
+        with pytest.raises(InvalidConfigError, match=f"^{field} must be"):
+            TrainConfig(**fields | {field: value})
+
     def test_integer_seeds_accepted(self):
         dataset = make_dataset(n=12)
         for seed, noise_seed in [(0, None), (np.int64(3), np.uint32(4)), (2**64, 0)]:

@@ -130,9 +130,7 @@ def _packed_triangle(orders: tuple[int, ...]) -> tuple[np.ndarray, ...]:
     starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
     alpha_flat = np.repeat(alphas, lengths)
     k = np.arange(int(lengths.sum())) - np.repeat(starts, lengths)
-    from scipy.special import gammaln  # on first use: importing it takes about 0.3 s
-
-    log_factorial = gammaln(np.arange(int(alphas.max()) + 2, dtype=np.float64))[1:]
+    log_factorial = np.array([math.lgamma(n) for n in range(1, int(alphas.max()) + 2)])
     log_binom = log_factorial[alpha_flat] - log_factorial[k] - log_factorial[alpha_flat - k]
     k = k.astype(np.float64)
     arrays = (starts, lengths, k, alpha_flat - k, k * (k - 1), log_binom)
@@ -211,9 +209,6 @@ def _spending(q: float, sigma: float, steps: int, delta: float,
     steps = float(steps)
     stops = _block_stops(orders)
     curve = np.empty(len(orders))
-    if len(stops) > 1:  # the smallest g over the orders from each index on
-        g = _epsilons(orders, np.zeros(len(orders)), delta)
-        later_g = np.minimum.accumulate(g[::-1])[::-1]
     start = 0
     for stop in stops:
         block = curve[start:stop]
@@ -224,7 +219,9 @@ def _spending(q: float, sigma: float, steps: int, delta: float,
         if stop == len(orders) or top == math.inf or spending.epsilon < settle_below:
             break
         slack = PRUNE_SLACK * (abs(top) + steps * math.log(orders[-1]))
-        if top - slack + later_g[stop] > spending.epsilon:
+        # the smallest g over the orders above the block
+        later_g = _epsilons(orders, np.zeros(len(orders)), delta)[stop:].min()
+        if top - slack + later_g > spending.epsilon:
             break
         start = stop
     return spending

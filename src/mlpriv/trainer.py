@@ -431,6 +431,7 @@ def _run_sigmas(variants: list[Variant], config: TrainConfig, dataset_size: int)
     return [sigma if v.noise_multiplier is None else v.noise_multiplier for v in variants]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # divergence is found from theta itself
 def train_many(
     dataset: LabeledDataset,
     spec: ModelSpec,
@@ -479,10 +480,7 @@ def train_many(
         raise InvalidConfigError(f"batch_size {config.batch_size} exceeds the dataset's {N} examples")
     if spec.input_dim != dataset.features.shape[1]:
         raise ShapeMismatchError("model input_dim does not match dataset")
-    if dataset.labels.max() >= spec.num_classes:
-        raise ShapeMismatchError(
-            f"label {dataset.labels.max()} outside [0, {spec.num_classes}) of the model"
-        )
+    _check_labels(dataset.labels, spec)
     for v in variants:
         if v.exclude_index is not None and not 0 <= v.exclude_index < N:
             raise ExcludeIndexError(f"exclude_index {v.exclude_index} out of range")

@@ -4,6 +4,7 @@ import bisect
 import math
 import re
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -153,6 +154,23 @@ class TestRdpCurve:
             # relative (q = 1e-4, sigma = 1e3, alpha = 2 gives rdp ~ 1e-14).
             scale = abs(ref) + _LOG_FACTORIAL[alpha] / (alpha - 1)
             assert abs(value - ref) <= 1e-12 * scale, (alpha, value, ref)
+
+    @pytest.mark.parametrize("alpha", [2, 17, 32, 33, 257, 512])
+    def test_log_binomials_match_exact_arithmetic(self, alpha):
+        """The triangle's ln C(alpha, k) against the exact binomial's natural
+        log at 40 digits, to 4 ulp of ln(alpha!), the size of the
+        log-factorials it is a difference of. The per-order oracle's table is
+        math.lgamma as well, so this is the table's independent check."""
+        starts, lengths, _, _, _, log_binom = _packed_triangle(DEFAULT_ORDERS)
+        i = DEFAULT_ORDERS.index(alpha)
+        row = log_binom[starts[i]:starts[i] + lengths[i]]
+        with localcontext() as ctx:
+            ctx.prec = 40
+            exact = [float(Decimal(math.comb(alpha, k)).ln()) for k in range(alpha + 1)]
+            bound = 4 * math.ulp(float(Decimal(math.factorial(alpha)).ln()))
+        assert len(row) == alpha + 1
+        errors = np.abs(row - exact)
+        assert errors.max() <= bound, (int(np.argmax(errors)), errors.max() / bound * 4)
 
     @pytest.mark.parametrize("q, sigma", [(1e-4, 3.0), (0.3, 0.5), (0.999, 1e3), (1.0, 2.0)])
     def test_rdp_step_is_one_order_of_the_curve(self, q, sigma):

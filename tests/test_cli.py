@@ -5,6 +5,9 @@ import csv
 import inspect
 import io
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -309,6 +312,21 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: base_lr") and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [[], ["-W", "error"]], ids=["default", "warnings_as_errors"])
+    def test_diverging_run_prints_one_error_line(self, synth_dir, tmp_path, flags):
+        """A run whose parameters overflow exits 3 with its error line alone:
+        no numpy RuntimeWarning, and no traceback when warnings are errors."""
+        cfg = write_config(tmp_path / "train.cfg", base_lr=1e300, total_steps=20, warmup_steps=0,
+                           batch_size=4, seed=0)
+        src = str(Path(cli.__file__).parent.parent)
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "mlpriv.cli", "train", "--config", cfg,
+             "--data", str(synth_dir), "--out", str(tmp_path / "run")],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == EXIT_DIVERGENCE
+        assert proc.stderr.startswith("error: training diverged") and proc.stderr.count("\n") == 1
 
     def test_label_line_without_a_tab_exits_2_naming_the_line(self, synth_dir, tmp_path, capsys):
         rows = (synth_dir / "labels.tsv").read_text().splitlines()

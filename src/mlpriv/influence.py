@@ -116,8 +116,8 @@ def _tracin_gram(X: np.ndarray, y: np.ndarray, cks: CheckpointSet, spec: ModelSp
     def gram(V: np.ndarray) -> np.ndarray:
         """Per-group Gram matrices of the examples' columns V: (G, 1, L, L)
         for an input shared by every checkpoint (m, G * L), (G, K, L, L) for
-        per-checkpoint columns (K, m, G * L)."""
-        V = V.reshape(-1, V.shape[-2], G, L).transpose(2, 0, 3, 1)
+        per-checkpoint columns (m, K, G * L)."""
+        V = V.reshape(len(V), -1, G, L).transpose(2, 1, 3, 0)
         return V @ V.swapaxes(-1, -2)
 
     XT = X.reshape(G * L, -1).T

@@ -36,10 +36,11 @@ from .errors import (
 )
 
 CKPT_MAGIC = b"CKPT1"
+U32_MAX = 2**32 - 1  # CKPT1 stores the step and the parameter count as u32
 
 DRAW_BLOCK = 32  # steps whose batches and Gaussian noise are drawn at once
 
-FOLD_RUNS = 32  # stacked runs from which a unit-axis reduction folds slices
+FOLD_RUNS = 32  # stacked runs from which _hits folds over classes instead of argmax
 
 INIT_SCALE = 0.1  # standard deviation of the Gaussian initial parameters
 
@@ -48,9 +49,14 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
+def _is_int(value) -> bool:
+    """A Python or numpy integer; bool is not one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _is_seed(value) -> bool:
-    """A nonnegative integer, the seeds numpy's generators take; bool is not one."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 0
+    """A nonnegative integer, the seeds numpy's generators take."""
+    return _is_int(value) and value >= 0
 
 
 class Variant(NamedTuple):
@@ -100,6 +106,14 @@ class TrainConfig:
     def __post_init__(self):
         if not _is_seed(self.seed):
             raise InvalidConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        for name in ("total_steps", "batch_size", "warmup_steps", "checkpoint_interval"):
+            if not _is_int(getattr(self, name)):
+                raise InvalidConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if self.total_steps > U32_MAX:
+            raise InvalidConfigError(
+                f"total_steps must be at most {U32_MAX} (a checkpoint stores its step as u32),"
+                f" got {self.total_steps}"
+            )
         for name in ("base_lr", "clip_threshold", "noise_multiplier", "weight_decay"):
             if not math.isfinite(getattr(self, name)):
                 raise InvalidConfigError(f"{name} must be finite, got {getattr(self, name)}")
@@ -206,74 +220,67 @@ def _unpack(spec: ModelSpec, theta: np.ndarray):
     return W1, b1, W2, b2
 
 
-def _reduce_units(ufunc: np.ufunc, a: np.ndarray) -> np.ndarray:
-    """ufunc.reduce over axis -2, the unit axis of the (..., n, B) layout.
-    numpy reduces an axis that is not the innermost in memory as a left
-    fold whatever its length, so for a C-order array folding whole slices
-    left to right has the same bytes. The fold makes one call per unit, the
-    reduce one pass that walks each (run, unit) row on its own; from
-    FOLD_RUNS stacked runs the fold is the faster."""
-    if a.ndim < 3 or a.shape[0] < FOLD_RUNS:
-        return ufunc.reduce(a, axis=-2)
-    out = a[..., 0, :]
-    for k in range(1, a.shape[-2]):
-        out = ufunc(out, a[..., k, :])
-    return out
-
-
 def _hits(probs: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Whether each example's label is its most probable class, the lowest
-    index winning ties as in numpy's argmax: probs (R, c, B), labels (B,).
-    From FOLD_RUNS stacked runs on it folds over the class slices as
-    ``_reduce_units`` does; the fold differs from argmax only at a nan."""
-    if probs.shape[0] < FOLD_RUNS:
-        return probs.argmax(axis=1) == y
-    c = probs.shape[1]
-    best = probs[:, 0]
+    index winning ties as in numpy's argmax: probs (c, R, B), labels (B,).
+    From FOLD_RUNS stacked runs on it folds over the class slices, which are
+    contiguous; the fold differs from argmax only at a nan."""
+    if probs.shape[1] < FOLD_RUNS:
+        return probs.argmax(axis=0) == y
+    best = probs[0]
     hit = np.empty(best.shape, dtype=bool)
     hit[...] = y == 0
-    for k in range(1, c):
-        above = probs[:, k] > best  # a later class wins only if strictly more probable
-        hit = (hit & ~above) | (above & (y == k))
-        if k < c - 1:
-            best = np.maximum(best, probs[:, k])
+    for k in range(1, len(probs)):
+        above = probs[k] > best  # a later class wins only if strictly more probable
+        flip = hit ^ (y == k)  # where it wins, the hit becomes y == k
+        flip &= above
+        hit ^= flip
+        if k < len(probs) - 1:
+            best = np.maximum(best, probs[k])
     return hit
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    """Softmax over axis -2, the class axis of the (..., c, B) layout."""
-    out = logits - _reduce_units(np.maximum, logits)[..., None, :]
+    """Softmax over axis 0, the class axis of the (c, ..., B) layout. numpy
+    reduces an axis that is not innermost as a left fold over whole slices,
+    so each column of a stack has the bits of the same column alone."""
+    out = logits - np.maximum.reduce(logits)
     np.exp(out, out=out)
-    out /= _reduce_units(np.add, out)[..., None, :]
+    out /= np.add.reduce(out)
     return out
 
 
 def _dense(W: np.ndarray, inputs: np.ndarray) -> np.ndarray:
     """W @ inputs for weights (n, k) or a stack (R, n, k): inputs (k, B)
-    shared by every run, or (R, k, B) per run, give (n, B) or (R, n, B)."""
+    shared by every run, or (k, R, B) per run, give (n, B) or (n, R, B)."""
     if inputs.ndim == 2:  # shared inputs: one matrix product over every run's rows
         # (a copy of the weights when R > 1); from two examples on, OpenBLAS
         # rounds a run's logits the same wherever the run sits in the stack
+        if W.ndim == 3:
+            W = W.transpose(1, 0, 2)
         return (W.reshape(-1, W.shape[-1]) @ inputs).reshape(*W.shape[:-1], -1)
-    return W @ inputs
+    # one product per run; the copy to unit-major is free for a lone run
+    return np.ascontiguousarray((W @ inputs.transpose(1, 0, 2)).transpose(1, 0, 2))
 
 
 def _forward_batch(spec: ModelSpec, params: tuple, XT: np.ndarray):
     """Returns (probs, hidden activations or None) for the layer views
     ``params`` of ``_unpack`` and the batch's inputs as columns, XT (d, B):
-    (c, B) and (h, B) for one parameter vector, (R, c, B) and (R, h, B)
-    for a stack of R."""
+    (c, B) and (h, B) for one parameter vector, (c, R, B) and (h, R, B)
+    for a stack of R: units first, then runs, with the examples last. A
+    bias (n,) or stack of them (R, n) is added as b.T[..., None], (n, 1) or
+    (n, R, 1)."""
     if spec.hidden_dim == 0:
         W, b = params
         logits = _dense(W, XT)
-        logits += b[..., None]
+        logits += b.T[..., None]
         return _softmax(logits), None
     W1, b1, W2, b2 = params
     A = _dense(W1, XT)
-    A += b1[..., None]
+    A += b1.T[..., None]
     np.tanh(A, out=A)
     logits = _dense(W2, A)
-    logits += b2[..., None]
+    logits += b2.T[..., None]
     return _softmax(logits), A
 
 
@@ -286,15 +293,17 @@ def _backward(spec: ModelSpec, params: tuple, XT: np.ndarray, Y: np.ndarray):
     derivative at the layer's output (delta = dloss/dlogits = probs - Y,
     dZ = dloss/d(hidden pre-activation)) and a is the layer's input (A =
     hidden activations). ``params`` are ``_unpack``'s layer views and shapes
-    follow ``_forward_batch``: examples on the last axis, units before them.
+    follow ``_forward_batch``: units first, examples last, (n, B) for one
+    parameter vector and (n, R, B) for a stack of R.
     A layer's parameters are its row-major weights, then its bias, and its
     per-example gradient is outer(d, [a; 1]): weights outer(d, a), bias d.
     """
     probs, A = _forward_batch(spec, params, XT)
-    delta = probs - Y  # p - 1.0 and p - 0.0: the bits of p_y - 1 and p
+    delta = probs - (Y if probs.ndim == 2 else Y[:, None])  # the bits of p_y - 1 and p
     if spec.hidden_dim == 0:
         return probs, [(delta, XT)]
-    dZ = (params[2].swapaxes(-1, -2) @ delta) * (1.0 - A**2)
+    dZ = _dense(params[2].swapaxes(-1, -2), delta)
+    dZ *= 1.0 - A**2
     return probs, [(dZ, XT), (delta, A)]
 
 
@@ -450,8 +459,10 @@ def train_many(
     byte: at theorem1's sizes no row of stacks of 1 to 260 runs differed
     from its lone run, since each run's logits and clipped sums are entries
     of matrix products that this build rounds the same wherever the run
-    sits (a batch of one takes a matrix-vector path that may not); another
-    BLAS may round by position. All runs share the
+    sits. A batch of one may not match: it takes a matrix-vector path, and
+    a lone run's sum over 8 or more units is then numpy's pairwise sum along
+    the innermost axis where a stack's is a left fold. Another BLAS may
+    round by position. All runs share the
     initial parameters and one batch draw per step; a run's excluded
     example is masked out of each batch that holds it and its gradient
     mean divides by the examples it kept. A sigma = 0 run draws no noise.
@@ -462,8 +473,9 @@ def train_many(
     ``_backward`` the gradient is outer(d, [a; 1]), whose norm is
     |d| * sqrt(|a|^2 + 1) (Goodfellow 2015, arXiv 1510.01799), so the clip
     factors come from per-unit sums of squares and the clipped sum of each
-    layer is one matrix product. The examples sit on the last axis, (R, n, B),
-    so those sums and the softmax reduce over axis -2 in a few calls.
+    layer is one matrix product. Activations are unit-major with the
+    examples last, (n, R, B), so those sums and the softmax reduce over
+    axis 0 through contiguous R * B slices, and the parameters stay (R, P).
     Each step does only the work that updates the parameters: the batches,
     keep masks and noise of DRAW_BLOCK steps are drawn and gathered at the
     block's first step, in the order one draw per step would take them, and
@@ -510,19 +522,22 @@ def train_many(
     # the first layer's input is the batch itself, so its per-example |x|^2 + 1
     # (the bias column) is one table over the dataset
     features_T = np.ascontiguousarray(dataset.features.T)  # C order: the reduction folds left
-    input_factor = _reduce_units(np.add, features_T * features_T) + 1.0
+    input_factor = np.add.reduce(features_T * features_T) + 1.0
     # the rows with a ones column: the first layer's clipped weight and bias
     # sums are one product
     features_1 = np.hstack([dataset.features, np.ones((N, 1))])
     one_hot = np.eye(spec.num_classes)
-    cols = np.arange(B)
+    # the flat index of class 0 for run r and example b of a (c, R, B)
+    # stack; class y adds y * R * B
+    class_0 = np.arange(R * B).reshape(R, B)
 
     state = OptimizerState.init(np.tile(init_theta(spec, seed=config.seed), (R, 1)))
     params = _unpack(spec, state.theta)  # views: optimizer_step updates state.theta in place
-    # the step's clipped sum, written through each layer's weight and bias views
+    # the step's clipped sum, written through each layer's weight and bias
+    # views, unit-major as the activations: (n, R, k) and (n, R)
     grad = np.empty((R, P))
     grad_views = _unpack(spec, grad)
-    grad_layers = list(zip(grad_views[::2], grad_views[1::2]))
+    grad_layers = [(w.transpose(1, 0, 2), b.T) for w, b in zip(grad_views[::2], grad_views[1::2])]
     lrs = [lr_at(step, config) for step in range(1, T + 1)]
     losses = np.empty((T, R))
     accuracies = np.empty((T, R))
@@ -537,6 +552,7 @@ def train_many(
             idx = np.stack([batch_rng.choice(N, size=B, replace=False) for _ in range(n)])
             X1_block = features_1[idx]  # (n, B, d + 1)
             y_block = dataset.labels[idx]
+            label_offset_block = y_block * (R * B)  # (n, B)
             Y_block = one_hot[:, y_block].transpose(1, 0, 2).copy()  # (n, c, B)
             keep_block = idx[:, None, :] != excluded[:, None]  # (n, R, B)
             count_block = keep_block.sum(axis=2)
@@ -554,34 +570,35 @@ def train_many(
         keep, count = keep_block[j], count_block[j]
         X1 = X1_block[j]
         probs, layers = _backward(spec, params, X1[:, :-1].T, Y_block[j])
-        y = y_block[j]
-        p_true = probs[:, y, cols]  # each example's probability of its label
-        p_true_block[j] = p_true
-        hit_block[j] = _hits(probs, y)
+        p_true = p_true_block[j]  # each example's probability of its label
+        probs.take(label_offset_block[j] + class_0, out=p_true, mode="wrap")  # in range: no check
+        hit_block[j] = _hits(probs, y_block[j])
 
-        # (R, B) squared norms; deeper layers' inputs are per run
+        # (R, B) squared norms, each a fold over the unit slices; deeper
+        # layers' inputs are per run
         (d, _), *deeper = layers
-        norm_sq = _reduce_units(np.add, d * d)
+        norm_sq = np.add.reduce(d * d)
         norm_sq *= factor_block[j]
         for d, a in deeper:
-            a_sq = _reduce_units(np.add, a * a)
+            a_sq = np.add.reduce(a * a)
             a_sq += 1.0
-            d_sq = _reduce_units(np.add, d * d)
+            d_sq = np.add.reduce(d * d)
             d_sq *= a_sq
             norm_sq += d_sq
         np.sqrt(norm_sq, out=norm_sq)
         scale = C / np.maximum(norm_sq, C)
         scale *= keep
         for (d, a), (weights, bias) in zip(layers, grad_layers):
-            clipped = d * scale[:, None, :]
+            clipped = d * scale  # (n, R, B)
             if a.ndim == 2:  # the shared batch: one product over every run's rows
-                # (d + 1, R * n); in this orientation OpenBLAS rounds a run's
+                # (d + 1, n * R); in this orientation OpenBLAS rounds a run's
                 # entries the same wherever the run sits in the stack
                 sums = X1.T @ clipped.reshape(-1, B).T
                 weights[...] = sums[:-1].T.reshape(weights.shape)
                 bias[...] = sums[-1].reshape(bias.shape)
             else:
-                np.matmul(clipped, a.swapaxes(1, 2), out=weights)
+                np.matmul(clipped.transpose(1, 0, 2), a.transpose(1, 2, 0),
+                          out=weights.transpose(1, 0, 2))
                 clipped.sum(axis=2, out=bias)
         if shared:
             grad[noised] += noise_scale * noise[stream_of, j]
@@ -642,6 +659,12 @@ def evaluate(
 
 
 def write_checkpoint(path: Path | str, ckpt: Checkpoint) -> None:
+    """Writes ``ckpt`` as CKPT1; a step or parameter count outside u32 raises
+    FormatError before the file is opened."""
+    if not (_is_int(ckpt.step) and 0 <= ckpt.step <= U32_MAX):
+        raise FormatError(f"checkpoint step {ckpt.step!r} does not fit CKPT1's u32 field")
+    if np.size(ckpt.theta) > U32_MAX:
+        raise FormatError(f"{np.size(ckpt.theta)} parameters do not fit CKPT1's u32 count")
     theta = np.ascontiguousarray(ckpt.theta, dtype=np.float64)
     with open(path, "wb") as fh:
         fh.write(CKPT_MAGIC)

@@ -292,8 +292,9 @@ class TestTrainCommand:
         dict(noise_multiplier="nan"),
         dict(delta=7.0),
         dict(target_epsilon="nan"),
+        dict(total_steps=4294967296),  # one past CKPT1's u32 step
     ], ids=["checkpoint_interval_0", "num_classes_below_labels", "noise_multiplier_nan",
-            "delta_7", "target_epsilon_nan"])
+            "delta_7", "target_epsilon_nan", "total_steps_2_32"])
     def test_malformed_config_exits_2(self, synth_dir, tmp_path, capsys, overrides):
         capsys.readouterr()
         code, out = self.run_train(synth_dir, tmp_path, **overrides)

@@ -394,7 +394,7 @@ class TestInfU:
         assert profile.infu == pytest.approx(infu_from_scores(profile.scores), abs=0)
 
     def test_softmax_is_shift_invariant_and_normalized(self):
-        """The softmax runs over axis -2: each column of (classes, examples)."""
+        """The softmax runs over axis 0: each column of (classes, examples)."""
         s = np.array([[1.0, 3.0], [-2.0, 0.0], [0.5, 0.0]])
         p = _softmax(s)
         np.testing.assert_allclose(p.sum(axis=0), 1.0, atol=1e-12)

@@ -43,7 +43,6 @@ from mlpriv.trainer import (
     write_checkpoint,
     FOLD_RUNS,
     _hits,
-    _reduce_units,
     _softmax,
 )
 
@@ -652,50 +651,60 @@ class TestDrawBlocks:
 
 
 class TestClassAxisFold:
-    """The step's unit-axis reductions (axis -2 of the (R, n, B) layout) fold
-    slices left to right from FOLD_RUNS stacked runs on. numpy reduces a
-    non-last axis in that order whatever its length, so the bytes do not
-    change: 1 and 8 runs take numpy's reduce, 190 the fold."""
+    """The step's unit-axis reductions run over axis 0 of the unit-major
+    (n, R, B) layout. numpy reduces an axis that is not innermost in memory
+    as a left fold over whole slices, so each run of a stack gets the bytes
+    it gets alone, at 1, 8 and 190 runs."""
 
     @pytest.mark.parametrize("dim", [3, 8, 11])
     @pytest.mark.parametrize("examples", [16, 200])
     def test_input_table_gathered_by_row_matches_batch_reduce(self, examples, dim):
         """train_many's per-example |x|^2 comes from one (N,) table over the
         dataset's columns; gathered by example it has the bytes of the batch's
-        own reduce, and of every row of a stack that takes the fold."""
+        own reduce, and of every run's row of a (d, R, B) stack's reduce."""
         rng = np.random.default_rng(examples + dim)
         F = rng.standard_normal((examples, dim)) * 10.0 ** rng.uniform(-6, 6, (examples, dim))
         FT = np.ascontiguousarray(F.T)
-        table = _reduce_units(np.add, FT * FT)
+        table = (FT * FT).sum(axis=0)
         for batch in (1, 5, 16, 150):
             idx = rng.choice(examples, size=min(batch, examples), replace=False)
             XT = np.ascontiguousarray(FT[:, idx])  # the block stage's C-order copy
-            assert table[idx].tobytes() == _reduce_units(np.add, XT * XT).tobytes()
-            stack = np.repeat((XT * XT)[None], FOLD_RUNS, axis=0)
-            assert _reduce_units(np.add, stack).tobytes() == np.tile(table[idx], (FOLD_RUNS, 1)).tobytes()
+            assert table[idx].tobytes() == (XT * XT).sum(axis=0).tobytes()
+            stack = np.repeat((XT * XT)[:, None], 190, axis=1)
+            assert stack.sum(axis=0).tobytes() == np.tile(table[idx], (190, 1)).tobytes()
 
     @pytest.mark.parametrize("classes", [1, 3, 7, 9, 13])
     @pytest.mark.parametrize("runs", [1, 8, 190])
     def test_fold_matches_numpy_reductions(self, runs, classes):
+        """numpy's reduce over axis 0 is the left fold over slices, and a stack's
+        max, sum and softmax give each run the bytes it gets alone."""
         rng = np.random.default_rng(runs * 10 + classes)
-        shape = (runs, classes, 16)
+        shape = (classes, runs, 16)
         a = rng.standard_normal(shape) * 10.0 ** rng.uniform(-6, 6, shape)
-        assert _reduce_units(np.maximum, a).tobytes() == np.maximum.reduce(a, axis=-2).tobytes()
-        assert _reduce_units(np.add, a).tobytes() == np.add.reduce(a, axis=-2).tobytes()
-        exp = np.exp(a - a.max(axis=-2, keepdims=True))
-        assert _softmax(a).tobytes() == (exp / exp.sum(axis=-2, keepdims=True)).tobytes()
+        fold = a[0]
+        for k in range(1, classes):
+            fold = fold + a[k]
+        assert a.sum(axis=0).tobytes() == fold.tobytes()
+        probs = _softmax(a)
+        for r in range(runs):
+            lone = np.ascontiguousarray(a[:, r])
+            assert a.max(axis=0)[r].tobytes() == lone.max(axis=0).tobytes()
+            assert a.sum(axis=0)[r].tobytes() == lone.sum(axis=0).tobytes()
+            exp = np.exp(lone - lone.max(axis=0))
+            assert probs[:, r].tobytes() == (exp / exp.sum(axis=0)).tobytes()
+            assert probs[:, r].tobytes() == _softmax(lone).tobytes()
 
     @pytest.mark.parametrize("classes", [1, 2, 3, 7])
-    @pytest.mark.parametrize("runs", [1, 8, 190])
+    @pytest.mark.parametrize("runs", [1, 8, FOLD_RUNS - 1, FOLD_RUNS, 190])
     def test_hits_follow_argmax_ties(self, runs, classes):
         """A hit is argmax == label, the lowest index winning ties, also where
         the fold computes it; probabilities drawn from {0, 1/4, 1/2} tie often."""
         rng = np.random.default_rng(runs + classes)
-        probs = rng.integers(0, 3, (runs, classes, 16)) / 4.0
+        probs = rng.integers(0, 3, (classes, runs, 16)) / 4.0
         y = rng.integers(0, classes, 16)
         hits = _hits(probs, y)
         assert hits.shape == (runs, 16)
-        np.testing.assert_array_equal(hits, probs.argmax(axis=1) == y)
+        np.testing.assert_array_equal(hits, probs.argmax(axis=0) == y)
 
 
 class TestEvaluate:
@@ -744,6 +753,15 @@ class TestCkpt1Format:
         path.write_bytes(path.read_bytes()[:-4])
         with pytest.raises(FormatError):
             read_checkpoint(path)
+
+    @pytest.mark.parametrize("step", [2**32, -1, 2.0, True])
+    def test_step_outside_u32_raises_format_error_before_writing(self, tmp_path, step):
+        path = tmp_path / "c.ckpt"
+        with pytest.raises(FormatError, match="does not fit CKPT1's u32 field"):
+            write_checkpoint(path, Checkpoint(step=step, theta=np.zeros(3), eta=0.1))
+        assert not path.exists()
+        write_checkpoint(path, Checkpoint(step=2**32 - 1, theta=np.zeros(3), eta=0.1))
+        assert read_checkpoint(path).step == 2**32 - 1
 
     @settings(max_examples=20, deadline=None)
     @given(n=st.integers(1, 64), seed=st.integers(0, 2**31 - 1), step=st.integers(0, 10**6))
@@ -805,6 +823,24 @@ class TestValidation:
     def test_bad_seed_rejected(self, bad):
         with pytest.raises(InvalidConfigError, match="^seed must be a nonnegative integer"):
             TrainConfig(base_lr=0.1, total_steps=10, batch_size=2, seed=bad)
+
+    @pytest.mark.parametrize("field, value", [
+        ("total_steps", 2**32), ("total_steps", 2.5), ("total_steps", 10.0), ("total_steps", True),
+        ("total_steps", "10"), ("batch_size", 1.5), ("batch_size", np.float64(2.0)),
+        ("warmup_steps", 1.0), ("warmup_steps", None), ("checkpoint_interval", 2.0),
+        ("checkpoint_interval", False),
+    ])
+    def test_count_that_is_not_an_integer_in_range_rejected(self, field, value):
+        """Checked when the config is made, before train_many sizes its arrays
+        by total_steps; a checkpoint stores its step as u32."""
+        fields = dict(base_lr=0.1, total_steps=10, batch_size=2, seed=0, warmup_steps=0)
+        with pytest.raises(InvalidConfigError, match=f"^{field} must be"):
+            TrainConfig(**fields | {field: value})
+
+    def test_integer_counts_accepted_up_to_u32(self):
+        cfg = TrainConfig(base_lr=0.1, total_steps=2**32 - 1, batch_size=np.int64(2), seed=0,
+                          warmup_steps=np.uint8(3), checkpoint_interval=np.int32(5))
+        assert cfg.total_steps == 2**32 - 1 and cfg.batch_size == 2
 
     @pytest.mark.parametrize("field, value", [
         ("delta", 7.0), ("delta", 0.0), ("delta", 1.0), ("delta", math.nan),

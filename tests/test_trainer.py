@@ -2,6 +2,7 @@
 schedules, the full loop, and the CKPT1 checkpoint format."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -58,6 +59,12 @@ def make_dataset(n=24, d=3, c=3, seed=0, languages=("en", "fr")):
     labels = rng.integers(0, c, size=n)
     tags = tuple(languages[i % len(languages)] for i in range(n))
     return LabeledDataset(features=features, labels=labels, languages=tags)
+
+
+def digest(row):
+    """Every output of a TrainResult, as bytes where it is an array."""
+    return (row.theta.tobytes(), [(c.step, c.eta, c.theta.tobytes()) for c in row.checkpoints],
+            row.lrs, row.losses.tobytes(), row.accuracies.tobytes(), row.sigma)
 
 
 class TestForwardLoss:
@@ -476,7 +483,7 @@ class TestTrainMany:
         with pytest.raises(InvalidConfigError, match="per-run noise_seed must be a nonnegative integer"):
             train_many(dataset, ModelSpec(3, 0, 3), cfg, [(None, 4), (None, bad, 1.0)])
 
-    @pytest.mark.parametrize("bad", [-0.5, math.nan, math.inf, "1"])
+    @pytest.mark.parametrize("bad", [-0.5, math.nan, math.inf, "1", True, False, np.True_])
     def test_bad_per_run_sigma_is_typed_error(self, bad):
         dataset = make_dataset(n=12)
         cfg = TrainConfig(base_lr=0.1, total_steps=20, batch_size=4, seed=0, warmup_steps=0)
@@ -587,6 +594,94 @@ class TestTrainMany:
             assert row.sigma == alone.sigma
 
 
+class TestNoiseTable:
+    """Each block's normals are scaled once per distinct (noise seed,
+    sigma * C) pair; a step adds each noised run's pair row to its gradient
+    row, through a slice when the noised rows are contiguous, else through
+    their index. Every row must keep the bytes of its lone run."""
+
+    @pytest.mark.parametrize("hidden", [0, 4], ids=["linear", "tanh"])
+    def test_contiguous_and_interleaved_noised_rows_match_lone_runs(self, hidden):
+        dataset = make_dataset(n=16, seed=7)
+        model = ModelSpec(input_dim=3, hidden_dim=hidden, num_classes=3)
+        cfg = TrainConfig(base_lr=0.1, total_steps=40, batch_size=5, seed=8, warmup_steps=5,
+                          clip_threshold=0.5, noise_multiplier=1.0, checkpoint_interval=10)
+        quiet = [(None, None, 0.0), (3, 4, 0.0)]
+        noisy = [(None, 4, 0.5), (3, 4, 2.0), (5, None), (None, 9, 0.5)]
+        lone = {v: digest(train_many(dataset, model, cfg, [v])[0]) for v in quiet + noisy}
+        contiguous = quiet + noisy
+        interleaved = [noisy[0], quiet[0], noisy[1], noisy[2], quiet[1], noisy[3]]
+        for variants in (contiguous, interleaved):
+            rows = train_many(dataset, model, cfg, variants)
+            assert [digest(row) for row in rows] == [lone[v] for v in variants]
+
+    @pytest.mark.parametrize("optimizer", ["sgd", "adamw"])
+    def test_a_seed_at_two_sigmas_and_a_repeated_pair_across_a_block_edge(self, optimizer):
+        dataset = make_dataset(n=16, seed=9)
+        model = ModelSpec(input_dim=3, hidden_dim=4, num_classes=3)
+        cfg = TrainConfig(base_lr=0.1, total_steps=DRAW_BLOCK + 1, batch_size=5, seed=10,
+                          warmup_steps=3, clip_threshold=0.5, noise_multiplier=2.0,
+                          optimizer=optimizer, checkpoint_interval=8)
+        variants = [(None, 3, 0.5), (2, 3, 2.0), (4, 3, 0.5), (None, 3, 0.5), (6, None),
+                    (None, None, 0.5), (None, 3)]
+        rows = [digest(row) for row in train_many(dataset, model, cfg, variants)]
+        for variant, row in zip(variants, rows):
+            assert row == digest(train_many(dataset, model, cfg, [variant])[0])
+        assert rows[0] == rows[3]  # one (seed, sigma) pair, one exclusion: one run
+        assert rows[3] != rows[6]  # the same seed at another sigma
+        assert rows[0][0] != rows[2][0]  # the same pair, another exclusion
+
+    def test_kept_counts_follow_the_excluded_example(self):
+        """A run whose excluded example is never drawn is the full-data run;
+        one whose excluded example is first drawn at step s matches it before
+        s and averages over the other B - 1 examples at s."""
+        dataset = make_dataset(n=64, seed=12)
+        model = ModelSpec(input_dim=3, hidden_dim=0, num_classes=3)
+        cfg = TrainConfig(base_lr=0.1, total_steps=DRAW_BLOCK + 8, batch_size=3, seed=13,
+                          warmup_steps=2, clip_threshold=0.5, checkpoint_interval=1)
+        B = cfg.batch_size
+        first = first_draws(cfg, len(dataset), cfg.total_steps)
+        never = min(set(range(len(dataset))) - set(first))
+        drawn, step = next((i, s) for i, s in sorted(first.items()) if s > DRAW_BLOCK)
+        full, skipped, dropped = train_many(dataset, model, cfg, [(None,), (never,), (drawn,)])
+        assert digest(skipped) == digest(full)
+        k = step - 1
+        assert dropped.losses[:k].tobytes() == full.losses[:k].tobytes()
+        assert dropped.accuracies[:k].tobytes() == full.accuracies[:k].tobytes()
+        theta = full.checkpoints[k - 1].theta  # the parameters both runs bring to step s
+        loss, probs = forward_loss(model, theta, dataset.features[drawn], int(dataset.labels[drawn]))
+        hit = int(np.argmax(probs) == dataset.labels[drawn])
+        np.testing.assert_allclose(dropped.losses[k], (B * full.losses[k] - loss) / (B - 1),
+                                   rtol=0, atol=1e-12)
+        assert dropped.accuracies[k] == (round(B * full.accuracies[k]) - hit) / (B - 1)
+
+
+class TestWorkingMemory:
+    def test_traced_peak_at_theorem1_leave_one_out_shape(self):
+        """The traced allocation peak of one train_many call at theorem1's
+        leave-one-out shape: 189 runs (9 noiseless, then 2 sigmas x 9
+        exclusions x 10 noise seeds), 300 steps of 16 examples, a linear
+        model with d = 8 and c = 3. It read 3.08 MB with numpy 2.4 on
+        CPython 3.11. The bound sits half a (32, R, B) int64 index table
+        (0.39 MB) above that, room for other numpy builds' temporaries,
+        while one more such table per block (0.77 MB) still trips it."""
+        dataset = make_dataset(n=64, d=8, seed=0)
+        model = ModelSpec(input_dim=8, hidden_dim=0, num_classes=3)
+        cfg = TrainConfig(base_lr=0.05, total_steps=300, batch_size=16, seed=0)
+        exclusions = [None, *range(8)]
+        variants = [(e, None, 0.0) for e in exclusions]
+        variants += [(e, ns, s) for s in (0.5, 2.0) for e in exclusions for ns in range(10)]
+        tracemalloc.start()
+        try:
+            rows = train_many(dataset, model, cfg, variants)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 189
+        index_table = DRAW_BLOCK * 189 * 16 * np.dtype(np.intp).itemsize
+        assert peak < 3.08e6 + index_table / 2
+
+
 def first_draws(config, examples, steps):
     """Step (1-based) at which each example is first drawn into a batch, from
     the batch stream train_many reads; examples never drawn are absent."""
@@ -612,11 +707,6 @@ class TestDrawBlocks:
         cfg = TrainConfig(base_lr=0.1, total_steps=steps, batch_size=5, seed=3, warmup_steps=0,
                           clip_threshold=0.5, noise_multiplier=1.0, checkpoint_interval=1)
         variants = [(2, 7), (None, None, 0.5), (None, 7, 0.0)][:runs]
-
-        def digest(row):
-            return (row.theta.tobytes(), [(c.step, c.eta, c.theta.tobytes()) for c in row.checkpoints],
-                    row.lrs, row.losses.tobytes(), row.accuracies.tobytes(), row.sigma)
-
         rows = [digest(row) for row in train_many(dataset, model, cfg, variants)]
         assert rows == [digest(row) for row in train_many(dataset, model, cfg, variants)]
         for variant, row in zip(variants, rows):
@@ -818,6 +908,22 @@ class TestValidation:
         fields = dict(base_lr=0.1, total_steps=10, batch_size=2, seed=0) | {field: value}
         with pytest.raises(InvalidConfigError, match=f"^{field} must be finite"):
             TrainConfig(**fields)
+
+    @pytest.mark.parametrize("value", [True, False, np.True_, "0.5"])
+    @pytest.mark.parametrize("field", ["base_lr", "clip_threshold", "noise_multiplier",
+                                       "weight_decay", "delta", "target_epsilon"])
+    def test_config_float_that_is_not_a_number_rejected(self, field, value):
+        """A bool is not a sigma: True would train at sigma = 1 and report
+        sigma is True."""
+        fields = dict(base_lr=0.1, total_steps=10, batch_size=2, seed=0, warmup_steps=0)
+        with pytest.raises(InvalidConfigError, match=f"^{field} must be a real number"):
+            TrainConfig(**fields | {field: value})
+
+    def test_integer_and_numpy_floats_accepted(self):
+        cfg = TrainConfig(base_lr=np.float32(0.5), total_steps=10, batch_size=2, seed=0,
+                          warmup_steps=0, clip_threshold=1, noise_multiplier=np.int64(2),
+                          weight_decay=0, delta=np.float64(1e-5), target_epsilon=4)
+        assert (cfg.clip_threshold, cfg.noise_multiplier, cfg.target_epsilon) == (1, 2, 4)
 
     @pytest.mark.parametrize("bad", [-1, 1.5, "3", True, None, np.float64(2.0)])
     def test_bad_seed_rejected(self, bad):

@@ -72,8 +72,9 @@ def _parse_value(raw: str, target_type):
 
 
 def read_config(path: Path | str, schema: dict[str, type]) -> dict:
-    """Parse a flat key = value config file against a typed key schema."""
+    """Parse a flat key = value config file, each key set once, against a typed key schema."""
     values: dict = {}
+    set_on: dict[str, int] = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -84,6 +85,9 @@ def read_config(path: Path | str, schema: dict[str, type]) -> dict:
         key = key.strip()
         if key not in schema:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in set_on:
+            raise ConfigError(f"{path}:{lineno}: {key!r} is already set on line {set_on[key]}")
+        set_on[key] = lineno
         try:
             values[key] = _parse_value(value, schema[key])
         except (ValueError, ConfigError) as exc:

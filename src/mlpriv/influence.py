@@ -37,7 +37,7 @@ from .trainer import (
     train_many,
     _backward,
     _check_labels,
-    _forward_batch,
+    _forward_one,
     _softmax,
     _unpack,
 )
@@ -108,9 +108,7 @@ def _tracin_gram(X: np.ndarray, y: np.ndarray, cks: CheckpointSet, spec: ModelSp
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 3 or X.shape[2] != spec.input_dim:
         raise ShapeMismatchError(f"inputs have {X.shape}, expected (G, L, {spec.input_dim})")
-    if np.shape(y) != X.shape[:2]:
-        raise ShapeMismatchError(f"labels have {np.shape(y)}, expected {X.shape[:2]}")
-    y = _check_labels(y, spec)
+    y = _check_labels(y, spec, X.shape[:2])
     G, L = y.shape
 
     def gram(V: np.ndarray) -> np.ndarray:
@@ -127,12 +125,12 @@ def _tracin_gram(X: np.ndarray, y: np.ndarray, cks: CheckpointSet, spec: ModelSp
 
 
 def _stack(examples: list[Example], spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Examples (x, y) as one group: inputs (1, n, input_dim), labels (1, n)."""
+    """Examples (x, y) as one group, once checked: inputs (1, n, input_dim), labels (1, n)."""
     xs = [np.asarray(x, dtype=np.float64) for x, _ in examples]
     bad = [x.shape for x in xs if x.shape != (spec.input_dim,)]
     if bad:
         raise ShapeMismatchError(f"x has {bad[0]}, expected ({spec.input_dim},)")
-    return np.stack(xs)[None], np.array([y for _, y in examples])[None]
+    return np.stack(xs)[None], _check_labels([[y for _, y in examples]], spec, (1, len(xs)))
 
 
 def infu_from_scores(scores: np.ndarray) -> float:
@@ -205,9 +203,8 @@ def _tuple_shape(dataset: LabeledDataset) -> tuple[int, int]:
 def event_probability(
     theta: np.ndarray, spec: ModelSpec, eval_point: np.ndarray, event_class: int
 ) -> float:
-    x = np.asarray(eval_point, dtype=np.float64)[:, None]
-    probs, _ = _forward_batch(spec, _unpack(spec, theta), x)
-    return float(probs[event_class, 0])
+    X, _ = _stack([(eval_point, event_class)], spec)
+    return float(_forward_one(spec, theta, X[0, 0][:, None])[event_class, 0])
 
 
 def loo_probabilities(
@@ -230,8 +227,10 @@ def loo_probabilities(
     sizes = [len(group) for group in groups]
     if not all(sizes):
         raise InvalidConfigError("every group needs at least one variant")
+    X, _ = _stack([(eval_point, event_class)], spec)  # checked before any retrain
     runs = train_many(dataset, spec, config, [v for group in groups for v in group])
-    probs = np.array([event_probability(run.theta, spec, eval_point, event_class) for run in runs])
+    x = X[0, 0][:, None]  # each run's readout is event_probability's
+    probs = np.array([_forward_one(spec, run.theta, x)[event_class, 0] for run in runs])
     return np.array([chunk.mean() for chunk in np.split(probs, np.cumsum(sizes)[:-1])])
 
 

@@ -211,24 +211,16 @@ def init_theta(spec: ModelSpec, seed: int = 0) -> np.ndarray:
 
 
 def _unpack(spec: ModelSpec, theta: np.ndarray):
-    """Layer views of one flat parameter vector (P,) or of a stack (R, P)."""
+    """Layer views of a parameter stack (R, P): weights (R, n, k), then bias (R, n), per layer."""
     d, h, c = spec.input_dim, spec.hidden_dim, spec.num_classes
     theta = np.asarray(theta, dtype=np.float64)
-    if theta.ndim not in (1, 2) or theta.shape[-1] != spec.num_params:
-        raise ShapeMismatchError(
-            f"theta has {theta.shape}, spec needs ({spec.num_params},)"
-        )
-    lead = theta.shape[:-1]
-    if h == 0:
-        W = theta[..., : c * d].reshape(*lead, c, d)
-        b = theta[..., c * d :]
-        return W, b
-    o = 0
-    W1 = theta[..., o : o + h * d].reshape(*lead, h, d); o += h * d
-    b1 = theta[..., o : o + h]; o += h
-    W2 = theta[..., o : o + c * h].reshape(*lead, c, h); o += c * h
-    b2 = theta[..., o:]
-    return W1, b1, W2, b2
+    if theta.ndim != 2 or theta.shape[1] != spec.num_params:
+        raise ShapeMismatchError(f"theta has {theta.shape}, spec needs (R, {spec.num_params})")
+    views, o = [], 0
+    for n, k in [(c, d)] if h == 0 else [(h, d), (c, h)]:
+        views += [theta[:, o : o + n * k].reshape(-1, n, k), theta[:, o + n * k : o + n * k + n]]
+        o += n * k + n
+    return tuple(views)
 
 
 def _hits(probs: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -262,14 +254,12 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def _dense(W: np.ndarray, inputs: np.ndarray) -> np.ndarray:
-    """W @ inputs for weights (n, k) or a stack (R, n, k): inputs (k, B)
-    shared by every run, or (k, R, B) per run, give (n, B) or (n, R, B)."""
+    """W @ inputs for a stack of weights (R, n, k): inputs (k, B) shared by
+    every run, or (k, R, B) per run, give (n, R, B)."""
     if inputs.ndim == 2:  # shared inputs: one matrix product over every run's rows
         # (a copy of the weights when R > 1); from two examples on, OpenBLAS
         # rounds a run's logits the same wherever the run sits in the stack
-        if W.ndim == 3:
-            W = W.transpose(1, 0, 2)
-        return (W.reshape(-1, W.shape[-1]) @ inputs).reshape(*W.shape[:-1], -1)
+        return (W.transpose(1, 0, 2).reshape(-1, W.shape[2]) @ inputs).reshape(W.shape[1], len(W), -1)
     # one product per run; the copy to unit-major is free for a lone run
     return np.ascontiguousarray((W @ inputs.transpose(1, 0, 2)).transpose(1, 0, 2))
 
@@ -277,22 +267,24 @@ def _dense(W: np.ndarray, inputs: np.ndarray) -> np.ndarray:
 def _forward_batch(spec: ModelSpec, params: tuple, XT: np.ndarray):
     """Returns (probs, hidden activations or None) for the layer views
     ``params`` of ``_unpack`` and the batch's inputs as columns, XT (d, B):
-    (c, B) and (h, B) for one parameter vector, (c, R, B) and (h, R, B)
-    for a stack of R: units first, then runs, with the examples last. A
-    bias (n,) or stack of them (R, n) is added as b.T[..., None], (n, 1) or
-    (n, R, 1)."""
-    if spec.hidden_dim == 0:
-        W, b = params
-        logits = _dense(W, XT)
-        logits += b.T[..., None]
-        return _softmax(logits), None
-    W1, b1, W2, b2 = params
-    A = _dense(W1, XT)
-    A += b1.T[..., None]
-    np.tanh(A, out=A)
-    logits = _dense(W2, A)
-    logits += b2.T[..., None]
+    (c, R, B) and (h, R, B), units first, then runs, then examples. A bias
+    stack (R, n) is added as b.T[..., None], (n, R, 1)."""
+    A = None
+    if spec.hidden_dim:
+        A = _dense(params[0], XT)
+        A += params[1].T[..., None]
+        np.tanh(A, out=A)
+    logits = _dense(params[-2], XT if A is None else A)
+    logits += params[-1].T[..., None]
     return _softmax(logits), A
+
+
+def _forward_one(spec: ModelSpec, theta: np.ndarray, XT: np.ndarray) -> np.ndarray:
+    """Class probabilities (c, B) of one parameter vector (P,), as a stack of one."""
+    theta = np.asarray(theta, dtype=np.float64)
+    if theta.shape != (spec.num_params,):
+        raise ShapeMismatchError(f"theta has {theta.shape}, spec needs ({spec.num_params},)")
+    return _forward_batch(spec, _unpack(spec, theta[None]), XT)[0][:, 0]
 
 
 def _backward(spec: ModelSpec, params: tuple, XT: np.ndarray, Y: np.ndarray):
@@ -304,13 +296,12 @@ def _backward(spec: ModelSpec, params: tuple, XT: np.ndarray, Y: np.ndarray):
     derivative at the layer's output (delta = dloss/dlogits = probs - Y,
     dZ = dloss/d(hidden pre-activation)) and a is the layer's input (A =
     hidden activations). ``params`` are ``_unpack``'s layer views and shapes
-    follow ``_forward_batch``: units first, examples last, (n, B) for one
-    parameter vector and (n, R, B) for a stack of R.
+    follow ``_forward_batch``, (n, R, B) for a stack of R.
     A layer's parameters are its row-major weights, then its bias, and its
     per-example gradient is outer(d, [a; 1]): weights outer(d, a), bias d.
     """
     probs, A = _forward_batch(spec, params, XT)
-    delta = probs - (Y if probs.ndim == 2 else Y[:, None])  # the bits of p_y - 1 and p
+    delta = probs - Y[:, None]  # the bits of p_y - 1 and p
     if spec.hidden_dim == 0:
         return probs, [(delta, XT)]
     dZ = _dense(params[2].swapaxes(-1, -2), delta)
@@ -318,9 +309,18 @@ def _backward(spec: ModelSpec, params: tuple, XT: np.ndarray, Y: np.ndarray):
     return probs, [(dZ, XT), (delta, A)]
 
 
-def _check_labels(y, spec: ModelSpec) -> np.ndarray:
-    """Labels as an integer array with every entry in [0, num_classes)."""
+def _check_dataset(dataset: LabeledDataset, spec: ModelSpec) -> np.ndarray:
+    """The dataset's labels, once its rows and labels fit the model."""
+    if spec.input_dim != dataset.features.shape[1]:
+        raise ShapeMismatchError("model input_dim does not match dataset")
+    return _check_labels(dataset.labels, spec, (len(dataset),))
+
+
+def _check_labels(y, spec: ModelSpec, shape: tuple) -> np.ndarray:
+    """Labels of the given shape as an integer array with every entry in [0, num_classes)."""
     y = np.asarray(y)
+    if y.shape != shape:
+        raise ShapeMismatchError(f"labels have {y.shape}, expected {shape}")
     if y.dtype.kind not in "iu":
         raise ShapeMismatchError(f"labels must be integer class indices, got {y.dtype} {y.shape}")
     if y.size and not (0 <= y.min() and y.max() < spec.num_classes):
@@ -451,7 +451,7 @@ def _run_sigmas(variants: list[Variant], config: TrainConfig, dataset_size: int)
     return [sigma if v.noise_multiplier is None else v.noise_multiplier for v in variants]
 
 
-@np.errstate(over="ignore", invalid="ignore")  # divergence is found from theta itself
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")  # failures are found from theta
 def train_many(
     dataset: LabeledDataset,
     spec: ModelSpec,
@@ -496,8 +496,8 @@ def train_many(
     block's first step, in the order one draw per step would take them, and
     the block's losses and accuracies are formed at its last step from the
     probabilities of the labels and the hits its steps stored. A step tests
-    only its parameters for divergence: a nan loss makes them nan at the
-    same step.
+    only its parameters: an empty batch (its mean divides by 0) or a nan
+    loss makes them non-finite at the same step, and is then named.
     """
     variants = [Variant(*v) for v in variants]
     N = len(dataset)
@@ -505,9 +505,7 @@ def train_many(
         raise InvalidConfigError("need at least one variant")
     if config.batch_size > N:
         raise InvalidConfigError(f"batch_size {config.batch_size} exceeds the dataset's {N} examples")
-    if spec.input_dim != dataset.features.shape[1]:
-        raise ShapeMismatchError("model input_dim does not match dataset")
-    _check_labels(dataset.labels, spec)
+    _check_dataset(dataset, spec)
     for v in variants:
         if v.exclude_index is not None and not 0 <= v.exclude_index < N:
             raise ExcludeIndexError(f"exclude_index {v.exclude_index} out of range")
@@ -580,16 +578,10 @@ def train_many(
             keep_block = idx[:, None, :] != excluded[:, None]  # (n, R, B)
             count_block = keep_block.sum(axis=2)
             factor_block = input_factor[idx]
-            full = count_block.all(axis=1)
-            first_empty = int(np.argmin(full)) if not full.all() else DRAW_BLOCK
             for rng, scaled in noise_streams:
                 rng.standard_normal(out=draws[:n])
                 for q, scale in scaled:
                     np.multiply(draws[:n], scale, out=noise[:n, q])
-        if j == first_empty:
-            raise EmptyBatchError(
-                f"step {step}: run {int(np.argmin(count_block[j]))} excludes every example of its batch"
-            )
         keep, count = keep_block[j], count_block[j]
         X1 = X1_block[j]
         probs, layers = _backward(spec, params, X1[:, :-1].T, Y_block[j])
@@ -630,9 +622,13 @@ def train_many(
         eta = lrs[step - 1]
         optimizer_step(state, grad, eta, config)
         if not np.isfinite(state.theta).all():
-            # a nan probability makes both the run's loss and its parameters
-            # nan at this step (the loss itself is at most -log(tiny)), so the
-            # loss needs reading only here, to name the cause
+            # an empty batch divides its clipped sum (0, or noise) by 0, and a nan probability
+            # makes the loss nan (it is at most -log(tiny)): either makes the run's parameters
+            # non-finite at this same step, even where eta = 0, so both are read only here
+            if not count.all():
+                raise EmptyBatchError(
+                    f"step {step}: run {int(np.argmin(count))} excludes every example of its batch"
+                )
             loss = _mean_loss(p_true, keep, count)
             if np.isnan(loss).any():
                 r = int(np.argmax(np.isnan(loss)))
@@ -667,9 +663,9 @@ def evaluate(
     theta: np.ndarray, spec: ModelSpec, dataset: LabeledDataset
 ) -> tuple[float, dict[str, float]]:
     """Accuracy (argmax, lowest index wins ties) and per-language mean loss."""
-    probs, _ = _forward_batch(spec, _unpack(spec, theta), dataset.features.T)
+    labels = _check_dataset(dataset, spec)
+    probs = _forward_one(spec, theta, dataset.features.T)
     preds = probs.argmax(axis=0)
-    labels = dataset.labels
     accuracy = float((preds == labels).mean())
     p_true = np.maximum(probs[labels, np.arange(len(dataset))], np.finfo(np.float64).tiny)
     losses = -np.log(p_true)

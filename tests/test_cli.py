@@ -128,6 +128,37 @@ class TestConfigParsing:
             path.write_text(f"compression = {text}\n")
             assert read_config(path, SYNTH_SCHEMA)["compression"] == math.inf
 
+    def test_repeated_synth_key_exits_2_naming_both_lines(self, tmp_path, capsys):
+        cfg = tmp_path / "synth.cfg"
+        cfg.write_text("num_languages = 2\ntuples = 6\ndim = 3\nseed = 0\n# again\nseed = 5\n")
+        out = tmp_path / "o"
+        capsys.readouterr()
+        assert main(["synth", "--config", str(cfg), "--out", str(out)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {cfg}:6: 'seed' is already set on line 4\n"
+        assert not out.exists()
+
+    def test_repeated_train_key_exits_2_before_the_out_directory(self, synth_dir, tmp_path,
+                                                                 capsys):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("base_lr = 0.1\ntotal_steps = 60\nbatch_size = 4\nseed = 0\n"
+                       "base_lr = 0.2\n")
+        out = tmp_path / "run"
+        capsys.readouterr()
+        code = main(["train", "--config", str(cfg), "--data", str(synth_dir), "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {cfg}:5: 'base_lr' is already set on line 1\n"
+        assert not out.exists()
+
+    def test_repeated_experiment_key_exits_2_naming_both_lines(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("seeds = 0\ntuples = 6\nseeds = 1\n")
+        out = tmp_path / "exp"
+        capsys.readouterr()
+        code = main(["experiment", "theorem1", "--config", str(cfg), "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {cfg}:3: 'seeds' is already set on line 1\n"
+        assert not out.exists()
+
 
 class TestSynthCommand:
     def test_outputs_manifest_and_dataset(self, synth_dir):

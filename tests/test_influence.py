@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from mlpriv import influence
 from mlpriv.cli import EXIT_OK, main
 from mlpriv.errors import (
     CheckpointOrderError,
@@ -19,6 +20,7 @@ from mlpriv.errors import (
 )
 from mlpriv.influence import (
     CheckpointSet,
+    event_probability,
     infu_from_scores,
     influence_profile,
     influence_profiles,
@@ -462,6 +464,31 @@ class TestLooInfluence:
         with pytest.raises(ExcludeIndexError) as info:
             self.loo(two, -1, cfg, np.zeros(2), 0)
         assert isinstance(info.value, MlprivError) and isinstance(info.value, IndexError)
+
+    @pytest.mark.parametrize("point, event_class", [
+        ([0.5, 1.0], -1), ([0.5, 1.0], 2), ([0.5, 1.0], True), ([0.5, 1.0], np.True_),
+        ([0.5, 1.0], 1.0), ([0.5, 1.0], "1"), ([0.5, 1.0], [1]), ([0.5, 1.0, 0.0, 0.0], 0),
+        ([[0.5], [1.0]], 0), (0.5, 0),
+    ], ids=["class_-1", "class_2", "class_True", "class_np_True", "class_float", "class_str",
+            "class_list", "point_4", "point_2x1", "point_scalar"])
+    def test_bad_readout_input_is_typed_error_before_any_retrain(self, monkeypatch, point,
+                                                                 event_class):
+        def no_retrain(*args):
+            raise AssertionError("train_many ran")
+
+        monkeypatch.setattr(influence, "train_many", no_retrain)
+        cfg = TrainConfig(base_lr=0.1, total_steps=10, batch_size=1, seed=0, warmup_steps=0)
+        two = LabeledDataset(features=np.zeros((2, 2)), labels=[0, 1], languages=("en",) * 2)
+        with pytest.raises(ShapeMismatchError):
+            loo_probabilities(two, self.MODEL, cfg, [[Variant()]], point, event_class)
+        with pytest.raises(ShapeMismatchError):
+            event_probability(np.zeros(self.MODEL.num_params), self.MODEL, point, event_class)
+
+    def test_readout_takes_numpy_integers_and_sequences(self):
+        theta = np.random.default_rng(3).standard_normal(self.MODEL.num_params)
+        p = event_probability(theta, self.MODEL, np.array([0.5, 1.0]), 1)
+        assert event_probability(theta, self.MODEL, [0.5, 1.0], np.int64(1)) == p
+        assert event_probability(theta, self.MODEL, (0.5, 1.0), np.uint8(0)) == pytest.approx(1 - p)
 
 
 class TestInterpretabilityMargin:

@@ -2,6 +2,7 @@
 schedules, the full loop, and the CKPT1 checkpoint format."""
 
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -45,6 +46,7 @@ from mlpriv.trainer import (
     FOLD_RUNS,
     _hits,
     _softmax,
+    _unpack,
 )
 
 from per_example import forward_loss, grad
@@ -740,6 +742,67 @@ class TestDrawBlocks:
         assert info.value.step == 2
 
 
+class TestEmptyBatch:
+    """A batch that keeps no example divides its clipped sum, 0 or pure
+    noise, by 0, so the run's parameters turn nan or infinite at that step;
+    the step's one failure check then names the empty batch, with its step,
+    for a lone run and for its row of a stack, and no RuntimeWarning
+    escapes."""
+
+    DATASET = make_dataset(n=40, seed=1)
+    MESSAGE = "^step {step}: run {run} excludes every example of its batch$"
+
+    def first_drawn(self, cfg, in_block):
+        """An example first drawn at a step of the given block, and that step."""
+        first = first_draws(cfg, len(self.DATASET), cfg.total_steps)
+        return next((i, s) for i, s in sorted(first.items())
+                    if in_block * DRAW_BLOCK < s <= (in_block + 1) * DRAW_BLOCK)
+
+    def raises(self, cfg, variants, step, run, hidden=0):
+        with pytest.raises(EmptyBatchError, match=self.MESSAGE.format(step=step, run=run)):
+            train_many(self.DATASET, ModelSpec(3, hidden, 3), cfg, variants)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("hidden", [0, 4], ids=["linear", "tanh"])
+    @pytest.mark.parametrize("optimizer", ["sgd", "adamw"])
+    def test_noisy_empty_batch_is_named_at_its_step(self, optimizer, hidden):
+        cfg = TrainConfig(base_lr=0.1, total_steps=3 * DRAW_BLOCK, batch_size=1, seed=5,
+                          warmup_steps=0, noise_multiplier=1.0, optimizer=optimizer)
+        excluded, step = self.first_drawn(cfg, in_block=1)
+        self.raises(cfg, [(excluded,)], step, 0, hidden)
+        self.raises(cfg, [(excluded, 9, 0.5)], step, 0, hidden)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("sigma", [0.0, 1.0])
+    @pytest.mark.parametrize("optimizer", ["sgd", "adamw"])
+    def test_empty_batch_at_the_last_step_where_eta_is_zero(self, optimizer, sigma):
+        cfg = TrainConfig(base_lr=0.1, total_steps=3 * DRAW_BLOCK, batch_size=1, seed=5,
+                          warmup_steps=0, noise_multiplier=sigma, optimizer=optimizer)
+        first = first_draws(cfg, len(self.DATASET), cfg.total_steps)
+        excluded, last = max(first.items(), key=lambda item: item[1])
+        cfg = replace(cfg, total_steps=last)
+        assert lr_at(last, cfg) == 0.0
+        self.raises(cfg, [(excluded,)], last, 0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("optimizer", ["sgd", "adamw"])
+    @pytest.mark.parametrize("layout", ["contiguous", "interleaved"])
+    def test_empty_batch_in_a_mixed_stack_names_the_lone_runs_step(self, layout, optimizer):
+        """Noisy and noiseless rows, the noised ones contiguous (a slice) or
+        not (an index); a later empty batch of another run is not reached."""
+        cfg = TrainConfig(base_lr=0.1, total_steps=3 * DRAW_BLOCK, batch_size=1, seed=5,
+                          warmup_steps=0, noise_multiplier=1.0, optimizer=optimizer)
+        excluded, step = self.first_drawn(cfg, in_block=1)
+        later, _ = self.first_drawn(cfg, in_block=2)
+        empty = (excluded, 4, 2.0)
+        if layout == "contiguous":
+            variants = [(None, None, 0.0), (None, 4, 1.0), empty, (later, None, 0.0)]
+        else:
+            variants = [(None, 4, 1.0), (later, None, 0.0), empty, (None, None, 0.0)]
+        self.raises(cfg, [empty], step, 0)
+        self.raises(cfg, variants, step, 2)
+
+
 class TestClassAxisFold:
     """The step's unit-axis reductions run over axis 0 of the unit-major
     (n, R, B) layout. numpy reduces an axis that is not innermost in memory
@@ -818,6 +881,30 @@ class TestEvaluate:
         accuracy, per_language = evaluate(theta, model, dataset)
         assert accuracy == 1.0
         assert set(per_language) == {"en", "fr"}
+
+    def test_labels_outside_the_model_rejected(self):
+        dataset = make_dataset(n=12, c=3)
+        model = ModelSpec(input_dim=3, hidden_dim=0, num_classes=2)
+        with pytest.raises(ShapeMismatchError, match=r"outside \[0, 2\)"):
+            evaluate(np.zeros(model.num_params), model, dataset)
+
+    def test_input_width_mismatch_rejected(self):
+        dataset = make_dataset(n=12, d=4)
+        model = ModelSpec(input_dim=3, hidden_dim=0, num_classes=3)
+        with pytest.raises(ShapeMismatchError, match="input_dim"):
+            evaluate(np.zeros(model.num_params), model, dataset)
+
+    @pytest.mark.parametrize("shape", [(5,), (2, 12), (1, 12)])
+    def test_theta_that_is_not_one_vector_names_its_shape(self, shape):
+        model = ModelSpec(input_dim=3, hidden_dim=0, num_classes=3)
+        with pytest.raises(ShapeMismatchError, match=re.escape(f"theta has {shape}, spec needs (12,)")):
+            evaluate(np.zeros(shape), model, make_dataset(n=12))
+
+    def test_kernel_takes_only_parameter_stacks(self):
+        with pytest.raises(ShapeMismatchError, match=r"spec needs \(R, 16\)"):
+            _unpack(LINEAR, np.zeros(LINEAR.num_params))
+        W, b = _unpack(LINEAR, np.zeros((1, LINEAR.num_params)))
+        assert W.shape == (1, 4, 3) and b.shape == (1, 4)
 
 
 class TestCkpt1Format:

@@ -47,7 +47,7 @@ def main() -> None:
     inlier = (index + 1) % len(planted)
     # the full-data run and both coupled retrains, trained together
     p, p_outlier, p_inlier = loo_probabilities(
-        planted, model, cfg, [[Variant(e)] for e in (None, index, inlier)], point, label,
+        planted, model, cfg, [Variant(e) for e in (None, index, inlier)], point, label,
     )
     delta_outlier = p - p_outlier
     delta_inlier = p - p_inlier

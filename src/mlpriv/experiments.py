@@ -145,19 +145,12 @@ def _theorem1_dataset(seed: int, num_languages: int, tuples: int, dim: int,
     )
 
 
-def planted_influence_margin(
-    dataset: LabeledDataset,
-    planted_index: int,
-    model: ModelSpec,
-    cks: CheckpointSet,
-) -> float:
+def planted_influence_margin(gram: np.ndarray, planted_index: int) -> float:
     """Max softmax probability in the planted example's influence vector:
-    its anchor row of its tuple's profile, scored from that tuple alone."""
-    _, L = _tuple_shape(dataset)
-    first = planted_index - planted_index % L
-    members = slice(first, first + L)
-    scores = _tracin_gram(dataset.features[None, members], dataset.labels[None, members], cks, model)
-    return float(_softmax(scores[0, planted_index - first][:, None]).max())
+    its anchor row of its tuple's profile in the tuple-major TracInCP Gram
+    (G, L, L) of a cell's full-data run."""
+    L = gram.shape[1]
+    return float(_softmax(gram[planted_index // L, planted_index % L][:, None]).max())
 
 
 def loo_margins(
@@ -165,37 +158,39 @@ def loo_margins(
     planted_index: int,
     model: ModelSpec,
     config: TrainConfig,
-    cells: list[tuple[float, CheckpointSet, list[int] | None]],
+    cells: list[tuple[float, np.ndarray, list[int] | None]],
 ) -> list[float | None]:
     """Interpretability margin from the LOO oracle at the planted point, one
-    per cell (sigma, cks, noise_seeds).
+    per cell (sigma, gram, noise_seeds).
 
     p is the full-data probability of the planted example's class at the
     planted point. The dominant example (p_d) and runner-up (p_2) are the
     two training points whose coupled leave-one-out removal lowers that
     probability the most, searched over the planted example plus the top
-    THEOREM1_LOO_CANDIDATES points by self-influence over `cks`, the
-    checkpoints of the cell's full-data run. Every probability is averaged
-    over the cell's noise seeds (one run when None) and trained at the
-    cell's sigma on config's batch stream; all cells' retrains are one
+    THEOREM1_LOO_CANDIDATES points by self-influence: the diagonal of the
+    cell's tuple-major Gram over its full-data run's checkpoints. That
+    diagonal can differ from one-example (L = 1) Grams by rounding, which
+    matters only where it reorders the shortlist. Each probability is
+    averaged over the cell's noise seeds (one run when None) and trained at
+    the cell's sigma on config's batch stream; all cells' retrains are one
     ``train_many`` call. A cell's margin is None when no two removals lower
     the probability (the margin premise fails).
     """
-    groups, sizes = [], []
-    for sigma, cks, noise_seeds in cells:
-        # one-example groups: each example's self-influence alone, no N x N Gram
-        self_inf = _tracin_gram(dataset.features[:, None], dataset.labels[:, None], cks, model)
-        ranked = sorted(zip(self_inf[:, 0, 0].tolist(), range(len(dataset))), reverse=True)
+    variants, shapes = [], []  # each cell's runs, (exclusions, noise seeds) in C order
+    for sigma, gram, noise_seeds in cells:
+        self_inf = np.einsum("gii->gi", gram).ravel()
+        ranked = sorted(zip(self_inf.tolist(), range(len(dataset))), reverse=True)
         shortlist = {i for _, i in ranked[:THEOREM1_LOO_CANDIDATES]} | {planted_index}
-        exclusions = [None, *sorted(shortlist)]
-        groups += [[Variant(e, ns, sigma) for ns in noise_seeds or [None]] for e in exclusions]
-        sizes.append(len(exclusions))
+        exclusions, seeds = [None, *sorted(shortlist)], noise_seeds or [None]
+        variants += [Variant(e, ns, sigma) for e in exclusions for ns in seeds]
+        shapes.append((len(exclusions), len(seeds)))
     probs = loo_probabilities(
-        dataset, model, config, groups,
+        dataset, model, config, variants,
         dataset.features[planted_index], int(dataset.labels[planted_index]),
     )
     margins = []
-    for cell in np.split(probs, np.cumsum(sizes)[:-1]):
+    for block, shape in zip(np.split(probs, np.cumsum(np.prod(shapes, axis=1))[:-1]), shapes):
+        cell = block.reshape(shape).mean(axis=1)
         p_d, p_2 = sorted(cell[1:])[:2]
         try:
             margins.append(interpretability_margin(cell[0], p_d, p_2))
@@ -217,7 +212,9 @@ def run_theorem1(
     include_loo: bool = True,
 ) -> ExperimentResult:
     """Per seed, one ``train_many`` call trains the full-data run at every
-    sigma, and one more makes every sigma's leave-one-out retrains."""
+    sigma, one TracInCP Gram per sigma reads that run's last three
+    checkpoints, and one more ``train_many`` call makes every sigma's
+    leave-one-out retrains."""
     if seeds is None:
         seeds = list(range(20))
     model = ModelSpec(input_dim=dim, hidden_dim=0, num_classes=classes)
@@ -227,20 +224,23 @@ def run_theorem1(
     for seed in seeds:
         dataset, planted = _theorem1_dataset(seed, num_languages, tuples, dim, classes, magnitude)
         config = _train_config(base_lr, total_steps, batch_size, seed, len(dataset))
+        G, L = _tuple_shape(dataset)
+        X, y = dataset.features.reshape(G, L, -1), dataset.labels.reshape(G, L)
         full_runs = train_many(
             dataset, model, config, [Variant(noise_multiplier=s) for s in THEOREM1_SIGMAS]
         )
         cells = [CheckpointSet.last_k(run.checkpoints, 3) for run in full_runs]
+        grams = [_tracin_gram(X, y, cks, model) for cks in cells]  # tuple-major (G, L, L)
         seed_rows = []
-        for sigma, cks in zip(THEOREM1_SIGMAS, cells):
-            margin = planted_influence_margin(dataset, planted, model, cks)
+        for sigma, gram in zip(THEOREM1_SIGMAS, grams):
+            margin = planted_influence_margin(gram, planted)
             margins[sigma].append(margin)
             seed_rows.append({"seed": seed, "sigma": sigma, "margin": format(margin, ".17g")})
         if include_loo:
             noise_seeds = [seed * 1000 + j for j in range(THEOREM1_LOO_NOISE_SEEDS)]
             loo = loo_margins(dataset, planted, model, config, [
-                (sigma, cks, None if sigma == 0.0 else noise_seeds)
-                for sigma, cks in zip(THEOREM1_SIGMAS, cells)
+                (sigma, gram, None if sigma == 0.0 else noise_seeds)
+                for sigma, gram in zip(THEOREM1_SIGMAS, grams)
             ])
             for row, margin_eps in zip(seed_rows, loo):
                 if margin_eps is not None:

@@ -21,7 +21,6 @@ import numpy as np
 
 from .errors import (
     CheckpointOrderError,
-    InvalidConfigError,
     NonFiniteError,
     ShapeMismatchError,
     TooFewLanguagesError,
@@ -211,27 +210,19 @@ def loo_probabilities(
     dataset: LabeledDataset,
     spec: ModelSpec,
     config: TrainConfig,
-    groups: list[list[Variant | tuple]],
+    variants: list[Variant | tuple],
     eval_point: np.ndarray,
     event_class: int,
 ) -> np.ndarray:
-    """P(event at eval_point) after coupled retraining, one entry per group.
-
-    Each group is a list of ``train_many`` variants (exclude_index,
-    noise_seed, noise_multiplier), typically one left-out example under
-    several noise seeds, and its entry is the mean event probability over
-    its runs. Every retrain shares config's batch stream, so the variant is
-    the only varying factor between runs; all groups run as one batched
-    ``train_many`` call.
-    """
-    sizes = [len(group) for group in groups]
-    if not all(sizes):
-        raise InvalidConfigError("every group needs at least one variant")
+    """P(event at eval_point) after coupled retraining, one entry per
+    ``train_many`` variant (exclude_index, noise_seed, noise_multiplier):
+    ``event_probability`` of that run's final parameters. All runs are one
+    ``train_many`` call on config's batch stream, so the variant is the only
+    varying factor between them."""
     X, _ = _stack([(eval_point, event_class)], spec)  # checked before any retrain
-    runs = train_many(dataset, spec, config, [v for group in groups for v in group])
+    runs = train_many(dataset, spec, config, variants)
     x = X[0, 0][:, None]  # each run's readout is event_probability's
-    probs = np.array([_forward_one(spec, run.theta, x)[event_class, 0] for run in runs])
-    return np.array([chunk.mean() for chunk in np.split(probs, np.cumsum(sizes)[:-1])])
+    return np.array([_forward_one(spec, run.theta, x)[event_class, 0] for run in runs])
 
 
 def interpretability_margin(p: float, p_d: float, p_2: float) -> float:

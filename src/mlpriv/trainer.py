@@ -499,6 +499,9 @@ def train_many(
     only its parameters: an empty batch (its mean divides by 0) or a nan
     loss makes them non-finite at the same step, and is then named.
     """
+    for v in variants:
+        if not isinstance(v, tuple) or len(v) > 3:
+            raise InvalidConfigError(f"a variant must be a tuple of at most 3 fields, got {v!r}")
     variants = [Variant(*v) for v in variants]
     N = len(dataset)
     if not variants:
@@ -507,8 +510,11 @@ def train_many(
         raise InvalidConfigError(f"batch_size {config.batch_size} exceeds the dataset's {N} examples")
     _check_dataset(dataset, spec)
     for v in variants:
-        if v.exclude_index is not None and not 0 <= v.exclude_index < N:
-            raise ExcludeIndexError(f"exclude_index {v.exclude_index} out of range")
+        e = v.exclude_index
+        if e is not None and not _is_int(e):
+            raise InvalidConfigError(f"exclude_index must be an integer or None, got {e!r}")
+        if e is not None and not 0 <= e < N:
+            raise ExcludeIndexError(f"exclude_index {e} out of range")
         if v.noise_seed is not None and not _is_seed(v.noise_seed):
             raise InvalidConfigError(
                 f"per-run noise_seed must be a nonnegative integer or None, got {v.noise_seed!r}"

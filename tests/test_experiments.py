@@ -1,8 +1,10 @@
-"""theorem1's batched structure: two trainer calls per seed that reproduce
-the per-cell computation built from the public single-run API."""
+"""theorem1's batched structure: two trainer calls and three TracInCP Grams
+per seed that reproduce the per-cell computation built from the public
+single-run API."""
 
 import math
 
+import numpy as np
 import pytest
 
 from mlpriv import experiments, influence, trainer
@@ -61,9 +63,9 @@ def test_theorem1_matches_per_cell_reference():
         shortlist = sorted({i for _, i in ranked[:8]} | {planted})
         noise_seeds = [None] if sigma == 0.0 else list(range(10))  # seed * 1000 + j at seed 0
         probs = loo_probabilities(
-            dataset, model, cfg, [[(e, ns) for ns in noise_seeds] for e in (None, *shortlist)],
+            dataset, model, cfg, [(e, ns) for e in (None, *shortlist) for ns in noise_seeds],
             *event,
-        )
+        ).reshape(-1, len(noise_seeds)).mean(axis=1)
         p_d, p_2 = sorted(probs[1:])[:2]
         try:
             expected = interpretability_margin(probs[0], p_d, p_2)
@@ -72,3 +74,50 @@ def test_theorem1_matches_per_cell_reference():
             continue
         assert math.isfinite(expected)
         assert float(row["epsilon_i"]) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("include_loo", [True, False])
+def test_theorem1_reads_one_tuple_major_gram_per_sigma_cell(monkeypatch, include_loo):
+    """Per seed, three TracInCP Grams, each over every tuple (G, L, L): the
+    planted margin and the LOO shortlist both read the cell's one Gram."""
+    shapes = []
+    real = influence._tracin_gram
+
+    def spy(X, y, cks, spec):
+        shapes.append(X.shape[:2])
+        return real(X, y, cks, spec)
+
+    for module in (influence, experiments):
+        monkeypatch.setattr(module, "_tracin_gram", spy)
+    run_theorem1(seeds=[0, 1], include_loo=include_loo)
+    assert shapes == [(16, 4)] * 2 * len(THEOREM1_SIGMAS)
+
+
+@pytest.mark.parametrize("classes", [2, 5])
+@pytest.mark.parametrize("languages", [2, 8])
+def test_loo_shortlist_from_gram_diagonal_matches_one_example_grams(monkeypatch, classes,
+                                                                     languages):
+    """The diagonal of the tuple-major Gram ranks the examples as one-example
+    (L = 1) Grams do, so loo_margins retrains the same shortlist."""
+    spec = SynthSpec(num_languages=languages, tuples=6, dim=4, classes=classes,
+                     compression=0.5, seed=classes * languages)
+    dataset, planted = plant_outlier(gen_classification_data(spec), magnitude=6.0, seed=3,
+                                     orthogonal=False)
+    model = ModelSpec(input_dim=4, hidden_dim=0, num_classes=classes)
+    cfg = TrainConfig(base_lr=0.05, total_steps=300, batch_size=8, seed=1, noise_multiplier=0.5)
+    cks = CheckpointSet.last_k(train(dataset, model, cfg).checkpoints, 3)
+    X, y = dataset.features, dataset.labels
+    gram = _tracin_gram(X.reshape(6, languages, -1), y.reshape(6, languages), cks, model)
+
+    retrained = []
+
+    def record(dataset, spec, config, variants, eval_point, event_class):
+        retrained.append(sorted(v.exclude_index for v in variants if v.exclude_index is not None))
+        return np.zeros(len(variants))
+
+    monkeypatch.setattr(experiments, "loo_probabilities", record)
+    assert experiments.loo_margins(dataset, planted, model, cfg, [(0.5, gram, None)]) == [None]
+
+    self_inf = _tracin_gram(X[:, None], y[:, None], cks, model)[:, 0, 0]
+    ranked = sorted(zip(self_inf, range(len(dataset))), reverse=True)
+    assert retrained == [sorted({i for _, i in ranked[:8]} | {planted})]

@@ -36,6 +36,7 @@ from mlpriv.trainer import (
     TrainConfig,
     Variant,
     _softmax,
+    train_many,
     write_checkpoint,
 )
 
@@ -410,9 +411,27 @@ class TestLooInfluence:
     def loo(self, dataset, x_index, cfg, eval_point, event_class):
         """P(event | D) - P(event | D without x_index), one coupled retrain."""
         p, p_without = loo_probabilities(
-            dataset, self.MODEL, cfg, [[Variant()], [Variant(x_index)]], eval_point, event_class
+            dataset, self.MODEL, cfg, [Variant(), Variant(x_index)], eval_point, event_class
         )
         return p - p_without
+
+    def test_one_probability_per_variant_in_order(self):
+        """Exclusions, noise seeds and sigmas mixed in one list: entry r is
+        event_probability of variant r trained alone."""
+        rng = np.random.default_rng(9)
+        dataset = LabeledDataset(features=rng.standard_normal((10, 2)),
+                                 labels=rng.integers(0, 2, size=10), languages=("en",) * 10)
+        cfg = TrainConfig(base_lr=0.1, total_steps=60, batch_size=4, seed=2,
+                          noise_multiplier=0.5)
+        variants = [Variant(), (3,), (3, 11), (None, 11, 2.0), (5, None, 0.0), (3, 12, 2.0)]
+        point = np.array([0.3, -0.4])
+        probs = loo_probabilities(dataset, self.MODEL, cfg, variants, point, 1)
+        assert probs.shape == (len(variants),)
+        for p, variant in zip(probs, variants):
+            theta = train_many(dataset, self.MODEL, cfg, [variant])[0].theta
+            assert p == pytest.approx(event_probability(theta, self.MODEL, point, 1),
+                                      rel=1e-12, abs=1e-12)
+        assert len(set(probs.tolist())) == len(variants)
 
     def test_duplicated_example_has_negligible_effect(self):
         # well-separated classes so the fit saturates: the remaining twin
@@ -480,7 +499,7 @@ class TestLooInfluence:
         cfg = TrainConfig(base_lr=0.1, total_steps=10, batch_size=1, seed=0, warmup_steps=0)
         two = LabeledDataset(features=np.zeros((2, 2)), labels=[0, 1], languages=("en",) * 2)
         with pytest.raises(ShapeMismatchError):
-            loo_probabilities(two, self.MODEL, cfg, [[Variant()]], point, event_class)
+            loo_probabilities(two, self.MODEL, cfg, [Variant()], point, event_class)
         with pytest.raises(ShapeMismatchError):
             event_probability(np.zeros(self.MODEL.num_params), self.MODEL, point, event_class)
 

@@ -150,7 +150,7 @@ class TestPlantOutlier:
             # one coupled retrain per example, all beside the full-data run
             probs = loo_probabilities(
                 planted_set, model, cfg,
-                [[Variant(e)] for e in [None, *range(len(planted_set))]], point, cls,
+                [Variant(e) for e in [None, *range(len(planted_set))]], point, cls,
             )
             deltas = np.abs(probs[0] - probs[1:])
             others = np.delete(deltas, index)

@@ -485,6 +485,33 @@ class TestTrainMany:
         with pytest.raises(InvalidConfigError, match="per-run noise_seed must be a nonnegative integer"):
             train_many(dataset, ModelSpec(3, 0, 3), cfg, [(None, 4), (None, bad, 1.0)])
 
+    @pytest.mark.parametrize("bad", [1.5, True, np.True_, "1"])
+    def test_non_integer_exclude_index_is_typed_error(self, bad):
+        """A float would exclude nothing and True would exclude example 1."""
+        dataset = make_dataset(n=12)
+        cfg = TrainConfig(base_lr=0.1, total_steps=20, batch_size=4, seed=0, warmup_steps=0)
+        with pytest.raises(InvalidConfigError, match="exclude_index must be an integer or None"):
+            train_many(dataset, ModelSpec(3, 0, 3), cfg, [(None,), (bad,)])
+
+    def test_numpy_integer_exclude_index_is_accepted_and_range_checked(self):
+        dataset = make_dataset(n=12)
+        model = ModelSpec(3, 0, 3)
+        cfg = TrainConfig(base_lr=0.1, total_steps=20, batch_size=4, seed=0, warmup_steps=0)
+        a = train_many(dataset, model, cfg, [(np.int64(3),)])[0]
+        assert digest(a) == digest(train_many(dataset, model, cfg, [(3,)])[0])
+        with pytest.raises(ExcludeIndexError):
+            train_many(dataset, model, cfg, [(np.int64(12),)])
+
+    @pytest.mark.parametrize("bad", [
+        None, 3, (None, None, None, None), [Variant(1)], [None, None],
+    ], ids=["None", "int", "4-tuple", "nested_group", "list"])
+    def test_variant_that_is_not_a_short_tuple_is_typed_error(self, bad):
+        """A nested group is what a caller of a grouped variant list would pass."""
+        dataset = make_dataset(n=12)
+        cfg = TrainConfig(base_lr=0.1, total_steps=20, batch_size=4, seed=0, warmup_steps=0)
+        with pytest.raises(InvalidConfigError, match="a variant must be a tuple of at most 3"):
+            train_many(dataset, ModelSpec(3, 0, 3), cfg, [(None,), bad])
+
     @pytest.mark.parametrize("bad", [-0.5, math.nan, math.inf, "1", True, False, np.True_])
     def test_bad_per_run_sigma_is_typed_error(self, bad):
         dataset = make_dataset(n=12)

@@ -227,7 +227,8 @@ def run_theorem1(
         G, L = _tuple_shape(dataset)
         X, y = dataset.features.reshape(G, L, -1), dataset.labels.reshape(G, L)
         full_runs = train_many(
-            dataset, model, config, [Variant(noise_multiplier=s) for s in THEOREM1_SIGMAS]
+            dataset, model, config, [Variant(noise_multiplier=s) for s in THEOREM1_SIGMAS],
+            log_steps=False,
         )
         cells = [CheckpointSet.last_k(run.checkpoints, 3) for run in full_runs]
         grams = [_tracin_gram(X, y, cks, model) for cks in cells]  # tuple-major (G, L, L)

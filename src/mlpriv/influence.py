@@ -220,7 +220,7 @@ def loo_probabilities(
     ``train_many`` call on config's batch stream, so the variant is the only
     varying factor between them."""
     X, _ = _stack([(eval_point, event_class)], spec)  # checked before any retrain
-    runs = train_many(dataset, spec, config, variants)
+    runs = train_many(dataset, spec, config, variants, log_steps=False)
     x = X[0, 0][:, None]  # each run's readout is event_probability's
     return np.array([_forward_one(spec, run.theta, x)[event_class, 0] for run in runs])
 

@@ -126,9 +126,8 @@ def plant_outlier(
         num_classes = int(labels.max()) + 1
         direction = rng.standard_normal(features.shape[1])
         if orthogonal:
-            means = np.vstack(
-                [features[labels == c].mean(axis=0) for c in range(num_classes)]
-            )
+            # the means of the classes present: a class with no example has none
+            means = np.vstack([features[labels == c].mean(axis=0) for c in np.unique(labels)])
             q, _ = np.linalg.qr(means.T)
             direction -= q @ (q.T @ direction)
         direction /= np.linalg.norm(direction)

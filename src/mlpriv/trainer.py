@@ -40,8 +40,6 @@ U32_MAX = 2**32 - 1  # CKPT1 stores the step and the parameter count as u32
 
 DRAW_BLOCK = 32  # steps whose batches and Gaussian noise are drawn at once
 
-FOLD_RUNS = 32  # stacked runs from which _hits folds over classes instead of argmax
-
 INIT_SCALE = 0.1  # standard deviation of the Gaussian initial parameters
 
 ADAM_BETA1 = 0.9
@@ -197,12 +195,15 @@ class LabeledDataset:
 
 @dataclass
 class TrainResult:
+    """One run's outputs; losses and accuracies are None for a run of
+    ``train_many(..., log_steps=False)``, which forms no per-step log."""
+
     theta: np.ndarray
     checkpoints: list[Checkpoint]
     sigma: float
-    lrs: list[float]         # per step, steps 1..T
-    losses: np.ndarray       # (T,) mean loss over the batch kept at each step
-    accuracies: np.ndarray   # (T,)
+    lrs: list[float]                # per step, steps 1..T
+    losses: np.ndarray | None       # (T,) mean loss over the batch kept at each step
+    accuracies: np.ndarray | None   # (T,)
 
 
 def init_theta(spec: ModelSpec, seed: int = 0) -> np.ndarray:
@@ -225,22 +226,8 @@ def _unpack(spec: ModelSpec, theta: np.ndarray):
 
 def _hits(probs: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Whether each example's label is its most probable class, the lowest
-    index winning ties as in numpy's argmax: probs (c, R, B), labels (B,).
-    From FOLD_RUNS stacked runs on it folds over the class slices, which are
-    contiguous; the fold differs from argmax only at a nan."""
-    if probs.shape[1] < FOLD_RUNS:
-        return probs.argmax(axis=0) == y
-    best = probs[0]
-    hit = np.empty(best.shape, dtype=bool)
-    hit[...] = y == 0
-    for k in range(1, len(probs)):
-        above = probs[k] > best  # a later class wins only if strictly more probable
-        flip = hit ^ (y == k)  # where it wins, the hit becomes y == k
-        flip &= above
-        hit ^= flip
-        if k < len(probs) - 1:
-            best = np.maximum(best, probs[k])
-    return hit
+    index winning ties as in numpy's argmax: probs (c, R, B), labels (B,)."""
+    return probs.argmax(axis=0) == y
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -457,6 +444,8 @@ def train_many(
     spec: ModelSpec,
     config: TrainConfig,
     variants: list[Variant | tuple],
+    *,
+    log_steps: bool = True,
 ) -> list[TrainResult]:
     """Train one coupled run per variant (exclude_index, noise_seed,
     noise_multiplier) at once; a shorter tuple leaves the rest None.
@@ -495,9 +484,13 @@ def train_many(
     keep masks and noise of DRAW_BLOCK steps are drawn and gathered at the
     block's first step, in the order one draw per step would take them, and
     the block's losses and accuracies are formed at its last step from the
-    probabilities of the labels and the hits its steps stored. A step tests
+    probabilities of the labels and the hits its steps stored. With
+    log_steps=False no step stores them and every row's losses and
+    accuracies are None; the parameters, checkpoints, lrs and sigma keep
+    their bytes, since the log never feeds back into training. A step tests
     only its parameters: an empty batch (its mean divides by 0) or a nan
-    loss makes them non-finite at the same step, and is then named.
+    loss makes them non-finite at the same step, and is then named, with
+    or without the log.
     """
     for v in variants:
         if not isinstance(v, tuple) or len(v) > 3:
@@ -566,10 +559,11 @@ def train_many(
     grad_views = _unpack(spec, grad)
     grad_layers = [(w.transpose(1, 0, 2), b.T) for w, b in zip(grad_views[::2], grad_views[1::2])]
     lrs = [lr_at(step, config) for step in range(1, T + 1)]
-    losses = np.empty((T, R))
-    accuracies = np.empty((T, R))
-    p_true_block = np.empty((DRAW_BLOCK, R, B))
-    hit_block = np.empty((DRAW_BLOCK, R, B), dtype=bool)
+    if log_steps:  # each step's label probabilities and hits, folded at a block's last step
+        losses = np.empty((T, R))
+        accuracies = np.empty((T, R))
+        p_true_block = np.empty((DRAW_BLOCK, R, B))
+        hit_block = np.empty((DRAW_BLOCK, R, B), dtype=bool)
     snapshots: list[tuple[int, float, np.ndarray]] = []
 
     for step in range(1, T + 1):
@@ -591,9 +585,10 @@ def train_many(
         keep, count = keep_block[j], count_block[j]
         X1 = X1_block[j]
         probs, layers = _backward(spec, params, X1[:, :-1].T, Y_block[j])
-        p_true = p_true_block[j]  # each example's probability of its label
-        probs.take(label_offset_block[j] + class_0, out=p_true, mode="wrap")  # in range: no check
-        hit_block[j] = _hits(probs, y_block[j])
+        if log_steps:  # each example's probability of its label, and its hit
+            p_true = p_true_block[j]
+            probs.take(label_offset_block[j] + class_0, out=p_true, mode="wrap")  # in range: no check
+            hit_block[j] = _hits(probs, y_block[j])
 
         # (R, B) squared norms, each a fold over the unit slices; deeper
         # layers' inputs are per run
@@ -630,19 +625,20 @@ def train_many(
         if not np.isfinite(state.theta).all():
             # an empty batch divides its clipped sum (0, or noise) by 0, and a nan probability
             # makes the loss nan (it is at most -log(tiny)): either makes the run's parameters
-            # non-finite at this same step, even where eta = 0, so both are read only here
+            # non-finite at this same step, even where eta = 0, so both are read only here,
+            # from this step's own label probabilities whether or not the run logs
             if not count.all():
                 raise EmptyBatchError(
                     f"step {step}: run {int(np.argmin(count))} excludes every example of its batch"
                 )
-            loss = _mean_loss(p_true, keep, count)
+            loss = _mean_loss(probs.take(label_offset_block[j] + class_0), keep, count)
             if np.isnan(loss).any():
                 r = int(np.argmax(np.isnan(loss)))
                 raise DivergenceError(step, f"loss = {loss[r]}{_which_run(variants, r)}")
             r = int(np.argmin(np.isfinite(state.theta).all(axis=1)))
             raise DivergenceError(step, f"non-finite parameters{_which_run(variants, r)}")
 
-        if j == n - 1:  # the block's last step: its losses and accuracies
+        if j == n - 1 and log_steps:  # the block's last step: its losses and accuracies
             rows = slice(step - n, step)
             losses[rows] = _mean_loss(p_true_block[:n], keep_block, count_block)
             hits = hit_block[:n]
@@ -658,8 +654,8 @@ def train_many(
             checkpoints=[Checkpoint(step=s, theta=th[r].copy(), eta=eta) for s, eta, th in snapshots],
             sigma=sigmas[r],
             lrs=lrs,
-            losses=losses[:, r],
-            accuracies=accuracies[:, r],
+            losses=losses[:, r] if log_steps else None,
+            accuracies=accuracies[:, r] if log_steps else None,
         )
         for r in range(R)
     ]

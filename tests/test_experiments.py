@@ -22,19 +22,23 @@ from mlpriv.trainer import ModelSpec, TrainConfig, train, _softmax
 
 
 def test_theorem1_makes_two_trainer_calls_per_seed(monkeypatch):
-    """One call trains the full runs at every sigma, one makes every LOO retrain."""
-    stacks = []
+    """One call trains the full runs at every sigma, one makes every LOO
+    retrain; neither logs per-step losses and accuracies, which theorem1
+    never reads."""
+    stacks, logged = [], []
     real = trainer.train_many
 
-    def spy(dataset, spec, config, variants):
+    def spy(dataset, spec, config, variants, **kwargs):
         stacks.append(len(variants))
-        return real(dataset, spec, config, variants)
+        logged.append(kwargs.get("log_steps", True))
+        return real(dataset, spec, config, variants, **kwargs)
 
     for module in (trainer, influence, experiments):
         monkeypatch.setattr(module, "train_many", spy)
     run_theorem1(seeds=[0, 1])
     assert len(stacks) == 4
     assert stacks[0] == stacks[2] == len(THEOREM1_SIGMAS)
+    assert logged == [False] * 4
 
 
 def test_theorem1_matches_per_cell_reference():

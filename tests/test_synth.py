@@ -125,6 +125,21 @@ class TestPlantOutlier:
             mean = dataset.features[dataset.labels == c].mean(axis=0)
             assert abs(mean @ direction) < 1e-9
 
+    @pytest.mark.filterwarnings("error")
+    def test_class_with_no_example_is_left_out_of_the_projection(self):
+        """Class 3 has no example: the direction clears the means of the four
+        classes present, which leave two of six dimensions free, and no mean
+        of an empty slice is taken."""
+        spec = SynthSpec(num_languages=2, tuples=6, dim=6, classes=5, seed=10)
+        dataset = gen_classification_data(spec)
+        assert np.bincount(dataset.labels, minlength=5).tolist() == [2, 2, 4, 0, 4]
+        planted_set, index = plant_outlier(dataset, magnitude=5.0, seed=0, orthogonal=True)
+        direction = planted_set.features[index] / 5.0
+        assert np.linalg.norm(direction) == pytest.approx(1.0, abs=1e-12)
+        for c in (0, 1, 2, 4):
+            mean = dataset.features[dataset.labels == c].mean(axis=0)
+            assert abs(mean @ direction) < 1e-12
+
     def test_negative_magnitude_rejected(self):
         spec = SynthSpec(num_languages=2, tuples=10, dim=4, seed=4)
         dataset = gen_classification_data(spec)

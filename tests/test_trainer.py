@@ -43,7 +43,6 @@ from mlpriv.trainer import (
     train,
     train_many,
     write_checkpoint,
-    FOLD_RUNS,
     _hits,
     _softmax,
     _unpack,
@@ -64,9 +63,11 @@ def make_dataset(n=24, d=3, c=3, seed=0, languages=("en", "fr")):
 
 
 def digest(row):
-    """Every output of a TrainResult, as bytes where it is an array."""
+    """Every output of a TrainResult, as bytes where it is an array; an
+    unlogged run's losses and accuracies stay None."""
+    log = [None if a is None else a.tobytes() for a in (row.losses, row.accuracies)]
     return (row.theta.tobytes(), [(c.step, c.eta, c.theta.tobytes()) for c in row.checkpoints],
-            row.lrs, row.losses.tobytes(), row.accuracies.tobytes(), row.sigma)
+            row.lrs, *log, row.sigma)
 
 
 class TestForwardLoss:
@@ -686,14 +687,17 @@ class TestNoiseTable:
 
 
 class TestWorkingMemory:
-    def test_traced_peak_at_theorem1_leave_one_out_shape(self):
-        """The traced allocation peak of one train_many call at theorem1's
-        leave-one-out shape: 189 runs (9 noiseless, then 2 sigmas x 9
-        exclusions x 10 noise seeds), 300 steps of 16 examples, a linear
-        model with d = 8 and c = 3. It read 3.08 MB with numpy 2.4 on
-        CPython 3.11. The bound sits half a (32, R, B) int64 index table
-        (0.39 MB) above that, room for other numpy builds' temporaries,
-        while one more such table per block (0.77 MB) still trips it."""
+    """Traced allocation peaks of one train_many call at theorem1's
+    leave-one-out shape: 189 runs (9 noiseless, then 2 sigmas x 9
+    exclusions x 10 noise seeds), 300 steps of 16 examples, a linear model
+    with d = 8 and c = 3. Each bound sits half a (32, R, B) int64 index
+    table (0.39 MB) above the peak measured with numpy 2.4 on CPython 3.11,
+    room for other numpy builds' temporaries, while one more such table per
+    block (0.77 MB) still trips it."""
+
+    INDEX_TABLE = DRAW_BLOCK * 189 * 16 * np.dtype(np.intp).itemsize
+
+    def traced_peak(self, **kwargs):
         dataset = make_dataset(n=64, d=8, seed=0)
         model = ModelSpec(input_dim=8, hidden_dim=0, num_classes=3)
         cfg = TrainConfig(base_lr=0.05, total_steps=300, batch_size=16, seed=0)
@@ -702,13 +706,24 @@ class TestWorkingMemory:
         variants += [(e, ns, s) for s in (0.5, 2.0) for e in exclusions for ns in range(10)]
         tracemalloc.start()
         try:
-            rows = train_many(dataset, model, cfg, variants)
+            rows = train_many(dataset, model, cfg, variants, **kwargs)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert len(rows) == 189
-        index_table = DRAW_BLOCK * 189 * 16 * np.dtype(np.intp).itemsize
-        assert peak < 3.08e6 + index_table / 2
+        return peak
+
+    def test_traced_peak_at_theorem1_leave_one_out_shape(self):
+        """The logging call read 3.08 MB."""
+        assert self.traced_peak() < 3.08e6 + self.INDEX_TABLE / 2
+
+    def test_traced_peak_without_the_log(self):
+        """The log-free call read 1.25 MB: no (32, R, B) label-probability
+        block (0.77 MB), hit block or (T, R) loss and accuracy arrays."""
+        peak = self.traced_peak(log_steps=False)
+        assert peak < 1.25e6 + self.INDEX_TABLE / 2
+        p_true_block = DRAW_BLOCK * 189 * 16 * np.dtype(np.float64).itemsize
+        assert peak < 3.08e6 - p_true_block
 
 
 def first_draws(config, examples, steps):
@@ -727,22 +742,36 @@ class TestDrawBlocks:
     """train_many draws the batches and noise of DRAW_BLOCK steps at once;
     outputs and error order are those of one draw per step."""
 
+    @pytest.mark.parametrize("log_steps", [True, False])
     @pytest.mark.parametrize("runs", [1, 3])
     @pytest.mark.parametrize("steps", [1, DRAW_BLOCK, DRAW_BLOCK + 1, 2 * DRAW_BLOCK,
                                        2 * DRAW_BLOCK + 1])
-    def test_rows_and_reruns_are_byte_identical_across_block_edges(self, steps, runs):
+    def test_rows_and_reruns_are_byte_identical_across_block_edges(self, steps, runs, log_steps):
+        """Without the log, every row keeps the logging row's parameters,
+        checkpoints, learning rates and sigma byte for byte, and its losses
+        and accuracies are None."""
         dataset = make_dataset(n=16, seed=4)
         model = ModelSpec(input_dim=3, hidden_dim=4, num_classes=3)
         cfg = TrainConfig(base_lr=0.1, total_steps=steps, batch_size=5, seed=3, warmup_steps=0,
                           clip_threshold=0.5, noise_multiplier=1.0, checkpoint_interval=1)
         variants = [(2, 7), (None, None, 0.5), (None, 7, 0.0)][:runs]
-        rows = [digest(row) for row in train_many(dataset, model, cfg, variants)]
-        assert rows == [digest(row) for row in train_many(dataset, model, cfg, variants)]
-        for variant, row in zip(variants, rows):
-            assert row == digest(train_many(dataset, model, cfg, [variant])[0])
-        assert len(rows[0][1]) == steps
 
-    def test_empty_batch_in_second_block_names_its_step(self):
+        def rows_of(variants):
+            return [digest(row) for row in
+                    train_many(dataset, model, cfg, variants, log_steps=log_steps)]
+
+        rows = rows_of(variants)
+        assert rows == rows_of(variants)
+        for variant, row in zip(variants, rows):
+            assert [row] == rows_of([variant])
+        assert len(rows[0][1]) == steps
+        logged = train_many(dataset, model, cfg, variants)
+        if not log_steps:
+            logged = [replace(row, losses=None, accuracies=None) for row in logged]
+        assert rows == [digest(row) for row in logged]
+
+    @pytest.mark.parametrize("log_steps", [True, False])
+    def test_empty_batch_in_second_block_names_its_step(self, log_steps):
         dataset = make_dataset(n=40, seed=1)
         cfg = TrainConfig(base_lr=0.1, total_steps=3 * DRAW_BLOCK, batch_size=1, seed=5,
                           warmup_steps=0)
@@ -750,10 +779,12 @@ class TestDrawBlocks:
         excluded, step = next((i, s) for i, s in sorted(first.items())
                               if DRAW_BLOCK < s <= 2 * DRAW_BLOCK)
         with pytest.raises(EmptyBatchError, match=f"^step {step}: run 1 excludes"):
-            train_many(dataset, ModelSpec(3, 0, 3), cfg, [(None, None), (excluded, None)])
+            train_many(dataset, ModelSpec(3, 0, 3), cfg, [(None, None), (excluded, None)],
+                       log_steps=log_steps)
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    def test_earlier_divergence_in_the_block_is_raised_first(self):
+    @pytest.mark.parametrize("log_steps", [True, False])
+    def test_earlier_divergence_in_the_block_is_raised_first(self, log_steps):
         """Run 0 diverges at step 2; run 1's batch at a later step of the same
         block holds only its excluded example."""
         dataset = make_dataset(n=40, seed=1)
@@ -763,9 +794,10 @@ class TestDrawBlocks:
         excluded, step = next((i, s) for i, s in sorted(first.items()) if s > 2)
         variants = [(None, None), (excluded, None)]
         with pytest.raises(EmptyBatchError, match=f"^step {step}:"):
-            train_many(dataset, ModelSpec(3, 0, 3), replace(cfg, base_lr=0.1), variants)
+            train_many(dataset, ModelSpec(3, 0, 3), replace(cfg, base_lr=0.1), variants,
+                       log_steps=log_steps)
         with pytest.raises(DivergenceError) as info:
-            train_many(dataset, ModelSpec(3, 0, 3), cfg, variants)
+            train_many(dataset, ModelSpec(3, 0, 3), cfg, variants, log_steps=log_steps)
         assert info.value.step == 2
 
 
@@ -785,19 +817,20 @@ class TestEmptyBatch:
         return next((i, s) for i, s in sorted(first.items())
                     if in_block * DRAW_BLOCK < s <= (in_block + 1) * DRAW_BLOCK)
 
-    def raises(self, cfg, variants, step, run, hidden=0):
+    def raises(self, cfg, variants, step, run, hidden=0, log_steps=True):
         with pytest.raises(EmptyBatchError, match=self.MESSAGE.format(step=step, run=run)):
-            train_many(self.DATASET, ModelSpec(3, hidden, 3), cfg, variants)
+            train_many(self.DATASET, ModelSpec(3, hidden, 3), cfg, variants, log_steps=log_steps)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("log_steps", [True, False])
     @pytest.mark.parametrize("hidden", [0, 4], ids=["linear", "tanh"])
     @pytest.mark.parametrize("optimizer", ["sgd", "adamw"])
-    def test_noisy_empty_batch_is_named_at_its_step(self, optimizer, hidden):
+    def test_noisy_empty_batch_is_named_at_its_step(self, optimizer, hidden, log_steps):
         cfg = TrainConfig(base_lr=0.1, total_steps=3 * DRAW_BLOCK, batch_size=1, seed=5,
                           warmup_steps=0, noise_multiplier=1.0, optimizer=optimizer)
         excluded, step = self.first_drawn(cfg, in_block=1)
-        self.raises(cfg, [(excluded,)], step, 0, hidden)
-        self.raises(cfg, [(excluded, 9, 0.5)], step, 0, hidden)
+        self.raises(cfg, [(excluded,)], step, 0, hidden, log_steps)
+        self.raises(cfg, [(excluded, 9, 0.5)], step, 0, hidden, log_steps)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("sigma", [0.0, 1.0])
@@ -875,16 +908,20 @@ class TestClassAxisFold:
             assert probs[:, r].tobytes() == _softmax(lone).tobytes()
 
     @pytest.mark.parametrize("classes", [1, 2, 3, 7])
-    @pytest.mark.parametrize("runs", [1, 8, FOLD_RUNS - 1, FOLD_RUNS, 190])
+    @pytest.mark.parametrize("runs", [1, 8, 31, 32, 190])
     def test_hits_follow_argmax_ties(self, runs, classes):
-        """A hit is argmax == label, the lowest index winning ties, also where
-        the fold computes it; probabilities drawn from {0, 1/4, 1/2} tie often."""
+        """A hit is the label being the most probable class, the lowest index
+        winning ties, checked example by example; probabilities drawn from
+        {0, 1/4, 1/2} tie often."""
         rng = np.random.default_rng(runs + classes)
         probs = rng.integers(0, 3, (classes, runs, 16)) / 4.0
         y = rng.integers(0, classes, 16)
         hits = _hits(probs, y)
         assert hits.shape == (runs, 16)
-        np.testing.assert_array_equal(hits, probs.argmax(axis=0) == y)
+        for r in range(runs):
+            for b in range(16):
+                column = probs[:, r, b].tolist()
+                assert hits[r, b] == (column.index(max(column)) == y[b])
 
 
 class TestEvaluate:

@@ -8,7 +8,7 @@
 - theorem1 (optional): gradient noise flattens the influence
   distribution of a planted outlier — the median max-softmax mass on the
   outlier's influence vector strictly decreases as sigma grows. Pass
-  --theorem1 to include it (~5.5 s for 20 seeds: per seed, one batched
+  --theorem1 to include it (~2.5 s for 20 seeds: per seed, one batched
   trainer call for the three full runs and one for every leave-one-out
   retrain).
 

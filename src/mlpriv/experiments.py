@@ -28,20 +28,19 @@ from . import metrics
 from .errors import InvalidConfigError, UndefinedMarginError
 from .influence import (
     CheckpointSet,
-    influence_profiles,
+    infu_from_scores,
     interpretability_margin,
     loo_probabilities,
-    _tracin_gram,
-    _tuple_shape,
+    tuple_grams,
 )
 from .synth import SynthSpec, gen_classification_data, gen_parallel_set, plant_outlier
 from .trainer import (
     LabeledDataset,
     ModelSpec,
     TrainConfig,
+    TrainResult,
     Variant,
     evaluate,
-    train,
     train_many,
     _softmax,
 )
@@ -75,6 +74,17 @@ def _train_config(
     return config
 
 
+def _trained_grams(dataset: LabeledDataset, model: ModelSpec, config: TrainConfig,
+                   sigmas: tuple[float, ...]) -> tuple[list[TrainResult], list[np.ndarray]]:
+    """The full-data run at each noise multiplier of ``sigmas``, all from one
+    log-free ``train_many`` call, and each run's ``tuple_grams`` over its
+    last three checkpoints: one (tuples, |L|, |L|) TracInCP Gram per run."""
+    variants = [Variant(noise_multiplier=s) for s in sigmas]
+    runs = train_many(dataset, model, config, variants, log_steps=False)
+    return runs, [tuple_grams(dataset, CheckpointSet.last_k(run.checkpoints, 3), model)
+                  for run in runs]
+
+
 # ---------------------------------------------------------------------------
 # theorem2: perfect compression => fairness + uniform influence
 # ---------------------------------------------------------------------------
@@ -102,12 +112,10 @@ def run_theorem2(
     }
 
     model = ModelSpec(input_dim=dim, hidden_dim=0, num_classes=spec.classes)
-    result = train(dataset, model, config)
-    _, per_language = evaluate(result.theta, model, dataset)
+    (run,), (gram,) = _trained_grams(dataset, model, config, (0.0,))
+    _, per_language = evaluate(run.theta, model, dataset)
     loss_variance, loss_gap = metrics.linguistic_fairness_gap(per_language)
-
-    cks = CheckpointSet.last_k(result.checkpoints, 3)
-    infu_values = [profile.infu for profile in influence_profiles(dataset, cks, model)]
+    infu_values = [infu_from_scores(scores) for scores in gram]
 
     passed = (
         loss_variance == 0.0
@@ -224,14 +232,7 @@ def run_theorem1(
     for seed in seeds:
         dataset, planted = _theorem1_dataset(seed, num_languages, tuples, dim, classes, magnitude)
         config = _train_config(base_lr, total_steps, batch_size, seed, len(dataset))
-        G, L = _tuple_shape(dataset)
-        X, y = dataset.features.reshape(G, L, -1), dataset.labels.reshape(G, L)
-        full_runs = train_many(
-            dataset, model, config, [Variant(noise_multiplier=s) for s in THEOREM1_SIGMAS],
-            log_steps=False,
-        )
-        cells = [CheckpointSet.last_k(run.checkpoints, 3) for run in full_runs]
-        grams = [_tracin_gram(X, y, cks, model) for cks in cells]  # tuple-major (G, L, L)
+        _, grams = _trained_grams(dataset, model, config, THEOREM1_SIGMAS)
         seed_rows = []
         for sigma, gram in zip(THEOREM1_SIGMAS, grams):
             margin = planted_influence_margin(gram, planted)
@@ -293,11 +294,8 @@ def run_fig2_correlation(
             config = _train_config(base_lr, total_steps, 32, seed, len(dataset))
             embedding_set, _ = gen_parallel_set(spec)
             retrieval = metrics.pairwise_report(embedding_set, "retrieval").aggregate
-            result = train(dataset, model, config)
-            cks = CheckpointSet.last_k(result.checkpoints, 3)
-            mean_infu = float(np.mean(
-                [profile.infu for profile in influence_profiles(dataset, cks, model)]
-            ))
+            _, (gram,) = _trained_grams(dataset, model, config, (0.0,))
+            mean_infu = float(np.mean([infu_from_scores(scores) for scores in gram]))
             points.append((retrieval, mean_infu))
             rows.append({
                 "lambda": lam, "seed": seed,

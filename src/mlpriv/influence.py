@@ -158,11 +158,10 @@ def influence_profile(
     )
 
 
-def influence_profiles(
-    dataset: LabeledDataset, cks: CheckpointSet, spec: ModelSpec
-) -> list[InfluenceProfile]:
-    """Profiles of every translation tuple of a tuple-major dataset, from one
-    kernel call.
+def tuple_grams(dataset: LabeledDataset, cks: CheckpointSet, spec: ModelSpec) -> np.ndarray:
+    """TracInCP scores within every translation tuple of a tuple-major
+    dataset, (tuples, |L|, |L|), from one kernel call: entry (i, k, j) is
+    the influence of tuple i's member k on its member j.
 
     The languages are the dataset's tags in first-seen order, and example
     i * |L| + q must be tuple i in language q, as ``gen_classification_data``
@@ -170,18 +169,22 @@ def influence_profiles(
     any other layout raises TupleLayoutError.
     """
     G, L = _tuple_shape(dataset)
-    scores = _tracin_gram(
-        dataset.features.reshape(G, L, -1), dataset.labels.reshape(G, L), cks, spec
-    )
+    return _tracin_gram(dataset.features.reshape(G, L, -1), dataset.labels.reshape(G, L), cks, spec)
+
+
+def influence_profiles(dataset: LabeledDataset, cks: CheckpointSet,
+                       spec: ModelSpec) -> list[InfluenceProfile]:
+    """Profiles of every translation tuple of a tuple-major dataset: the
+    tuples' ``tuple_grams`` and their InfU."""
     return [
         InfluenceProfile(tuple_index=i, scores=s, infu=infu_from_scores(s))
-        for i, s in enumerate(scores)
+        for i, s in enumerate(tuple_grams(dataset, cks, spec))
     ]
 
 
 def _tuple_shape(dataset: LabeledDataset) -> tuple[int, int]:
     """(tuples, languages) of a dataset in the tuple-major layout that
-    ``influence_profiles`` describes; raises as it documents otherwise."""
+    ``tuple_grams`` describes; raises as it documents otherwise."""
     languages = list(dict.fromkeys(dataset.languages))
     L = len(languages)
     if L < 2:

@@ -70,7 +70,8 @@ def gen_parallel_set(spec: SynthSpec) -> tuple[EmbeddingSet, np.ndarray]:
 
     latents = rng.standard_normal((m, d))
 
-    # labels: quantile-binned projection of the latent, balanced by design
+    # labels: the latent's projection binned at its class quantiles, near-equal
+    # counts; an edge that rounds onto a data point can leave a class empty
     w = rng.standard_normal(d)
     projection = latents @ w
     edges = np.quantile(projection, np.linspace(0, 1, spec.classes + 1)[1:-1])
@@ -114,7 +115,8 @@ def plant_outlier(
     the chosen example's features and label untouched. With orthogonal=True
     the outlier direction is projected out of the class-mean subspace, so
     its flipped label does not fight the bulk class structure and a
-    non-private run can memorize it.
+    non-private run can memorize it; fewer classes must be present than
+    there are dimensions, else DomainError.
     """
     if not (math.isfinite(magnitude) and magnitude >= 0):
         raise DomainError(f"magnitude must be finite and >= 0, got {magnitude}")
@@ -127,7 +129,11 @@ def plant_outlier(
         direction = rng.standard_normal(features.shape[1])
         if orthogonal:
             # the means of the classes present: a class with no example has none
-            means = np.vstack([features[labels == c].mean(axis=0) for c in np.unique(labels)])
+            present = np.unique(labels)
+            if len(present) >= features.shape[1]:
+                raise DomainError(f"orthogonal=True needs fewer present classes than dimensions, "
+                                  f"got {len(present)} classes in dim {features.shape[1]}")
+            means = np.vstack([features[labels == c].mean(axis=0) for c in present])
             q, _ = np.linalg.qr(means.T)
             direction -= q @ (q.T @ direction)
         direction /= np.linalg.norm(direction)

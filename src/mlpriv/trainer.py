@@ -547,9 +547,6 @@ def train_many(
     # sums are one product
     features_1 = np.hstack([dataset.features, np.ones((N, 1))])
     one_hot = np.eye(spec.num_classes)
-    # the flat index of class 0 for run r and example b of a (c, R, B)
-    # stack; class y adds y * R * B
-    class_0 = np.arange(R * B).reshape(R, B)
 
     state = OptimizerState.init(np.tile(init_theta(spec, seed=config.seed), (R, 1)))
     params = _unpack(spec, state.theta)  # views: optimizer_step updates state.theta in place
@@ -573,7 +570,6 @@ def train_many(
             idx = np.stack([batch_rng.choice(N, size=B, replace=False) for _ in range(n)])
             X1_block = features_1[idx]  # (n, B, d + 1)
             y_block = dataset.labels[idx]
-            label_offset_block = y_block * (R * B)  # (n, B)
             Y_block = one_hot[:, y_block].transpose(1, 0, 2).copy()  # (n, c, B)
             keep_block = idx[:, None, :] != excluded[:, None]  # (n, R, B)
             count_block = keep_block.sum(axis=2)
@@ -584,10 +580,11 @@ def train_many(
                     np.multiply(draws[:n], scale, out=noise[:n, q])
         keep, count = keep_block[j], count_block[j]
         X1 = X1_block[j]
-        probs, layers = _backward(spec, params, X1[:, :-1].T, Y_block[j])
+        Y = Y_block[j]
+        probs, layers = _backward(spec, params, X1[:, :-1].T, Y)
+        # p_y is the fold of p_y * 1 and the other classes' p * 0 = +0: its bits, or nan
         if log_steps:  # each example's probability of its label, and its hit
-            p_true = p_true_block[j]
-            probs.take(label_offset_block[j] + class_0, out=p_true, mode="wrap")  # in range: no check
+            np.add.reduce(probs * Y[:, None], out=p_true_block[j])
             hit_block[j] = _hits(probs, y_block[j])
 
         # (R, B) squared norms, each a fold over the unit slices; deeper
@@ -631,7 +628,7 @@ def train_many(
                 raise EmptyBatchError(
                     f"step {step}: run {int(np.argmin(count))} excludes every example of its batch"
                 )
-            loss = _mean_loss(probs.take(label_offset_block[j] + class_0), keep, count)
+            loss = _mean_loss(np.add.reduce(probs * Y[:, None]), keep, count)
             if np.isnan(loss).any():
                 r = int(np.argmax(np.isnan(loss)))
                 raise DivergenceError(step, f"loss = {loss[r]}{_which_run(variants, r)}")

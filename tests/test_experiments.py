@@ -1,6 +1,7 @@
 """theorem1's batched structure: two trainer calls and three TracInCP Grams
 per seed that reproduce the per-cell computation built from the public
-single-run API."""
+single-run API; theorem2 and fig2-correlation train each cell the same
+log-free way."""
 
 import math
 
@@ -91,10 +92,43 @@ def test_theorem1_reads_one_tuple_major_gram_per_sigma_cell(monkeypatch, include
         shapes.append(X.shape[:2])
         return real(X, y, cks, spec)
 
-    for module in (influence, experiments):
-        monkeypatch.setattr(module, "_tracin_gram", spy)
+    monkeypatch.setattr(influence, "_tracin_gram", spy)
     run_theorem1(seeds=[0, 1], include_loo=include_loo)
     assert shapes == [(16, 4)] * 2 * len(THEOREM1_SIGMAS)
+
+
+@pytest.mark.parametrize("run, cells", [
+    (lambda: experiments.run_theorem2(num_languages=2, tuples=16, dim=4, total_steps=200), 1),
+    (lambda: experiments.run_fig2_correlation(seeds=[0], num_languages=2, tuples=16, dim=4,
+                                              total_steps=200), len(experiments.LAMBDA_GRID)),
+], ids=["theorem2", "fig2-correlation"])
+def test_experiment_trains_each_cell_once_without_the_log(monkeypatch, run, cells):
+    """theorem2 and fig2-correlation train each cell's full-data run as
+    theorem1 does: one log-free ``train_many`` run, never ``train``, and
+    one tuple-major TracInCP Gram (tuples, languages) over its checkpoints."""
+    stacks, logged, shapes = [], [], []
+    real_many, real_gram = trainer.train_many, influence._tracin_gram
+
+    def spy_many(dataset, spec, config, variants, **kwargs):
+        stacks.append(len(variants))
+        logged.append(kwargs.get("log_steps", True))
+        return real_many(dataset, spec, config, variants, **kwargs)
+
+    def spy_gram(X, y, cks, spec):
+        shapes.append(X.shape[:2])
+        return real_gram(X, y, cks, spec)
+
+    def no_train(*args, **kwargs):
+        raise AssertionError("trainer.train was called")
+
+    for module in (trainer, influence, experiments):
+        monkeypatch.setattr(module, "train_many", spy_many)
+        monkeypatch.setattr(module, "train", no_train, raising=False)
+    monkeypatch.setattr(influence, "_tracin_gram", spy_gram)
+    run()
+    assert stacks == [1] * cells
+    assert logged == [False] * cells
+    assert shapes == [(16, 2)] * cells
 
 
 @pytest.mark.parametrize("classes", [2, 5])

@@ -26,6 +26,7 @@ from mlpriv.influence import (
     influence_profiles,
     interpretability_margin,
     loo_probabilities,
+    tuple_grams,
     _tracin_gram,
 )
 from mlpriv.repr_store import write_embeddings
@@ -342,6 +343,18 @@ class TestInfluenceProfiles:
     def test_language_major_order_rejected(self):
         with pytest.raises(TupleLayoutError, match="tuple-major"):
             influence_profiles(self.dataset(("en",) * 3 + ("fr",) * 3), self.CKS, SPEC)
+
+    def test_tuple_grams_are_the_profiles_scores_in_the_same_layout(self):
+        dataset = self.dataset(("fr", "en", "de") * 3)
+        grams = tuple_grams(dataset, self.CKS, SPEC)
+        assert grams.shape == (3, 3, 3)
+        profiles = influence_profiles(dataset, self.CKS, SPEC)
+        assert grams.tobytes() == np.stack([p.scores for p in profiles]).tobytes()
+        for languages, error in [(("en",) * 4, TooFewLanguagesError),
+                                 (("en", "fr") * 3 + ("en",), TupleLayoutError),
+                                 (("en",) * 3 + ("fr",) * 3, TupleLayoutError)]:
+            with pytest.raises(error):
+                tuple_grams(self.dataset(languages), self.CKS, SPEC)
 
 
 class TestInfU:

@@ -140,6 +140,21 @@ class TestPlantOutlier:
             mean = dataset.features[dataset.labels == c].mean(axis=0)
             assert abs(mean @ direction) < 1e-12
 
+    def test_present_class_means_that_span_the_space_are_rejected(self):
+        """Four present classes in dim 4 leave no direction orthogonal to
+        their means: the call names both counts instead of planting the
+        normalised rounding residue. With nothing to project, it plants."""
+        spec = SynthSpec(num_languages=2, tuples=6, dim=4, classes=5, seed=10)
+        dataset = gen_classification_data(spec)
+        assert np.unique(dataset.labels).tolist() == [0, 1, 2, 4]
+        with pytest.raises(DomainError, match="got 4 classes in dim 4$"):
+            plant_outlier(dataset, magnitude=6.0, seed=1, orthogonal=True)
+        for magnitude, orthogonal in ((0.0, True), (6.0, False)):
+            planted_set, index = plant_outlier(dataset, magnitude=magnitude, seed=1,
+                                               orthogonal=orthogonal)
+            assert np.linalg.norm(planted_set.features[index]) == pytest.approx(
+                magnitude or np.linalg.norm(dataset.features[index]))
+
     def test_negative_magnitude_rejected(self):
         spec = SynthSpec(num_languages=2, tuples=10, dim=4, seed=4)
         dataset = gen_classification_data(spec)

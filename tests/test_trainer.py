@@ -268,6 +268,31 @@ class TestTrainLoop:
             np.testing.assert_allclose(result.checkpoints[step - 1].theta, theta, atol=1e-12)
         assert dropped > 0
 
+    @pytest.mark.parametrize("hidden", [0, 5])
+    def test_logged_loss_and_accuracy_are_the_batch_cross_entropy_and_hits(self, hidden):
+        """Each logged step is the mean cross-entropy -log p_y and argmax hit
+        rate, over the examples the run kept from the drawn batch, of the
+        parameters the step starts from; across a block edge."""
+        dataset = make_dataset(n=12, d=3, c=4, seed=7)
+        model = ModelSpec(input_dim=3, hidden_dim=hidden, num_classes=4)
+        cfg = TrainConfig(base_lr=0.1, total_steps=DRAW_BLOCK + 4, batch_size=4, seed=3,
+                          warmup_steps=5, noise_multiplier=0.5, checkpoint_interval=1)
+        excluded = 2
+        runs = train_many(dataset, model, cfg, [(None,), (excluded,)])
+
+        batch_ss, _ = np.random.SeedSequence(cfg.seed).spawn(2)
+        rng = np.random.default_rng(batch_ss)
+        for step in range(1, cfg.total_steps + 1):
+            idx = rng.choice(len(dataset), size=cfg.batch_size, replace=False)
+            for run, kept in zip(runs, (idx, [i for i in idx if i != excluded])):
+                theta = run.checkpoints[step - 2].theta if step > 1 else init_theta(model, cfg.seed)
+                pairs = [forward_loss(model, theta, dataset.features[i], int(dataset.labels[i]))
+                         for i in kept]
+                np.testing.assert_allclose(run.losses[step - 1], np.mean([l for l, _ in pairs]),
+                                           rtol=1e-12)
+                hits = [np.argmax(p) == dataset.labels[i] for (_, p), i in zip(pairs, kept)]
+                assert run.accuracies[step - 1] == np.mean(hits)
+
     def test_checkpoint_cadence(self):
         dataset = make_dataset()
         model = ModelSpec(input_dim=3, hidden_dim=0, num_classes=3)

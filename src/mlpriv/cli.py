@@ -104,17 +104,16 @@ def _from_config(cls, values: dict, path):
     return cls(**values)
 
 
-def _schema(*sources) -> dict[str, type]:
-    """Config key -> type, read from the annotations of each source's
-    parameters: a dataclass's fields or a function's; ``T | None`` reads as T."""
+def _schema(source) -> dict[str, type]:
+    """Config key -> type, read from the annotations of source's parameters:
+    a dataclass's fields or a function's; ``T | None`` reads as T."""
+    hints = typing.get_type_hints(source)
     schema: dict[str, type] = {}
-    for source in sources:
-        hints = typing.get_type_hints(source)
-        for name in inspect.signature(source).parameters:
-            kind = hints[name]
-            if type(None) in typing.get_args(kind):
-                kind, = [arg for arg in typing.get_args(kind) if arg is not type(None)]
-            schema[name] = kind
+    for name in inspect.signature(source).parameters:
+        kind = hints[name]
+        if type(None) in typing.get_args(kind):
+            kind, = [arg for arg in typing.get_args(kind) if arg is not type(None)]
+        schema[name] = kind
     return schema
 
 
@@ -128,7 +127,6 @@ MODEL_SCHEMA = {
 
 TRAIN_SCHEMA = {**_schema(TrainConfig), **MODEL_SCHEMA}
 SYNTH_SCHEMA = _schema(SynthSpec)
-EXPERIMENT_SCHEMA = _schema(*experiments.EXPERIMENTS.values())
 
 
 def _write_csv(path: Path | str, header: list[str], rows) -> None:
@@ -250,10 +248,11 @@ def cmd_train(args) -> int:
 
 
 def cmd_influence(args) -> int:
-    ckpt_paths = sorted(Path(args.checkpoints).glob("*.ckpt"))
-    if not ckpt_paths:
+    # in recorded step order, names breaking ties: `ckpt_1000000` sorts before `ckpt_999900`
+    checkpoints = sorted(map(read_checkpoint, sorted(Path(args.checkpoints).glob("*.ckpt"))),
+                         key=lambda ckpt: ckpt.step)
+    if not checkpoints:
         raise ConfigError(f"no checkpoints in {args.checkpoints}")
-    checkpoints = [read_checkpoint(p) for p in ckpt_paths]
     cks = CheckpointSet.last_k(checkpoints, args.last)
     dataset = _load_dataset(Path(args.data))
     num_classes = int(dataset.labels.max()) + 1
@@ -302,15 +301,8 @@ def cmd_experiment(args) -> int:
         raise ConfigError(
             f"unknown experiment {args.name!r}; choose from {tuple(experiments.EXPERIMENTS)}"
         )
-    kwargs = {}
-    if args.config:
-        values = read_config(args.config, EXPERIMENT_SCHEMA)
-        accepted = inspect.signature(experiments.EXPERIMENTS[args.name]).parameters
-        unknown = [key for key in values if key not in accepted]
-        if unknown:
-            raise ConfigError(f"{args.config}: {args.name} does not take {', '.join(unknown)}")
-        kwargs = values
-    result = experiments.EXPERIMENTS[args.name](**kwargs)
+    run = experiments.EXPERIMENTS[args.name]
+    result = run(**(read_config(args.config, _schema(run)) if args.config else {}))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     # rows arrive formatted, and summary values are written as str(), not .17g

@@ -59,11 +59,12 @@ def _train_config(
 ) -> TrainConfig:
     """An experiment's training config, the trainer's defaults otherwise, for
     a dataset of ``examples`` examples (tuples x num_languages); its
-    influence reads checkpoints, so training must reach the first one."""
+    influence reads checkpoints, and the one at the last step has learning
+    rate 0, so training must run past the first one."""
     config = TrainConfig(base_lr=base_lr, total_steps=total_steps, batch_size=batch_size, seed=seed)
-    if total_steps < config.checkpoint_interval:
+    if total_steps <= config.checkpoint_interval:
         raise InvalidConfigError(
-            f"total_steps = {total_steps} ends before the first checkpoint "
+            f"total_steps = {total_steps} must run past the first checkpoint "
             f"at step {config.checkpoint_interval}"
         )
     if batch_size > examples:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DomainError
 from .repr_store import EmbeddingSet
-from .trainer import LabeledDataset, _is_seed
+from .trainer import LabeledDataset, _check_ints, _is_seed
 
 
 @dataclass(frozen=True)
@@ -30,6 +30,7 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
+        _check_ints(self, ("num_languages", "tuples", "dim", "classes"), DomainError)
         if not 0.0 <= self.compression <= 1.0:
             raise DomainError(f"compression must be in [0, 1], got {self.compression}")
         if self.num_languages < 2 or self.tuples < 2:

@@ -52,6 +52,13 @@ def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _check_ints(obj, names, error) -> None:
+    """Raise ``error`` naming the first of obj's fields ``names`` that is not an integer."""
+    for name in names:
+        if not _is_int(getattr(obj, name)):
+            raise error(f"{name} must be an integer, got {getattr(obj, name)!r}")
+
+
 def _is_real(value) -> bool:
     """A Python or numpy real number; bool is not one."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
@@ -80,6 +87,7 @@ class ModelSpec:
     num_classes: int
 
     def __post_init__(self):
+        _check_ints(self, ("input_dim", "hidden_dim", "num_classes"), InvalidConfigError)
         if self.input_dim < 1 or self.num_classes < 1 or self.hidden_dim < 0:
             raise InvalidConfigError(f"invalid model spec {self}")
 
@@ -109,9 +117,8 @@ class TrainConfig:
     def __post_init__(self):
         if not _is_seed(self.seed):
             raise InvalidConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
-        for name in ("total_steps", "batch_size", "warmup_steps", "checkpoint_interval"):
-            if not _is_int(getattr(self, name)):
-                raise InvalidConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        _check_ints(self, ("total_steps", "batch_size", "warmup_steps", "checkpoint_interval"),
+                    InvalidConfigError)
         if self.total_steps > U32_MAX:
             raise InvalidConfigError(
                 f"total_steps must be at most {U32_MAX} (a checkpoint stores its step as u32),"

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import functools
 import inspect
 import io
 import math
@@ -22,7 +23,6 @@ from mlpriv.cli import (
     EXIT_DIVERGENCE,
     EXIT_OK,
     EXIT_VALIDATION,
-    EXPERIMENT_SCHEMA,
     SYNTH_SCHEMA,
     TRAIN_SCHEMA,
     ConfigError,
@@ -42,6 +42,10 @@ from mlpriv.trainer import (
     train,
     write_checkpoint,
 )
+
+
+# every key some experiment takes: the union of the experiments' own key tables
+EXPERIMENT_KEYS = set().union(*map(cli._schema, experiments.EXPERIMENTS.values()))
 
 
 def write_config(path, **kwargs):
@@ -590,6 +594,38 @@ class TestInfluenceCommand:
         assert code == EXIT_VALIDATION
         assert "must set hidden_dim and num_classes" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("last", [2, 1])
+    def test_checkpoints_are_ordered_by_recorded_step(self, synth_dir, tmp_path, last):
+        """Past step 999,999 train's `ckpt_{step:06d}` names sort out of step
+        order: `ckpt_1000000.ckpt` before `ckpt_999900.ckpt`. --last K takes
+        the K checkpoints of the highest recorded steps."""
+        rng = np.random.default_rng(0)
+        run = tmp_path / "run"
+        run.mkdir()
+        checkpoints = [Checkpoint(step=step, theta=rng.standard_normal(2 * 4 + 2), eta=eta)
+                       for step, eta in [(999_900, 0.02), (1_000_000, 0.01)]]
+        for ckpt in checkpoints:
+            write_checkpoint(run / f"ckpt_{ckpt.step:06d}.ckpt", ckpt)
+        assert sorted(p.name for p in run.glob("*.ckpt")) == ["ckpt_1000000.ckpt",
+                                                              "ckpt_999900.ckpt"]
+        out = tmp_path / "influence.csv"
+        assert main(["influence", "--checkpoints", str(run), "--data", str(synth_dir),
+                     "--out", str(out), "--last", str(last)]) == EXIT_OK
+        features = read_embeddings(synth_dir / "features.emb")
+        labels, tags = zip(*(line.split("\t")
+                             for line in (synth_dir / "labels.tsv").read_text().splitlines()))
+        dataset = LabeledDataset(features=features, labels=np.array([int(v) for v in labels]),
+                                 languages=tags)
+        model = ModelSpec(input_dim=4, hidden_dim=0, num_classes=2)
+        languages = ["L00", "L01", "L02"]
+        rows = []
+        for prof in influence_profiles(dataset, CheckpointSet(checkpoints[-last:]), model):
+            rows += [[prof.tuple_index, anchor, target, g17(prof.scores[k, j])]
+                     for k, anchor in enumerate(languages) for j, target in enumerate(languages)]
+            rows.append([prof.tuple_index, "ALL", "ALL", g17(prof.infu)])
+        assert out.read_bytes() == csv_bytes(["tuple_index", "anchor_lang", "target_lang", "score"],
+                                             rows)
+
     def test_empty_checkpoint_dir_exits_2(self, synth_dir, tmp_path):
         empty = tmp_path / "empty"
         empty.mkdir()
@@ -743,8 +779,10 @@ class TestExperimentCommand:
         ("theorem1", "seeds = 0\nmagnitude = inf", "magnitude"),
         ("theorem2", "total_steps = 40", "total_steps = 40"),  # inside the trainer's warmup
         ("theorem2", "total_steps = 80", "total_steps = 80"),  # before the first checkpoint
+        # at the first checkpoint, whose learning rate is 0: all-zero influence
+        ("theorem2", "total_steps = 100", "total_steps = 100 must run past the first checkpoint"),
     ], ids=["tol", "threshold", "loo_noise_seeds", "empty_seed", "magnitude_nan", "magnitude_inf",
-            "total_steps_40", "total_steps_80"])
+            "total_steps_40", "total_steps_80", "total_steps_100"])
     def test_malformed_config_exits_2_naming_the_key(self, tmp_path, capsys, name, text, named):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(text + "\n")
@@ -767,6 +805,62 @@ class TestExperimentCommand:
             "tuples x num_languages\n"
         )
 
+    # a sample config value of each experiment parameter, and the value it parses to
+    EXPERIMENT_VALUES = {
+        "seeds": ("4,5", [4, 5]),
+        "num_languages": ("3", 3),
+        "tuples": ("7", 7),
+        "dim": ("5", 5),
+        "classes": ("4", 4),
+        "magnitude": ("2.5", 2.5),
+        "total_steps": ("150", 150),
+        "batch_size": ("8", 8),
+        "base_lr": ("0.25", 0.25),
+        "seed": ("9", 9),
+        "include_loo": ("false", False),
+    }
+
+    @staticmethod
+    def record_calls(monkeypatch, name):
+        """Swap the experiment for a recorder with its signature; returns the
+        list of keyword dicts it is called with."""
+        run, calls = experiments.EXPERIMENTS[name], []
+
+        @functools.wraps(run)
+        def recorder(**kwargs):
+            calls.append(kwargs)
+            return experiments.ExperimentResult(name, True, {}, [])
+
+        monkeypatch.setitem(experiments.EXPERIMENTS, name, recorder)
+        return calls
+
+    @pytest.mark.parametrize("name, key", [
+        (name, key) for name, run in experiments.EXPERIMENTS.items()
+        for key in inspect.signature(run).parameters
+    ])
+    def test_own_parameter_is_passed_through_typed(self, tmp_path, monkeypatch, name, key):
+        calls = self.record_calls(monkeypatch, name)
+        text, value = self.EXPERIMENT_VALUES[key]
+        cfg = write_config(tmp_path / "exp.cfg", **{key: text})
+        assert main(["experiment", name, "--config", cfg, "--out", str(tmp_path / "exp")]) == EXIT_OK
+        assert calls == [{key: value}]
+        assert type(calls[0][key]) is type(value)
+
+    @pytest.mark.parametrize("name, key", [
+        (name, key) for name, run in experiments.EXPERIMENTS.items()
+        for key in EXPERIMENT_KEYS - inspect.signature(run).parameters.keys()
+    ])
+    def test_parameter_of_another_experiment_is_an_unknown_key(self, tmp_path, capsys,
+                                                               monkeypatch, name, key):
+        """Each experiment's config is read against its own parameters alone."""
+        calls = self.record_calls(monkeypatch, name)
+        cfg = write_config(tmp_path / "exp.cfg", **{key: self.EXPERIMENT_VALUES[key][0]})
+        capsys.readouterr()
+        code = main(["experiment", name, "--config", cfg, "--out", str(tmp_path / "exp")])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {cfg}:1: unknown key {key!r}\n"
+        assert calls == [] and not (tmp_path / "exp").exists()
+
     EXPERIMENT_FUZZ = {
         "seeds": st.sampled_from(["0", "1", "2,3"]),
         "num_languages": as_text(st.integers(2, 4)),
@@ -775,7 +869,7 @@ class TestExperimentCommand:
         "classes": as_text(st.integers(2, 4)),
         "magnitude": as_text(st.floats(0.0, 10.0)),
         # past the trainer's default warmup (50 steps) and first checkpoint (100)
-        "total_steps": as_text(st.integers(100, 130)),
+        "total_steps": as_text(st.integers(101, 130)),
         "batch_size": as_text(st.integers(1, 40)),
         "base_lr": as_text(st.floats(1e-3, 1.0)),
         "seed": as_text(st.integers(0, 2**64)),
@@ -786,14 +880,14 @@ class TestExperimentCommand:
     @settings(max_examples=20, deadline=None)
     @given(data=st.data())
     def test_fuzzed_config_exit_code_is_documented(self, tmp_path_factory, data):
-        assert self.EXPERIMENT_FUZZ.keys() == EXPERIMENT_SCHEMA.keys()
+        assert self.EXPERIMENT_FUZZ.keys() == EXPERIMENT_KEYS == self.EXPERIMENT_VALUES.keys()
         name = data.draw(st.sampled_from(list(experiments.EXPERIMENTS)), label="name")
         accepted = inspect.signature(experiments.EXPERIMENTS[name]).parameters
         fields = {k: v for k, v in self.EXPERIMENT_FUZZ.items() if k in accepted}
         # the default seeds, sizes and step counts take seconds: always set them
         values = fuzz_config(data, fields, required=[k for k in ("seeds", "tuples", "total_steps")
                                                      if k in fields],
-                             bad_keys=EXPERIMENT_SCHEMA, may_drop_required=False)
+                             bad_keys=EXPERIMENT_KEYS, may_drop_required=False)
         cfg = write_config(tmp_path_factory.mktemp("exp") / "exp.cfg", **values)
         code, err = run_quietly(["experiment", name, "--config", cfg,
                                  "--out", str(Path(cfg).parent / "out")])

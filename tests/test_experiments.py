@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from mlpriv import experiments, influence, trainer
-from mlpriv.errors import UndefinedMarginError
+from mlpriv.errors import InvalidConfigError, UndefinedMarginError
 from mlpriv.experiments import THEOREM1_SIGMAS, run_theorem1
 from mlpriv.influence import (
     CheckpointSet,
@@ -129,6 +129,21 @@ def test_experiment_trains_each_cell_once_without_the_log(monkeypatch, run, cell
     assert stacks == [1] * cells
     assert logged == [False] * cells
     assert shapes == [(16, 2)] * cells
+
+
+@pytest.mark.parametrize("run", [
+    lambda: experiments.run_theorem2(num_languages=2, tuples=16, dim=4, total_steps=100),
+    lambda: experiments.run_fig2_correlation(seeds=[0], num_languages=2, tuples=16, dim=4,
+                                             total_steps=100),
+    lambda: run_theorem1(seeds=[0], tuples=8, total_steps=100),
+], ids=["theorem2", "fig2-correlation", "theorem1"])
+def test_training_that_ends_at_the_first_checkpoint_is_rejected(run):
+    """The checkpoint at the last step has learning rate 0, so a run that
+    ends at the first checkpoint would give all-zero TracInCP scores:
+    theorem2 passed with min_infu exactly 1 and fig2's Pearson r was nan."""
+    with pytest.raises(InvalidConfigError,
+                       match="^total_steps = 100 must run past the first checkpoint at step 100"):
+        run()
 
 
 @pytest.mark.parametrize("classes", [2, 5])

@@ -33,6 +33,21 @@ class TestSynthSpec:
         with pytest.raises(DomainError, match="^seed must be a nonnegative integer"):
             SynthSpec(num_languages=3, tuples=10, dim=4, seed=bad)
 
+    @pytest.mark.parametrize("field, value", [
+        ("num_languages", 2.0), ("tuples", 4.5), ("tuples", True), ("dim", "4"),
+        ("dim", np.float64(4.0)), ("classes", 2.0), ("classes", None),
+    ])
+    def test_size_that_is_not_an_integer_rejected(self, field, value):
+        """A float size used to escape generation as numpy's bare TypeError."""
+        sizes = dict(num_languages=3, tuples=10, dim=4) | {field: value}
+        with pytest.raises(DomainError, match=f"^{field} must be an integer, got "):
+            SynthSpec(**sizes)
+
+    def test_numpy_integer_sizes_accepted(self):
+        spec = SynthSpec(num_languages=np.int64(2), tuples=np.int32(4), dim=np.uint8(3),
+                         classes=np.int64(2))
+        assert gen_classification_data(spec).features.shape == (8, 3)
+
     def test_language_tags_are_stable(self):
         assert language_tags(3) == ["L00", "L01", "L02"]
 

@@ -1162,3 +1162,18 @@ class TestValidation:
             ModelSpec(input_dim=0, hidden_dim=0, num_classes=2)
         assert ModelSpec(input_dim=3, hidden_dim=0, num_classes=4).num_params == 16
         assert ModelSpec(input_dim=3, hidden_dim=5, num_classes=4).num_params == 3 * 5 + 5 + 5 * 4 + 4
+
+    @pytest.mark.parametrize("field, value", [
+        ("input_dim", 8.0), ("input_dim", "8"), ("hidden_dim", True), ("hidden_dim", 2.0),
+        ("hidden_dim", None), ("num_classes", 3.5), ("num_classes", np.float64(3.0)),
+    ])
+    def test_model_size_that_is_not_an_integer_rejected(self, field, value):
+        """A float size used to escape init_theta as a bare TypeError, and
+        hidden_dim = True built a one-unit tanh layer."""
+        sizes = dict(input_dim=8, hidden_dim=0, num_classes=3) | {field: value}
+        with pytest.raises(InvalidConfigError, match=f"^{field} must be an integer, got "):
+            ModelSpec(**sizes)
+
+    def test_numpy_integer_model_sizes_accepted(self):
+        spec = ModelSpec(input_dim=np.int64(3), hidden_dim=np.uint8(5), num_classes=np.int32(4))
+        assert spec.num_params == 3 * 5 + 5 + 5 * 4 + 4

@@ -86,11 +86,41 @@ def _trained_grams(dataset: LabeledDataset, model: ModelSpec, config: TrainConfi
                   for run in runs]
 
 
+def _distinct_seeds(seeds: list[int]) -> list[int]:
+    """``seeds``, which a seed-grid experiment checks before any training:
+    an empty list or a repeated seed raises ``InvalidConfigError``."""
+    if not seeds:
+        raise InvalidConfigError("need at least one seed")
+    repeated = [s for i, s in enumerate(seeds) if s in seeds[:i]]
+    if repeated:
+        raise InvalidConfigError(f"seed {repeated[0]} is repeated in seeds")
+    return seeds
+
+
 # ---------------------------------------------------------------------------
 # theorem2: perfect compression => fairness + uniform influence
 # ---------------------------------------------------------------------------
 
 THEOREM2_TOL = 1e-9  # how far from 1 the metric aggregates and InfU may be
+
+
+def _compression_cell(num_languages: int, tuples: int, dim: int, seed: int, total_steps: int,
+                      compression: float, base_lr: float, metric_names: tuple[str, ...]):
+    """One compression level at one seed, shared by theorem2 and fig2: the
+    parallel set's aggregate of each of ``metric_names``, then the linear
+    model's sigma = 0 run on the matching classification data, read as its
+    per-language losses and every tuple's InfU."""
+    spec = SynthSpec(num_languages=num_languages, tuples=tuples, dim=dim,
+                     compression=compression, seed=seed)
+    dataset = gen_classification_data(spec)
+    config = _train_config(base_lr, total_steps, 32, seed, len(dataset))
+    embedding_set, _ = gen_parallel_set(spec)
+    aggregates = {m: metrics.pairwise_report(embedding_set, m).aggregate for m in metric_names}
+
+    model = ModelSpec(input_dim=dim, hidden_dim=0, num_classes=spec.classes)
+    (run,), (gram,) = _trained_grams(dataset, model, config, (0.0,))
+    _, per_language = evaluate(run.theta, model, dataset)
+    return aggregates, per_language, [infu_from_scores(scores) for scores in gram]
 
 
 def run_theorem2(
@@ -100,24 +130,11 @@ def run_theorem2(
     seed: int = 0,
     total_steps: int = 300,
 ) -> ExperimentResult:
-    spec = SynthSpec(
-        num_languages=num_languages, tuples=tuples, dim=dim,
-        compression=1.0, seed=seed,
+    aggregates, per_language, infu_values = _compression_cell(
+        num_languages, tuples, dim, seed, total_steps, compression=1.0, base_lr=0.1,
+        metric_names=("retrieval", "cka", "rsa"),
     )
-    dataset = gen_classification_data(spec)
-    config = _train_config(0.1, total_steps, 32, seed, len(dataset))
-    embedding_set, _ = gen_parallel_set(spec)
-    aggregates = {
-        m: metrics.pairwise_report(embedding_set, m).aggregate
-        for m in ("retrieval", "cka", "rsa")
-    }
-
-    model = ModelSpec(input_dim=dim, hidden_dim=0, num_classes=spec.classes)
-    (run,), (gram,) = _trained_grams(dataset, model, config, (0.0,))
-    _, per_language = evaluate(run.theta, model, dataset)
     loss_variance, loss_gap = metrics.linguistic_fairness_gap(per_language)
-    infu_values = [infu_from_scores(scores) for scores in gram]
-
     passed = (
         loss_variance == 0.0
         and all(abs(v - 1.0) <= THEOREM2_TOL for v in aggregates.values())
@@ -140,18 +157,6 @@ def run_theorem2(
 THEOREM1_SIGMAS = (0.0, 0.5, 2.0)
 THEOREM1_LOO_NOISE_SEEDS = 10  # noise seeds averaged per leave-one-out probability at sigma > 0
 THEOREM1_LOO_CANDIDATES = 8  # top self-influence points searched for the dominant removal
-
-
-def _theorem1_dataset(seed: int, num_languages: int, tuples: int, dim: int,
-                      classes: int, magnitude: float):
-    spec = SynthSpec(
-        num_languages=num_languages, tuples=tuples, dim=dim, classes=classes,
-        compression=0.5, seed=seed,
-    )
-    dataset = gen_classification_data(spec)
-    return plant_outlier(
-        dataset, magnitude=magnitude, seed=seed + 10_000, orthogonal=False
-    )
 
 
 def planted_influence_margin(gram: np.ndarray, planted_index: int) -> float:
@@ -208,6 +213,46 @@ def loo_margins(
     return margins
 
 
+def _theorem1_rows(seed: int, model: ModelSpec, num_languages: int, tuples: int,
+                   magnitude: float, total_steps: int, batch_size: int, base_lr: float,
+                   include_loo: bool) -> list[dict]:
+    """One seed's rows, one per sigma of THEOREM1_SIGMAS in order: the
+    planted margin, and with ``include_loo`` the LOO margin ``epsilon_i``
+    (empty where it is undefined), each formatted ``.17g``."""
+    spec = SynthSpec(num_languages=num_languages, tuples=tuples, dim=model.input_dim,
+                     classes=model.num_classes, compression=0.5, seed=seed)
+    dataset, planted = plant_outlier(gen_classification_data(spec), magnitude=magnitude,
+                                     seed=seed + 10_000, orthogonal=False)
+    config = _train_config(base_lr, total_steps, batch_size, seed, len(dataset))
+    _, grams = _trained_grams(dataset, model, config, THEOREM1_SIGMAS)
+    rows = [{"seed": seed, "sigma": sigma,
+             "margin": format(planted_influence_margin(gram, planted), ".17g")}
+            for sigma, gram in zip(THEOREM1_SIGMAS, grams)]
+    if include_loo:
+        noise_seeds = [seed * 1000 + j for j in range(THEOREM1_LOO_NOISE_SEEDS)]
+        loo = loo_margins(dataset, planted, model, config, [
+            (sigma, gram, None if sigma == 0.0 else noise_seeds)
+            for sigma, gram in zip(THEOREM1_SIGMAS, grams)
+        ])
+        for row, margin_eps in zip(rows, loo):
+            row["epsilon_i"] = "" if margin_eps is None else format(margin_eps, ".17g")
+    return rows
+
+
+def _theorem1_summary(rows: list[dict]) -> tuple[bool, dict]:
+    """The verdict and summary from the rows alone, their ``.17g`` cells read
+    back bit for bit: per sigma, the median margin and, when the rows have
+    ``epsilon_i``, the median of its non-empty cells (nan when none)."""
+    def median(key, sigma):
+        values = [float(r[key]) for r in rows if r["sigma"] == sigma and r[key] != ""]
+        return float(np.median(values)) if values else math.nan
+
+    summary = {f"median_{key}_sigma_{s}": median(key, s)
+               for key in ("margin", "epsilon_i") if key in rows[0] for s in THEOREM1_SIGMAS}
+    ordered = [summary[f"median_margin_sigma_{s}"] for s in THEOREM1_SIGMAS]
+    return all(a > b for a, b in zip(ordered, ordered[1:])), summary
+
+
 def run_theorem1(
     seeds: list[int] | None = None,
     num_languages: int = 4,
@@ -224,43 +269,12 @@ def run_theorem1(
     sigma, one TracInCP Gram per sigma reads that run's last three
     checkpoints, and one more ``train_many`` call makes every sigma's
     leave-one-out retrains."""
-    if seeds is None:
-        seeds = list(range(20))
     model = ModelSpec(input_dim=dim, hidden_dim=0, num_classes=classes)
     rows = []
-    margins = {s: [] for s in THEOREM1_SIGMAS}
-    eps_i = {s: [] for s in THEOREM1_SIGMAS}
-    for seed in seeds:
-        dataset, planted = _theorem1_dataset(seed, num_languages, tuples, dim, classes, magnitude)
-        config = _train_config(base_lr, total_steps, batch_size, seed, len(dataset))
-        _, grams = _trained_grams(dataset, model, config, THEOREM1_SIGMAS)
-        seed_rows = []
-        for sigma, gram in zip(THEOREM1_SIGMAS, grams):
-            margin = planted_influence_margin(gram, planted)
-            margins[sigma].append(margin)
-            seed_rows.append({"seed": seed, "sigma": sigma, "margin": format(margin, ".17g")})
-        if include_loo:
-            noise_seeds = [seed * 1000 + j for j in range(THEOREM1_LOO_NOISE_SEEDS)]
-            loo = loo_margins(dataset, planted, model, config, [
-                (sigma, gram, None if sigma == 0.0 else noise_seeds)
-                for sigma, gram in zip(THEOREM1_SIGMAS, grams)
-            ])
-            for row, margin_eps in zip(seed_rows, loo):
-                if margin_eps is not None:
-                    eps_i[row["sigma"]].append(margin_eps)
-                row["epsilon_i"] = "" if margin_eps is None else format(margin_eps, ".17g")
-        rows += seed_rows
-
-    medians = {s: float(np.median(margins[s])) for s in THEOREM1_SIGMAS}
-    ordered = [medians[s] for s in THEOREM1_SIGMAS]
-    passed = all(a > b for a, b in zip(ordered, ordered[1:]))
-    summary = {f"median_margin_sigma_{s}": medians[s] for s in THEOREM1_SIGMAS}
-    if include_loo:
-        eps_medians = {
-            s: (float(np.median(eps_i[s])) if eps_i[s] else math.nan)
-            for s in THEOREM1_SIGMAS
-        }
-        summary.update({f"median_epsilon_i_sigma_{s}": eps_medians[s] for s in THEOREM1_SIGMAS})
+    for seed in _distinct_seeds(list(range(20)) if seeds is None else seeds):
+        rows += _theorem1_rows(seed, model, num_languages, tuples, magnitude, total_steps,
+                               batch_size, base_lr, include_loo)
+    passed, summary = _theorem1_summary(rows)
     return ExperimentResult("theorem1", passed, summary, rows)
 
 
@@ -280,36 +294,22 @@ def run_fig2_correlation(
     total_steps: int = 300,
     base_lr: float = 1.0,
 ) -> ExperimentResult:
-    if seeds is None:
-        seeds = list(range(10))
-    model = ModelSpec(input_dim=dim, hidden_dim=0, num_classes=2)
+    seeds = _distinct_seeds(list(range(10)) if seeds is None else seeds)
     rows = []
-    points = []
     for lam in LAMBDA_GRID:
         for seed in seeds:
-            spec = SynthSpec(
-                num_languages=num_languages, tuples=tuples, dim=dim,
-                compression=lam, seed=seed,
+            aggregates, _, infu_values = _compression_cell(
+                num_languages, tuples, dim, seed, total_steps, lam, base_lr, ("retrieval",)
             )
-            dataset = gen_classification_data(spec)
-            config = _train_config(base_lr, total_steps, 32, seed, len(dataset))
-            embedding_set, _ = gen_parallel_set(spec)
-            retrieval = metrics.pairwise_report(embedding_set, "retrieval").aggregate
-            _, (gram,) = _trained_grams(dataset, model, config, (0.0,))
-            mean_infu = float(np.mean([infu_from_scores(scores) for scores in gram]))
-            points.append((retrieval, mean_infu))
             rows.append({
                 "lambda": lam, "seed": seed,
-                "retrieval": format(retrieval, ".17g"),
-                "infu": format(mean_infu, ".17g"),
+                "retrieval": format(aggregates["retrieval"], ".17g"),
+                "infu": format(float(np.mean(infu_values)), ".17g"),
             })
-    xs = np.array([p[0] for p in points])
-    ys = np.array([p[1] for p in points])
-    r = float(np.corrcoef(xs, ys)[0, 1])
+    # Pearson r over the rows, read back bit for bit from their .17g cells
+    r = float(np.corrcoef([[float(row[k]) for row in rows] for k in ("retrieval", "infu")])[0, 1])
     passed = r >= FIG2_THRESHOLD
-    return ExperimentResult(
-        "fig2-correlation", passed, {"pearson_r": r, "points": len(points)}, rows
-    )
+    return ExperimentResult("fig2-correlation", passed, {"pearson_r": r, "points": len(rows)}, rows)
 
 
 EXPERIMENTS = {

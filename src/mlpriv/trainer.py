@@ -461,21 +461,22 @@ def train_many(
     exclude_index=e)`` for variants[r] = (e, None, s) to rounding (1e-12),
     with s = None keeping the config's sigma; a noise seed ns in place of
     None only swaps the noise stream. Only the 1e-12 is guaranteed. With
-    numpy's bundled OpenBLAS 0.3.31 (Haswell kernels) and two or more
-    examples per batch every output was also measured to match byte for
-    byte: at theorem1's sizes no row of stacks of 1 to 260 runs differed
-    from its lone run, since each run's logits and clipped sums are entries
-    of matrix products that this build rounds the same wherever the run
-    sits. A batch of one may not match: it takes a matrix-vector path, and
-    a lone run's sum over 8 or more units is then numpy's pairwise sum along
-    the innermost axis where a stack's is a left fold. Another BLAS may
-    round by position. All runs share the
-    initial parameters and one batch draw per step; a run's excluded
-    example is masked out of each batch that holds it and its gradient
-    mean divides by the examples it kept. A sigma = 0 run draws no noise.
-    Runs with sigma > 0 draw from one generator per distinct noise seed
-    (their own, else a stream spawned off config.seed): runs that share a
-    seed read the same draws, exactly as they would with a generator each.
+    numpy's bundled OpenBLAS 0.3.31 on its SkylakeX kernels (its choice on
+    an AVX-512 CPU) and two or more examples per batch every output also
+    matched byte for byte: at theorem1's sizes no row of stacks of 1 to 260
+    runs differed from its lone run, since each run's logits and clipped
+    sums are entries of matrix products these kernels round the same
+    wherever the run sits. A batch of one may not match: it takes a
+    matrix-vector path, and a lone run's sum over 8 or more units is then
+    numpy's pairwise sum along the innermost axis where a stack's is a left
+    fold. Forced onto its Haswell, Zen or Prescott kernels the stacked
+    losses differ, and on Nehalem a stacked linear run's θ too. All runs
+    share the initial parameters and one batch draw per step; a run's
+    excluded example is masked out of each batch that holds it and its
+    gradient mean divides by the examples it kept. A sigma = 0 run draws no
+    noise. Runs with sigma > 0 draw from one generator per distinct noise
+    seed (their own, else a stream spawned off config.seed): runs that share
+    a seed read the same draws, exactly as they would with a generator each.
     Each block's normals are scaled once per distinct (seed, sigma * C)
     pair into a (DRAW_BLOCK, pairs, P) table, and a step adds each noised
     run's pair row to its gradient row, through a slice when the noised

@@ -781,8 +781,12 @@ class TestExperimentCommand:
         ("theorem2", "total_steps = 80", "total_steps = 80"),  # before the first checkpoint
         # at the first checkpoint, whose learning rate is 0: all-zero influence
         ("theorem2", "total_steps = 100", "total_steps = 100 must run past the first checkpoint"),
+        # a repeated seed would count its rows twice in the summary
+        ("theorem1", "seeds = 3,1,3", "error: seed 3 is repeated in seeds\n"),
+        ("fig2-correlation", "seeds = 3,1,3", "error: seed 3 is repeated in seeds\n"),
     ], ids=["tol", "threshold", "loo_noise_seeds", "empty_seed", "magnitude_nan", "magnitude_inf",
-            "total_steps_40", "total_steps_80", "total_steps_100"])
+            "total_steps_40", "total_steps_80", "total_steps_100", "repeated_seed_theorem1",
+            "repeated_seed_fig2"])
     def test_malformed_config_exits_2_naming_the_key(self, tmp_path, capsys, name, text, named):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(text + "\n")
@@ -804,6 +808,52 @@ class TestExperimentCommand:
             f"error: the batch size {batch} exceeds the {examples} examples of "
             "tuples x num_languages\n"
         )
+
+    @staticmethod
+    def theorem1_summary(rows):
+        """The verdict and summary of theorem1 from its CSV rows: per sigma, the
+        median margin and, when the rows have epsilon_i, the median of its
+        non-empty cells (nan when none); the margins must fall as sigma grows."""
+        summary = {}
+        for key in ("margin", "epsilon_i"):
+            if key in rows[0]:
+                for sigma in experiments.THEOREM1_SIGMAS:
+                    cells = [float(r[key]) for r in rows if float(r["sigma"]) == sigma and r[key]]
+                    summary[f"median_{key}_sigma_{sigma}"] = (
+                        float(np.median(cells)) if cells else math.nan)
+        margins = [summary[f"median_margin_sigma_{s}"] for s in experiments.THEOREM1_SIGMAS]
+        return all(a > b for a, b in zip(margins, margins[1:])), summary
+
+    @staticmethod
+    def fig2_summary(rows):
+        """The verdict and summary of fig2-correlation from its CSV rows: the
+        Pearson r of retrieval and infu over every row, and the row count."""
+        r = float(np.corrcoef([float(row["retrieval"]) for row in rows],
+                              [float(row["infu"]) for row in rows])[0, 1])
+        return r >= experiments.FIG2_THRESHOLD, {"pearson_r": r, "points": len(rows)}
+
+    @pytest.mark.parametrize("name, config", [
+        ("theorem1", dict(seeds="0,1", tuples=8, total_steps=120)),
+        ("theorem1", dict(seeds="0,1", tuples=8, total_steps=120, include_loo="false")),
+        # seed 5's sigma = 2 cell has no epsilon_i, so that median is nan
+        ("theorem1", dict(seeds="5", tuples=8, total_steps=120)),
+        ("fig2-correlation", dict(seeds="0")),
+    ], ids=["theorem1", "theorem1-no-loo", "theorem1-undefined-epsilon_i", "fig2-correlation"])
+    def test_summary_is_a_function_of_the_written_rows(self, tmp_path, name, config):
+        """Every value in <name>.summary.csv, verdict included, equals the one
+        recomputed from the rows in <name>.csv alone, written as str()."""
+        cfg = write_config(tmp_path / "exp.cfg", **config)
+        out = tmp_path / "exp"
+        code = main(["experiment", name, "--config", cfg, "--out", str(out)])
+        with (out / f"{name}.csv").open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        with (out / f"{name}.summary.csv").open(newline="") as fh:
+            written = list(csv.reader(fh))
+        recompute = self.theorem1_summary if name == "theorem1" else self.fig2_summary
+        passed, summary = recompute(rows)
+        assert code == (EXIT_OK if passed else EXIT_CRITERION)
+        assert written == [["key", "value"], ["verdict", "pass" if passed else "fail"],
+                           *([key, str(value)] for key, value in summary.items())]
 
     # a sample config value of each experiment parameter, and the value it parses to
     EXPERIMENT_VALUES = {

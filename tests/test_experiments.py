@@ -146,6 +146,24 @@ def test_training_that_ends_at_the_first_checkpoint_is_rejected(run):
         run()
 
 
+@pytest.mark.parametrize("seeds, message", [
+    ([], "^need at least one seed$"),
+    ([0, 1, 0], "^seed 0 is repeated in seeds$"),
+], ids=["empty", "repeated"])
+@pytest.mark.parametrize("run", [run_theorem1, experiments.run_fig2_correlation],
+                         ids=["theorem1", "fig2-correlation"])
+def test_empty_or_repeated_seeds_are_rejected_before_training(monkeypatch, run, seeds, message):
+    """An empty seed list gave nan medians (theorem1) or a nan Pearson r
+    (fig2), and a repeated seed counted its rows twice."""
+    def no_training(*args, **kwargs):
+        raise AssertionError("trainer.train_many was called")
+
+    for module in (trainer, influence, experiments):
+        monkeypatch.setattr(module, "train_many", no_training)
+    with pytest.raises(InvalidConfigError, match=message):
+        run(seeds=seeds)
+
+
 @pytest.mark.parametrize("classes", [2, 5])
 @pytest.mark.parametrize("languages", [2, 8])
 def test_loo_shortlist_from_gram_diagonal_matches_one_example_grams(monkeypatch, classes,

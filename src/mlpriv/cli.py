@@ -65,9 +65,13 @@ def _parse_value(raw: str, target_type):
         if raw.lower() in ("false", "0", "no"):
             return False
         raise ConfigError(f"cannot parse {raw!r} as bool")
-    if typing.get_origin(target_type) is list:  # comma-separated
+    if typing.get_origin(target_type) is list:  # comma-separated; an empty value is []
         item_type, = typing.get_args(target_type)
-        return [_parse_value(item, item_type) for item in raw.split(",")]
+        items = raw.split(",") if raw else []
+        for k, item in enumerate(items, 1):
+            if not item.strip():
+                raise ConfigError(f"item {k} of {raw!r} is empty")
+        return [_parse_value(item, item_type) for item in items]
     return target_type(raw)
 
 

@@ -33,7 +33,7 @@ from .influence import (
     loo_probabilities,
     tuple_grams,
 )
-from .synth import SynthSpec, gen_classification_data, gen_parallel_set, plant_outlier
+from .synth import SynthSpec, _flatten, gen_classification_data, gen_parallel_set, plant_outlier
 from .trainer import (
     LabeledDataset,
     ModelSpec,
@@ -108,13 +108,13 @@ def _compression_cell(num_languages: int, tuples: int, dim: int, seed: int, tota
                       compression: float, base_lr: float, metric_names: tuple[str, ...]):
     """One compression level at one seed, shared by theorem2 and fig2: the
     parallel set's aggregate of each of ``metric_names``, then the linear
-    model's sigma = 0 run on the matching classification data, read as its
-    per-language losses and every tuple's InfU."""
+    model's sigma = 0 run on the same set flattened into classification
+    data, read as its per-language losses and every tuple's InfU."""
     spec = SynthSpec(num_languages=num_languages, tuples=tuples, dim=dim,
                      compression=compression, seed=seed)
-    dataset = gen_classification_data(spec)
+    embedding_set, labels = gen_parallel_set(spec)
+    dataset = _flatten(embedding_set, labels)
     config = _train_config(base_lr, total_steps, 32, seed, len(dataset))
-    embedding_set, _ = gen_parallel_set(spec)
     aggregates = {m: metrics.pairwise_report(embedding_set, m).aggregate for m in metric_names}
 
     model = ModelSpec(input_dim=dim, hidden_dim=0, num_classes=spec.classes)

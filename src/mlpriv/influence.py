@@ -118,7 +118,7 @@ def _tracin_gram(X: np.ndarray, y: np.ndarray, cks: CheckpointSet, spec: ModelSp
         return V @ V.swapaxes(-1, -2)
 
     XT = X.reshape(G * L, -1).T
-    Y = np.eye(spec.num_classes)[:, y.reshape(-1)]
+    Y = np.eye(spec.num_classes)[:, None, y.reshape(-1)]  # (c, 1, G * L)
     _, layers = _backward(spec, _unpack(spec, cks.thetas), XT, Y)
     return sum(np.einsum("k,gkij->gij", cks.etas, gram(d) * (gram(a) + 1.0)) for d, a in layers)
 
@@ -129,7 +129,7 @@ def _stack(examples: list[Example], spec: ModelSpec) -> tuple[np.ndarray, np.nda
     bad = [x.shape for x in xs if x.shape != (spec.input_dim,)]
     if bad:
         raise ShapeMismatchError(f"x has {bad[0]}, expected ({spec.input_dim},)")
-    return np.stack(xs)[None], _check_labels([[y for _, y in examples]], spec, (1, len(xs)))
+    return np.array([xs]), _check_labels([[y for _, y in examples]], spec, (1, len(xs)))
 
 
 def infu_from_scores(scores: np.ndarray) -> float:
@@ -140,7 +140,8 @@ def infu_from_scores(scores: np.ndarray) -> float:
         raise TooFewLanguagesError(f"need a square |L| x |L| matrix with |L| >= 2, got {scores.shape}")
     p = _softmax(scores.T).T  # each anchor row's softmax
     plogp = p * np.log(np.where(p > 0, p, 1.0))  # 0 log 0 = 0
-    return float(np.mean(-plogp.sum(axis=1) / math.log(L)))
+    # np.mean's own sum-then-divide, without its Python wrapper
+    return float(np.add.reduce(-np.add.reduce(plogp, axis=1) / math.log(L)) / L)
 
 
 def influence_profile(

@@ -166,8 +166,10 @@ def _average_ranks(a: np.ndarray) -> np.ndarray:
     """1-based ranks along the last axis, tied values sharing their mean rank
     (scipy's ``rankdata(a, method="average", axis=-1)``; a row with a nan is
     all nan). A tie group that fills sorted places first..last gets
-    (first + last) / 2 + 1, an exact multiple of 1/2."""
-    order = np.argsort(a, axis=-1, kind="stable")
+    (first + last) / 2 + 1, an exact multiple of 1/2. Every member of the
+    group gets that value whatever order the sort leaves the group in, so
+    numpy's default (unstable) sort kind gives the same bits as a stable one."""
+    order = np.argsort(a, axis=-1)
     ordered = np.take_along_axis(a, order, axis=-1)
     n = a.shape[-1]
     place = np.broadcast_to(np.arange(n), a.shape)
@@ -214,15 +216,15 @@ def _rdm_upper(X: np.ndarray) -> np.ndarray:
     entry has the bits of the per-pair dot product. A constant row has no
     rank correlation: its pairs get rho = 0 with a DegenerateInputWarning.
     """
-    m = X.shape[0]
     dev, norms = _centred_ranks(X)
-    iu, ju = np.triu_indices(m, 1)
+    rows = np.arange(X.shape[0])
+    upper = rows[:, None] < rows  # row-major (i, j) with i < j, as np.triu_indices
     constant = norms == 0.0
-    degenerate = constant[iu] | constant[ju]
+    degenerate = (constant[:, None] | constant)[upper]
     if degenerate.any():
         warnings.warn("constant row ranks in RDM; treating rho as 0", DegenerateInputWarning)
     with np.errstate(divide="ignore", invalid="ignore"):
-        rho = (dev @ dev.T)[iu, ju] / (norms[iu] * norms[ju])
+        rho = ((dev @ dev.T) / np.outer(norms, norms))[upper]
     return 1.0 - np.where(degenerate, 0.0, rho)
 
 

@@ -99,9 +99,13 @@ def gen_classification_data(spec: SynthSpec) -> LabeledDataset:
     Example ordering is tuple-major: index i * |L| + q is tuple i in
     language q, so tuples are contiguous blocks.
     """
-    embedding_set, labels = gen_parallel_set(spec)
-    m, L = spec.tuples, spec.num_languages
-    features = np.stack(embedding_set.matrices, axis=1).reshape(m * L, spec.dim)
+    return _flatten(*gen_parallel_set(spec))
+
+
+def _flatten(embedding_set: EmbeddingSet, labels: np.ndarray) -> LabeledDataset:
+    """``gen_classification_data`` of the parallel set ``gen_parallel_set`` returned."""
+    m, L = len(labels), len(embedding_set.languages)
+    features = np.stack(embedding_set.matrices, axis=1).reshape(m * L, -1)
     return LabeledDataset(
         features=features, labels=np.repeat(labels, L), languages=embedding_set.languages * m
     )

@@ -284,18 +284,19 @@ def _forward_one(spec: ModelSpec, theta: np.ndarray, XT: np.ndarray) -> np.ndarr
 def _backward(spec: ModelSpec, params: tuple, XT: np.ndarray, Y: np.ndarray):
     """Forward pass plus every dense layer's (d, a) pair, in parameter order.
 
-    XT (d, B) holds the batch's inputs as columns and Y (c, B) their one-hot
-    labels. Returns (probs, layers): layers is [(delta, XT)] for the linear
-    model and [(dZ, XT), (delta, A)] for the tanh model, where d is the loss
-    derivative at the layer's output (delta = dloss/dlogits = probs - Y,
-    dZ = dloss/d(hidden pre-activation)) and a is the layer's input (A =
-    hidden activations). ``params`` are ``_unpack``'s layer views and shapes
-    follow ``_forward_batch``, (n, R, B) for a stack of R.
+    XT (d, B) holds the batch's inputs as columns and Y (c, 1, B) their
+    one-hot labels, with a run axis to broadcast over. Returns (probs,
+    layers): layers is [(delta, XT)] for the linear model and [(dZ, XT),
+    (delta, A)] for the tanh model, where d is the loss derivative at the
+    layer's output (delta = dloss/dlogits = probs - Y, dZ = dloss/d(hidden
+    pre-activation)) and a is the layer's input (A = hidden activations).
+    ``params`` are ``_unpack``'s layer views and shapes follow
+    ``_forward_batch``, (n, R, B) for a stack of R.
     A layer's parameters are its row-major weights, then its bias, and its
     per-example gradient is outer(d, [a; 1]): weights outer(d, a), bias d.
     """
     probs, A = _forward_batch(spec, params, XT)
-    delta = probs - Y[:, None]  # the bits of p_y - 1 and p
+    delta = probs - Y  # the bits of p_y - 1 and p
     if spec.hidden_dim == 0:
         return probs, [(delta, XT)]
     dZ = _dense(params[2].swapaxes(-1, -2), delta)
@@ -414,16 +415,17 @@ def train(
 
 
 def _mean_loss(p_true: np.ndarray, keep: np.ndarray, count: np.ndarray) -> np.ndarray:
-    """Each run's mean cross-entropy over the examples it kept: p_true and
-    keep (..., R, B), count (..., R). p_true is overwritten with the
-    per-example losses, so a block's buffer needs no temporaries of its size.
-    Every run's losses are one contiguous row summed on its own, so a step,
-    a block, a lone run and a row of any stack give the same bits."""
+    """Each run's mean cross-entropy over the examples it kept, (..., R):
+    p_true and keep (..., R, B), the kept counts (..., R, 1). p_true is
+    overwritten with the per-example losses, so a block's buffer needs no
+    temporaries of its size. Every run's losses are one contiguous row
+    summed on its own, so a step, a block, a lone run and a row of any stack
+    give the same bits."""
     loss = np.maximum(p_true, np.finfo(np.float64).tiny, out=p_true)
     np.log(loss, out=loss)
     np.negative(loss, out=loss)
     loss[~keep] = 0.0
-    return loss.sum(axis=-1) / count
+    return loss.sum(axis=-1) / count[..., 0]
 
 
 def _which_run(variants: list[Variant], r: int) -> str:
@@ -576,23 +578,27 @@ def train_many(
         if j == 0:  # the next block's draws; each generator's stream continues exactly
             n = min(DRAW_BLOCK, T - step + 1)
             idx = np.stack([batch_rng.choice(N, size=B, replace=False) for _ in range(n)])
-            X1_block = features_1[idx]  # (n, B, d + 1)
+            # each step's inputs as _backward and the clipped sums take them:
+            # rows with the ones column (n, B, d + 1), contiguous columns
+            # (n, d, B), one-hot labels with a run axis (n, c, 1, B), and the
+            # kept counts (n, R, 1) that divide the clipped sums
+            X1_block = features_1[idx]
+            XT_block = X1_block[:, :, :-1].transpose(0, 2, 1).copy()
             y_block = dataset.labels[idx]
-            Y_block = one_hot[:, y_block].transpose(1, 0, 2).copy()  # (n, c, B)
+            Y_block = one_hot[:, None, y_block].transpose(2, 0, 1, 3).copy()
             keep_block = idx[:, None, :] != excluded[:, None]  # (n, R, B)
-            count_block = keep_block.sum(axis=2)
+            count_block = keep_block.sum(axis=2, keepdims=True)
             factor_block = input_factor[idx]
             for rng, scaled in noise_streams:
                 rng.standard_normal(out=draws[:n])
                 for q, scale in scaled:
                     np.multiply(draws[:n], scale, out=noise[:n, q])
         keep, count = keep_block[j], count_block[j]
-        X1 = X1_block[j]
-        Y = Y_block[j]
-        probs, layers = _backward(spec, params, X1[:, :-1].T, Y)
+        X1, Y = X1_block[j], Y_block[j]
+        probs, layers = _backward(spec, params, XT_block[j], Y)
         # p_y is the fold of p_y * 1 and the other classes' p * 0 = +0: its bits, or nan
         if log_steps:  # each example's probability of its label, and its hit
-            np.add.reduce(probs * Y[:, None], out=p_true_block[j])
+            np.add.reduce(probs * Y, out=p_true_block[j])
             hit_block[j] = _hits(probs, y_block[j])
 
         # (R, B) squared norms, each a fold over the unit slices; deeper
@@ -623,7 +629,7 @@ def train_many(
                 clipped.sum(axis=2, out=bias)
         if pairs:
             grad[noise_rows] += noise[j].take(pair_of, axis=0)
-        grad /= count[:, None]
+        grad /= count
 
         eta = lrs[step - 1]
         optimizer_step(state, grad, eta, config)
@@ -636,7 +642,7 @@ def train_many(
                 raise EmptyBatchError(
                     f"step {step}: run {int(np.argmin(count))} excludes every example of its batch"
                 )
-            loss = _mean_loss(np.add.reduce(probs * Y[:, None]), keep, count)
+            loss = _mean_loss(np.add.reduce(probs * Y), keep, count)
             if np.isnan(loss).any():
                 r = int(np.argmax(np.isnan(loss)))
                 raise DivergenceError(step, f"loss = {loss[r]}{_which_run(variants, r)}")
@@ -649,7 +655,8 @@ def train_many(
             hits = hit_block[:n]
             hits &= keep_block
             # a count of 0/1 entries is exact in any order: one integer reduction
-            accuracies[rows] = np.einsum("nrb->nr", hits.view(np.uint8), dtype=np.intp) / count_block
+            hit_count = np.einsum("nrb->nr", hits.view(np.uint8), dtype=np.intp)
+            accuracies[rows] = hit_count / count_block[..., 0]
         if step % config.checkpoint_interval == 0:
             snapshots.append((step, eta, state.theta.copy()))
 

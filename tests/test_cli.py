@@ -784,9 +784,15 @@ class TestExperimentCommand:
         # a repeated seed would count its rows twice in the summary
         ("theorem1", "seeds = 3,1,3", "error: seed 3 is repeated in seeds\n"),
         ("fig2-correlation", "seeds = 3,1,3", "error: seed 3 is repeated in seeds\n"),
+        # an empty value is the empty list, which the experiment itself rejects
+        ("theorem1", "seeds =", "error: need at least one seed\n"),
+        ("fig2-correlation", "seeds = ", "error: need at least one seed\n"),
+        ("theorem1", "seeds = 0,,1", "exp.cfg:1: bad value for seeds: item 2 of '0,,1' is empty\n"),
+        ("theorem1", "seeds = 0,", "exp.cfg:1: bad value for seeds: item 2 of '0,' is empty\n"),
     ], ids=["tol", "threshold", "loo_noise_seeds", "empty_seed", "magnitude_nan", "magnitude_inf",
             "total_steps_40", "total_steps_80", "total_steps_100", "repeated_seed_theorem1",
-            "repeated_seed_fig2"])
+            "repeated_seed_fig2", "no_seeds_theorem1", "no_seeds_fig2", "empty_middle_seed",
+            "empty_last_seed"])
     def test_malformed_config_exits_2_naming_the_key(self, tmp_path, capsys, name, text, named):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(text + "\n")

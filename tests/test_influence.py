@@ -208,17 +208,19 @@ class TestGramKernel:
 
     @pytest.mark.parametrize("hidden_dim", [0, 4])
     def test_grouped_profiles_match_per_tuple_calls(self, hidden_dim):
-        spec = ModelSpec(input_dim=3, hidden_dim=hidden_dim, num_classes=3)
-        cks = random_checkpoints(spec, K=3, seed=hidden_dim)
-        dataset = tuple_dataset(tuples=7, languages=4, spec=spec, seed=hidden_dim)
-        profiles = influence_profiles(dataset, cks, spec)
-        assert [p.tuple_index for p in profiles] == list(range(7))
-        for i, profile in enumerate(profiles):
-            rows = range(4 * i, 4 * i + 4)
-            examples = [(dataset.features[r], int(dataset.labels[r])) for r in rows]
-            alone = influence_profile(i, examples, cks, spec)
-            assert profile.scores.tobytes() == alone.scores.tobytes()
-            assert profile.infu == alone.infu
+        # 16 checkpoints, 8 inputs and 2 classes are the benchmark's compression sweep
+        for K, dim, classes in ((3, 3, 3), (16, 8, 2)):
+            spec = ModelSpec(input_dim=dim, hidden_dim=hidden_dim, num_classes=classes)
+            cks = random_checkpoints(spec, K=K, seed=hidden_dim)
+            dataset = tuple_dataset(tuples=7, languages=4, spec=spec, seed=hidden_dim)
+            profiles = influence_profiles(dataset, cks, spec)
+            assert [p.tuple_index for p in profiles] == list(range(7))
+            for i, profile in enumerate(profiles):
+                rows = range(4 * i, 4 * i + 4)
+                examples = [(dataset.features[r], int(dataset.labels[r])) for r in rows]
+                alone = influence_profile(i, examples, cks, spec)
+                assert profile.scores.tobytes() == alone.scores.tobytes()
+                assert profile.infu == alone.infu
 
     @pytest.mark.parametrize("hidden_dim", [0, 4])
     def test_one_example_groups_give_self_influences(self, hidden_dim):

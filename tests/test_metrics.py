@@ -236,7 +236,9 @@ class TestSpearman:
 class TestAverageRanks:
     """The package's own average-tie ranks against scipy's rankdata."""
 
-    @pytest.mark.parametrize("shape", [(1,), (2,), (9,), (40,), (1, 6), (7, 5), (3, 4, 33)])
+    # 1,770 and 7,140 are the RDM triangles of 60 and 120 sentences
+    @pytest.mark.parametrize("shape", [(1,), (2,), (9,), (40,), (1, 6), (7, 5), (3, 4, 33),
+                                       (1770,), (7140,)])
     def test_match_rankdata_bit_for_bit_on_tied_rows(self, shape):
         rng = np.random.default_rng(len(shape) * 100 + shape[-1])
         for values in (rng.integers(-2, 3, size=shape).astype(np.float64),  # ties in most rows
@@ -248,6 +250,14 @@ class TestAverageRanks:
                 values.flat[-1] = -np.inf
             expected = rankdata(values, method="average", axis=-1)
             assert _average_ranks(values).tobytes() == expected.tobytes()
+
+    def test_match_rankdata_bit_for_bit_on_an_rdm_triangle(self):
+        # a Spearman rho of 8 untied ranks takes at most 85 values, so the
+        # 7,140 entries of 120 sentences' triangle fall into dense tie groups
+        triangle = _rdm_upper(np.random.default_rng(12).standard_normal((120, 8)))
+        assert len(np.unique(triangle)) <= 85
+        expected = rankdata(triangle, method="average")
+        assert _average_ranks(triangle).tobytes() == expected.tobytes()
 
     def test_a_row_with_nan_is_all_nan(self):
         values = np.array([[1.0, np.nan, 1.0], [2.0, 2.0, 0.0]])

@@ -124,12 +124,13 @@ def _tracin_gram(X: np.ndarray, y: np.ndarray, cks: CheckpointSet, spec: ModelSp
 
 
 def _stack(examples: list[Example], spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Examples (x, y) as one group, once checked: inputs (1, n, input_dim), labels (1, n)."""
+    """Examples (x, y) as one group: inputs (1, n, input_dim), checked here,
+    and labels (1, n), which the caller checks."""
     xs = [np.asarray(x, dtype=np.float64) for x, _ in examples]
     bad = [x.shape for x in xs if x.shape != (spec.input_dim,)]
     if bad:
         raise ShapeMismatchError(f"x has {bad[0]}, expected ({spec.input_dim},)")
-    return np.array([xs]), _check_labels([[y for _, y in examples]], spec, (1, len(xs)))
+    return np.array([xs]), np.array([[y for _, y in examples]])
 
 
 def infu_from_scores(scores: np.ndarray) -> float:
@@ -203,11 +204,19 @@ def _tuple_shape(dataset: LabeledDataset) -> tuple[int, int]:
     return G, L
 
 
+def _readout_input(spec: ModelSpec, eval_point: np.ndarray, event_class: int) -> np.ndarray:
+    """The evaluation point as one column (input_dim, 1), once it and the
+    event class fit the model."""
+    X, _ = _stack([(eval_point, event_class)], spec)
+    _check_labels(event_class, spec, ())
+    return X[0, 0][:, None]
+
+
 def event_probability(
     theta: np.ndarray, spec: ModelSpec, eval_point: np.ndarray, event_class: int
 ) -> float:
-    X, _ = _stack([(eval_point, event_class)], spec)
-    return float(_forward_one(spec, theta, X[0, 0][:, None])[event_class, 0])
+    x = _readout_input(spec, eval_point, event_class)
+    return float(_forward_one(spec, theta, x)[event_class, 0])
 
 
 def loo_probabilities(
@@ -223,9 +232,8 @@ def loo_probabilities(
     ``event_probability`` of that run's final parameters. All runs are one
     ``train_many`` call on config's batch stream, so the variant is the only
     varying factor between them."""
-    X, _ = _stack([(eval_point, event_class)], spec)  # checked before any retrain
+    x = _readout_input(spec, eval_point, event_class)  # checked before any retrain
     runs = train_many(dataset, spec, config, variants, log_steps=False)
-    x = X[0, 0][:, None]  # each run's readout is event_probability's
     return np.array([_forward_one(spec, run.theta, x)[event_class, 0] for run in runs])
 
 

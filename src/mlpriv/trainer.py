@@ -18,6 +18,7 @@ import math
 import numbers
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import NamedTuple
 
@@ -38,7 +39,7 @@ from .errors import (
 CKPT_MAGIC = b"CKPT1"
 U32_MAX = 2**32 - 1  # CKPT1 stores the step and the parameter count as u32
 
-DRAW_BLOCK = 32  # steps whose batches and Gaussian noise are drawn at once
+DRAW_BLOCK = 32  # steps whose batches are gathered and Gaussian noise drawn at once
 
 INIT_SCALE = 0.1  # standard deviation of the Gaussian initial parameters
 
@@ -428,6 +429,39 @@ def _mean_loss(p_true: np.ndarray, keep: np.ndarray, count: np.ndarray) -> np.nd
     return loss.sum(axis=-1) / count[..., 0]
 
 
+@lru_cache(maxsize=16)  # fig2 keeps 10 seeds' schedules alive across its λ loop
+def _batch_schedule(seed: int, N: int, B: int, T: int) -> np.ndarray:
+    """The batch stream of ``train_many``: row t - 1 holds step t's B
+    example indices, one ``choice(N, B, replace=False)`` per step from the
+    stream spawned off ``seed``, drawn in step order. Read-only (T, B), in
+    the smallest unsigned type that holds N - 1, and shared by every call
+    with the same key."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[0])
+    schedule = np.empty((T, B), dtype=np.min_scalar_type(N - 1))
+    for row in schedule:
+        row[:] = rng.choice(N, size=B, replace=False)
+    schedule.flags.writeable = False
+    return schedule
+
+
+def _keep_and_count(idx: np.ndarray, excluded_u: np.ndarray,
+                    u_of_run: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Keep masks (n, R, B) and kept counts (n, R, 1) of the batches idx
+    (n, B) for runs excluding excluded_u[u_of_run] (R,), where N, which is
+    never drawn, stands for no exclusion. Each distinct excluded example is
+    looked up once, in an (n, B, E) table. Batches are drawn without
+    replacement, so an excluded example fills at most one slot of a batch:
+    a run keeps B - 1 examples where its example is drawn, B elsewhere, and
+    its mask clears only that slot. A sampler that can draw an example twice
+    must count its slots instead."""
+    n, B = idx.shape
+    hit = idx[:, :, None] == excluded_u
+    drawn = hit.any(axis=1)[:, u_of_run]  # (n, R)
+    keep = np.ones((n, len(u_of_run), B), dtype=bool)
+    keep[drawn, hit.argmax(axis=1)[:, u_of_run][drawn]] = False
+    return keep, (B - drawn)[..., None]
+
+
 def _which_run(variants: list[Variant], r: int) -> str:
     return f" in run {r} (variant {variants[r]})" if len(variants) > 1 else ""
 
@@ -490,17 +524,20 @@ def train_many(
     layer is one matrix product. Activations are unit-major with the
     examples last, (n, R, B), so those sums and the softmax reduce over
     axis 0 through contiguous R * B slices, and the parameters stay (R, P).
-    Each step does only the work that updates the parameters: the batches,
-    keep masks and noise of DRAW_BLOCK steps are drawn and gathered at the
-    block's first step, in the order one draw per step would take them, and
-    the block's losses and accuracies are formed at its last step from the
-    probabilities of the labels and the hits its steps stored. With
-    log_steps=False no step stores them and every row's losses and
-    accuracies are None; the parameters, checkpoints, lrs and sigma keep
-    their bytes, since the log never feeds back into training. A step tests
-    only its parameters: an empty batch (its mean divides by 0) or a nan
-    loss makes them non-finite at the same step, and is then named, with
-    or without the log.
+    Each step does only the work that updates the parameters. The batches
+    are read from ``_batch_schedule``, drawn once per (seed, N, B, T), one
+    draw per step, and shared by every call with that key. At a block's
+    first step the loop gathers its DRAW_BLOCK batches, forms their keep
+    masks and kept counts from one lookup of the distinct excluded examples
+    (``_keep_and_count``) and draws its noise in the order one draw per step
+    would take it; the block's losses and accuracies are formed at its last
+    step from the probabilities of the labels and the hits its steps
+    stored. With log_steps=False no step stores them and every row's
+    losses and accuracies are None; the parameters, checkpoints, lrs and
+    sigma keep their bytes, since the log never feeds back into training. A
+    step tests only its parameters: an empty batch (its mean divides by 0)
+    or a nan loss makes them non-finite at the same step, and is then
+    named, with or without the log.
     """
     for v in variants:
         if not isinstance(v, tuple) or len(v) > 3:
@@ -526,8 +563,8 @@ def train_many(
     C, B, T = config.clip_threshold, config.batch_size, config.total_steps
     R, P = len(variants), spec.num_params
 
-    batch_ss, noise_ss = np.random.SeedSequence(config.seed).spawn(2)
-    batch_rng = np.random.default_rng(batch_ss)
+    schedule = _batch_schedule(config.seed, N, B, T)
+    _, noise_ss = np.random.SeedSequence(config.seed).spawn(2)
     noised = np.flatnonzero(np.array(sigmas) > 0)  # an array: a list index is converted each step
     # each distinct (effective noise seed, sigma * C) pair is one row of the
     # block's noise table; runs with the same seed read one generator's draws
@@ -548,7 +585,8 @@ def train_many(
         noise_rows = slice(noised[0], noised[-1] + 1)
     else:
         noise_rows = noised
-    excluded = np.array([-1 if v.exclude_index is None else v.exclude_index for v in variants])
+    excluded_u, u_of_run = np.unique([N if v.exclude_index is None else v.exclude_index
+                                      for v in variants], return_inverse=True)
     # the first layer's input is the batch itself, so its per-example |x|^2 + 1
     # (the bias column) is one table over the dataset
     features_T = np.ascontiguousarray(dataset.features.T)  # C order: the reduction folds left
@@ -575,9 +613,9 @@ def train_many(
 
     for step in range(1, T + 1):
         j = (step - 1) % DRAW_BLOCK
-        if j == 0:  # the next block's draws; each generator's stream continues exactly
-            n = min(DRAW_BLOCK, T - step + 1)
-            idx = np.stack([batch_rng.choice(N, size=B, replace=False) for _ in range(n)])
+        if j == 0:  # the next block's batches and draws; each noise stream continues exactly
+            idx = schedule[step - 1 : step - 1 + DRAW_BLOCK]
+            n = len(idx)
             # each step's inputs as _backward and the clipped sums take them:
             # rows with the ones column (n, B, d + 1), contiguous columns
             # (n, d, B), one-hot labels with a run axis (n, c, 1, B), and the
@@ -586,8 +624,7 @@ def train_many(
             XT_block = X1_block[:, :, :-1].transpose(0, 2, 1).copy()
             y_block = dataset.labels[idx]
             Y_block = one_hot[:, None, y_block].transpose(2, 0, 1, 3).copy()
-            keep_block = idx[:, None, :] != excluded[:, None]  # (n, R, B)
-            count_block = keep_block.sum(axis=2, keepdims=True)
+            keep_block, count_block = _keep_and_count(idx, excluded_u, u_of_run)
             factor_block = input_factor[idx]
             for rng, scaled in noise_streams:
                 rng.standard_normal(out=draws[:n])

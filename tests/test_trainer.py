@@ -43,7 +43,9 @@ from mlpriv.trainer import (
     train,
     train_many,
     write_checkpoint,
+    _batch_schedule,
     _hits,
+    _keep_and_count,
     _softmax,
     _unpack,
 )
@@ -751,11 +753,16 @@ class TestWorkingMemory:
         assert peak < 3.08e6 - p_true_block
 
 
+def batch_stream(config):
+    """The generator of the batch stream train_many reads, spawned off config.seed."""
+    batch_ss, _ = np.random.SeedSequence(config.seed).spawn(2)
+    return np.random.default_rng(batch_ss)
+
+
 def first_draws(config, examples, steps):
     """Step (1-based) at which each example is first drawn into a batch, from
     the batch stream train_many reads; examples never drawn are absent."""
-    batch_ss, _ = np.random.SeedSequence(config.seed).spawn(2)
-    rng = np.random.default_rng(batch_ss)
+    rng = batch_stream(config)
     first = {}
     for step in range(1, steps + 1):
         for i in rng.choice(examples, size=config.batch_size, replace=False).tolist():
@@ -763,9 +770,56 @@ def first_draws(config, examples, steps):
     return first
 
 
+@st.composite
+def batches_and_exclusions(draw):
+    """(N, a block's batches (n, B) drawn without replacement, each run's
+    excluded example or None)."""
+    N = draw(st.integers(1, 40))
+    B = draw(st.integers(1, N))
+    n = draw(st.integers(1, DRAW_BLOCK))
+    batches = draw(st.lists(st.permutations(range(N)).map(lambda p: p[:B]), min_size=n, max_size=n))
+    exclusions = draw(st.lists(st.none() | st.integers(0, N - 1), min_size=1, max_size=12))
+    return N, batches, exclusions
+
+
 class TestDrawBlocks:
-    """train_many draws the batches and noise of DRAW_BLOCK steps at once;
-    outputs and error order are those of one draw per step."""
+    """train_many reads its batches from one schedule per (seed, N, B, T),
+    one draw per step, and gathers the batches, keep masks and noise of
+    DRAW_BLOCK steps at once; outputs and error order are those of one draw
+    per step."""
+
+    @pytest.mark.parametrize("examples", [5, 256, 257], ids=["N=B", "N=256", "N=257"])
+    @pytest.mark.parametrize("steps", [1, DRAW_BLOCK - 1, DRAW_BLOCK, DRAW_BLOCK + 1,
+                                       2 * DRAW_BLOCK + 1])
+    def test_schedule_rows_replay_one_draw_per_step(self, steps, examples):
+        """Indices up to 255 fit uint8 and 256 need uint16; the read-only
+        array is the one every later call with the same key gets."""
+        cfg = TrainConfig(base_lr=0.1, total_steps=steps, batch_size=5, seed=3, warmup_steps=0)
+        schedule = _batch_schedule(cfg.seed, examples, cfg.batch_size, steps)
+        rng = batch_stream(cfg)
+        replay = [rng.choice(examples, size=cfg.batch_size, replace=False) for _ in range(steps)]
+        assert schedule.dtype == (np.uint8 if examples <= 256 else np.uint16)
+        np.testing.assert_array_equal(schedule, np.array(replay))
+        assert not schedule.flags.writeable
+        assert _batch_schedule(cfg.seed, examples, cfg.batch_size, steps) is schedule
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=batches_and_exclusions())
+    @example(case=(6, [[0, 1, 2], [3, 4, 5]], [None, None]))  # no run excludes anything
+    @example(case=(6, [[0, 1, 2], [3, 4, 5]], [4, 0, 4, 5]))  # every run excludes, one repeat
+    @example(case=(4, [[2], [1], [2]], [2, None, 2, 3, None]))  # B = 1: empty batches
+    @example(case=(257, [[256, 0, 255], [7, 8, 9]], [256, None, 9, 255]))  # uint16 indices
+    def test_keep_masks_and_counts_match_the_broadcast_compare(self, case):
+        """The masks and counts train_many builds from the distinct excluded
+        examples are the per-run compare and its sum over the batch."""
+        N, batches, exclusions = case
+        idx = np.array(batches, dtype=np.min_scalar_type(N - 1))
+        excluded = np.array([N if e is None else e for e in exclusions])
+        keep, count = _keep_and_count(idx, *np.unique(excluded, return_inverse=True))
+        expected = idx[:, None, :] != excluded[:, None]
+        assert keep.shape == expected.shape and keep.dtype == bool
+        np.testing.assert_array_equal(keep, expected)
+        np.testing.assert_array_equal(count, expected.sum(axis=2, keepdims=True))
 
     @pytest.mark.parametrize("log_steps", [True, False])
     @pytest.mark.parametrize("runs", [1, 3])
@@ -774,7 +828,8 @@ class TestDrawBlocks:
     def test_rows_and_reruns_are_byte_identical_across_block_edges(self, steps, runs, log_steps):
         """Without the log, every row keeps the logging row's parameters,
         checkpoints, learning rates and sigma byte for byte, and its losses
-        and accuracies are None."""
+        and accuracies are None. A freshly drawn schedule and the cached one
+        give the same rows."""
         dataset = make_dataset(n=16, seed=4)
         model = ModelSpec(input_dim=3, hidden_dim=4, num_classes=3)
         cfg = TrainConfig(base_lr=0.1, total_steps=steps, batch_size=5, seed=3, warmup_steps=0,
@@ -785,7 +840,10 @@ class TestDrawBlocks:
             return [digest(row) for row in
                     train_many(dataset, model, cfg, variants, log_steps=log_steps)]
 
+        _batch_schedule.cache_clear()
         rows = rows_of(variants)
+        assert rows == rows_of(variants)
+        _batch_schedule.cache_clear()
         assert rows == rows_of(variants)
         for variant, row in zip(variants, rows):
             assert [row] == rows_of([variant])

@@ -28,7 +28,7 @@ from . import accountant, experiments, metrics
 from .errors import DivergenceError, FormatError, MlprivError, UnknownNameError
 from .influence import CheckpointSet, influence_profiles
 from .repr_store import Manifest, load_set, read_embeddings, write_embeddings
-from .synth import SynthSpec, gen_classification_data, gen_parallel_set
+from .synth import SynthSpec, _flatten, gen_parallel_set
 from .trainer import (
     LabeledDataset,
     ModelSpec,
@@ -201,13 +201,13 @@ def cmd_synth(args) -> int:
     spec = _from_config(SynthSpec, values, args.config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    embedding_set, _ = gen_parallel_set(spec)
+    embedding_set, labels = gen_parallel_set(spec)
     manifest = Manifest()
     for lang, matrix in zip(embedding_set.languages, embedding_set.matrices):
         write_embeddings(out / f"{lang}.emb", matrix)
         manifest.add(lang, embedding_set.layer, f"{lang}.emb")  # relative to the manifest
     manifest.write(out / "manifest.tsv")
-    dataset = gen_classification_data(spec)
+    dataset = _flatten(embedding_set, labels)
     write_embeddings(out / "features.emb", dataset.features)
     _write_labels(out / "labels.tsv", dataset)
     print(f"wrote {len(embedding_set.languages)} languages, {len(dataset)} examples -> {out}")

@@ -37,6 +37,7 @@ from .trainer import (
     _backward,
     _check_labels,
     _forward_one,
+    _is_int,
     _softmax,
     _unpack,
 )
@@ -125,12 +126,17 @@ def _tracin_gram(X: np.ndarray, y: np.ndarray, cks: CheckpointSet, spec: ModelSp
 
 def _stack(examples: list[Example], spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
     """Examples (x, y) as one group: inputs (1, n, input_dim), checked here,
-    and labels (1, n), which the caller checks."""
+    and labels (1, n), checked to be integers here and to fit the model by
+    the caller. A bool label is not one, mixed with ints or not."""
     xs = [np.asarray(x, dtype=np.float64) for x, _ in examples]
     bad = [x.shape for x in xs if x.shape != (spec.input_dim,)]
     if bad:
         raise ShapeMismatchError(f"x has {bad[0]}, expected ({spec.input_dim},)")
-    return np.array([xs]), np.array([[y for _, y in examples]])
+    ys = [y for _, y in examples]
+    bad = [y for y in ys if not _is_int(y)]
+    if bad:
+        raise ShapeMismatchError(f"labels must be integer class indices, got {bad[0]!r}")
+    return np.array([xs]), np.array([ys])
 
 
 def infu_from_scores(scores: np.ndarray) -> float:
@@ -207,9 +213,11 @@ def _tuple_shape(dataset: LabeledDataset) -> tuple[int, int]:
 def _readout_input(spec: ModelSpec, eval_point: np.ndarray, event_class: int) -> np.ndarray:
     """The evaluation point as one column (input_dim, 1), once it and the
     event class fit the model."""
-    X, _ = _stack([(eval_point, event_class)], spec)
+    x = np.array(eval_point, dtype=np.float64)
+    if x.shape != (spec.input_dim,):
+        raise ShapeMismatchError(f"eval_point has {x.shape}, expected ({spec.input_dim},)")
     _check_labels(event_class, spec, ())
-    return X[0, 0][:, None]
+    return x[:, None]
 
 
 def event_probability(

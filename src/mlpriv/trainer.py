@@ -49,8 +49,11 @@ ADAM_EPS = 1e-8
 
 
 def _is_int(value) -> bool:
-    """A Python or numpy integer; bool is not one."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    """A Python or numpy integer; bool is not one. An exact int, the common
+    case, is tested first: it skips the two ABC checks, which cost several
+    times more, in every label ``influence_profile`` checks."""
+    return type(value) is int or (isinstance(value, numbers.Integral)
+                                  and not isinstance(value, bool))
 
 
 def _check_ints(obj, names, error) -> None:
@@ -234,7 +237,7 @@ def _unpack(spec: ModelSpec, theta: np.ndarray):
 
 def _hits(probs: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Whether each example's label is its most probable class, the lowest
-    index winning ties as in numpy's argmax: probs (c, R, B), labels (B,)."""
+    index winning ties as in numpy's argmax: probs (c, ..., B), labels (B,)."""
     return probs.argmax(axis=0) == y
 
 
@@ -415,20 +418,6 @@ def train(
     return train_many(dataset, spec, config, [Variant(exclude_index)])[0]
 
 
-def _mean_loss(p_true: np.ndarray, keep: np.ndarray, count: np.ndarray) -> np.ndarray:
-    """Each run's mean cross-entropy over the examples it kept, (..., R):
-    p_true and keep (..., R, B), the kept counts (..., R, 1). p_true is
-    overwritten with the per-example losses, so a block's buffer needs no
-    temporaries of its size. Every run's losses are one contiguous row
-    summed on its own, so a step, a block, a lone run and a row of any stack
-    give the same bits."""
-    loss = np.maximum(p_true, np.finfo(np.float64).tiny, out=p_true)
-    np.log(loss, out=loss)
-    np.negative(loss, out=loss)
-    loss[~keep] = 0.0
-    return loss.sum(axis=-1) / count[..., 0]
-
-
 @lru_cache(maxsize=16)  # fig2 keeps 10 seeds' schedules alive across its λ loop
 def _batch_schedule(seed: int, N: int, B: int, T: int) -> np.ndarray:
     """The batch stream of ``train_many``: row t - 1 holds step t's B
@@ -449,17 +438,31 @@ def _keep_and_count(idx: np.ndarray, excluded_u: np.ndarray,
     """Keep masks (n, R, B) and kept counts (n, R, 1) of the batches idx
     (n, B) for runs excluding excluded_u[u_of_run] (R,), where N, which is
     never drawn, stands for no exclusion. Each distinct excluded example is
-    looked up once, in an (n, B, E) table. Batches are drawn without
-    replacement, so an excluded example fills at most one slot of a batch:
-    a run keeps B - 1 examples where its example is drawn, B elsewhere, and
-    its mask clears only that slot. A sampler that can draw an example twice
-    must count its slots instead."""
-    n, B = idx.shape
-    hit = idx[:, :, None] == excluded_u
-    drawn = hit.any(axis=1)[:, u_of_run]  # (n, R)
-    keep = np.ones((n, len(u_of_run), B), dtype=bool)
-    keep[drawn, hit.argmax(axis=1)[:, u_of_run][drawn]] = False
-    return keep, (B - drawn)[..., None]
+    looked up once, in an (n, E, B) table of the slots it fills: a run drops
+    every one of them and counts the rest."""
+    hit = idx[:, None, :] == excluded_u[:, None]
+    keep = np.take(hit, u_of_run, axis=1)
+    np.logical_not(keep, out=keep)
+    return keep, (idx.shape[1] - hit.sum(axis=2)[:, u_of_run])[..., None]
+
+
+def _nll(p: np.ndarray) -> np.ndarray:
+    """The cross-entropy -log(max(p, tiny)) of labels with probabilities p,
+    written over p; at most -log(tiny), and nan where p is nan."""
+    np.maximum(p, np.finfo(np.float64).tiny, out=p)
+    np.log(p, out=p)
+    return np.negative(p, out=p)
+
+
+def _kept_mean(values: np.ndarray, keep: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """Each run's mean over the entries it kept, (..., R): values and keep
+    (..., R, B), the kept counts (..., R, 1). The dropped entries of values
+    are zeroed in place, so an excluded example's nan stays out. Every run's
+    B entries are one contiguous row summed on its own as float64, so a
+    step, a block, a lone run and a row of any stack give the same bits, and
+    a count of 0/1 flags is exact."""
+    values[~keep] = 0
+    return values.sum(axis=-1, dtype=np.float64) / count[..., 0]
 
 
 def _which_run(variants: list[Variant], r: int) -> str:
@@ -528,16 +531,17 @@ def train_many(
     are read from ``_batch_schedule``, drawn once per (seed, N, B, T), one
     draw per step, and shared by every call with that key. At a block's
     first step the loop gathers its DRAW_BLOCK batches, forms their keep
-    masks and kept counts from one lookup of the distinct excluded examples
-    (``_keep_and_count``) and draws its noise in the order one draw per step
-    would take it; the block's losses and accuracies are formed at its last
-    step from the probabilities of the labels and the hits its steps
-    stored. With log_steps=False no step stores them and every row's
-    losses and accuracies are None; the parameters, checkpoints, lrs and
-    sigma keep their bytes, since the log never feeds back into training. A
-    step tests only its parameters: an empty batch (its mean divides by 0)
-    or a nan loss makes them non-finite at the same step, and is then
-    named, with or without the log.
+    masks and kept counts from one lookup of the distinct excluded examples,
+    each run dropping every slot its example fills (``_keep_and_count``),
+    and draws its noise in the order one draw per step would take it; at its
+    last step one masked mean over the kept examples (``_kept_mean``) folds
+    the losses of the label probabilities and the hits its steps stored,
+    as it folds a diverging step's loss. With log_steps=False no step
+    stores them and every row's losses and accuracies are None; the
+    parameters, checkpoints, lrs and sigma keep their bytes, since the log
+    never feeds back into training. A step tests only its parameters: an
+    empty batch (its mean divides by 0) or a nan loss makes them non-finite
+    at the same step, and is then named, with or without the log.
     """
     for v in variants:
         if not isinstance(v, tuple) or len(v) > 3:
@@ -679,7 +683,7 @@ def train_many(
                 raise EmptyBatchError(
                     f"step {step}: run {int(np.argmin(count))} excludes every example of its batch"
                 )
-            loss = _mean_loss(np.add.reduce(probs * Y), keep, count)
+            loss = _kept_mean(_nll(np.add.reduce(probs * Y)), keep, count)
             if np.isnan(loss).any():
                 r = int(np.argmax(np.isnan(loss)))
                 raise DivergenceError(step, f"loss = {loss[r]}{_which_run(variants, r)}")
@@ -688,12 +692,8 @@ def train_many(
 
         if j == n - 1 and log_steps:  # the block's last step: its losses and accuracies
             rows = slice(step - n, step)
-            losses[rows] = _mean_loss(p_true_block[:n], keep_block, count_block)
-            hits = hit_block[:n]
-            hits &= keep_block
-            # a count of 0/1 entries is exact in any order: one integer reduction
-            hit_count = np.einsum("nrb->nr", hits.view(np.uint8), dtype=np.intp)
-            accuracies[rows] = hit_count / count_block[..., 0]
+            losses[rows] = _kept_mean(_nll(p_true_block[:n]), keep_block, count_block)
+            accuracies[rows] = _kept_mean(hit_block[:n], keep_block, count_block)
         if step % config.checkpoint_interval == 0:
             snapshots.append((step, eta, state.theta.copy()))
 
@@ -716,10 +716,8 @@ def evaluate(
     """Accuracy (argmax, lowest index wins ties) and per-language mean loss."""
     labels = _check_dataset(dataset, spec)
     probs = _forward_one(spec, theta, dataset.features.T)
-    preds = probs.argmax(axis=0)
-    accuracy = float((preds == labels).mean())
-    p_true = np.maximum(probs[labels, np.arange(len(dataset))], np.finfo(np.float64).tiny)
-    losses = -np.log(p_true)
+    accuracy = float(_hits(probs, labels).mean())
+    losses = _nll(probs[labels, np.arange(len(dataset))])
     per_language: dict[str, float] = {}
     tags = np.array(dataset.languages)
     for lang in dict.fromkeys(dataset.languages):  # first-seen order

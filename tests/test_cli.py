@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlpriv import cli, experiments
+from mlpriv import cli, experiments, synth
 from mlpriv.accountant import epsilon_for, sigma_for
 from mlpriv.cli import (
     EXIT_CRITERION,
@@ -32,6 +32,7 @@ from mlpriv.cli import (
 from mlpriv.influence import CheckpointSet, influence_profiles
 from mlpriv.metrics import linguistic_fairness_gap, pairwise_report
 from mlpriv.repr_store import Manifest, load_set, read_embeddings, write_embeddings
+from mlpriv.synth import gen_classification_data, gen_parallel_set
 from mlpriv.trainer import (
     Checkpoint,
     LabeledDataset,
@@ -202,6 +203,26 @@ class TestSynthCommand:
         code, err = run_quietly(["synth", "--config", cfg, "--out", str(Path(cfg).parent / "out")])
         assert code in (EXIT_OK, EXIT_VALIDATION)
         assert (code == EXIT_OK) == (err == "")
+
+    def test_builds_its_parallel_set_once(self, tmp_path, monkeypatch):
+        """The language files and the flattened dataset come from one
+        parallel set, and the dataset is gen_classification_data's."""
+        specs = []
+
+        def counted(spec):
+            specs.append(spec)
+            return gen_parallel_set(spec)
+
+        monkeypatch.setattr(cli, "gen_parallel_set", counted)
+        monkeypatch.setattr(synth, "gen_parallel_set", counted)
+        cfg = write_config(tmp_path / "synth.cfg", num_languages=3, tuples=12, dim=4,
+                           compression=0.5, seed=5)
+        out = tmp_path / "data"
+        assert main(["synth", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        assert len(specs) == 1
+        monkeypatch.undo()
+        write_embeddings(tmp_path / "expected.emb", gen_classification_data(specs[0]).features)
+        assert (out / "features.emb").read_bytes() == (tmp_path / "expected.emb").read_bytes()
 
     def test_relative_out_feeds_metrics(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

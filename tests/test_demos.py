@@ -18,6 +18,15 @@ def run_demo(script: str) -> subprocess.CompletedProcess:
     )
 
 
+def test_metrics_tour_demo_runs():
+    """At lambda = 1 every language is the shared latent set, so retrieval,
+    CKA and RSA all read 1."""
+    proc = run_demo("01_metrics_tour.py")
+    assert proc.returncode == 0, proc.stderr
+    row = next(line.split() for line in proc.stdout.splitlines() if line.split()[:1] == ["1.00"])
+    assert row[1:4] == ["1.0000", "1.0000", "1.0000"]
+
+
 def test_influence_profiles_demo_runs():
     proc = run_demo("03_influence_profiles.py")
     assert proc.returncode == 0, proc.stderr

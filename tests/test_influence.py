@@ -277,6 +277,14 @@ class TestInfluenceInputs:
         with pytest.raises(ShapeMismatchError):
             self_scores([bad], self.CKS, SPEC)
 
+    @pytest.mark.parametrize("labels", [(0, True), (np.True_, 1), (True, True)],
+                             ids=["int_and_bool", "np_bool_and_int", "bools"])
+    def test_non_integer_label_rejected_alone_or_mixed_with_integers(self, labels):
+        """A bool label is not promoted to the class index of its value."""
+        x = np.array([0.5, 0.5])
+        with pytest.raises(ShapeMismatchError, match="integer class indices"):
+            influence_profile(0, [(x, y) for y in labels], self.CKS, SPEC)
+
     @pytest.mark.parametrize("x", [np.zeros(3), np.zeros(1), np.zeros((2, 1)), np.float64(1.0)])
     def test_input_of_wrong_shape_rejected(self, x):
         with pytest.raises(ShapeMismatchError):

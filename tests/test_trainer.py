@@ -46,6 +46,7 @@ from mlpriv.trainer import (
     _batch_schedule,
     _hits,
     _keep_and_count,
+    _kept_mean,
     _softmax,
     _unpack,
 )
@@ -772,12 +773,14 @@ def first_draws(config, examples, steps):
 
 @st.composite
 def batches_and_exclusions(draw):
-    """(N, a block's batches (n, B) drawn without replacement, each run's
-    excluded example or None)."""
+    """(N, a block's batches (n, B) drawn with or without replacement, each
+    run's excluded example or None)."""
     N = draw(st.integers(1, 40))
     B = draw(st.integers(1, N))
     n = draw(st.integers(1, DRAW_BLOCK))
-    batches = draw(st.lists(st.permutations(range(N)).map(lambda p: p[:B]), min_size=n, max_size=n))
+    batch = st.permutations(range(N)).map(lambda p: p[:B]) | st.lists(
+        st.integers(0, N - 1), min_size=B, max_size=B)
+    batches = draw(st.lists(batch, min_size=n, max_size=n))
     exclusions = draw(st.lists(st.none() | st.integers(0, N - 1), min_size=1, max_size=12))
     return N, batches, exclusions
 
@@ -809,9 +812,11 @@ class TestDrawBlocks:
     @example(case=(6, [[0, 1, 2], [3, 4, 5]], [4, 0, 4, 5]))  # every run excludes, one repeat
     @example(case=(4, [[2], [1], [2]], [2, None, 2, 3, None]))  # B = 1: empty batches
     @example(case=(257, [[256, 0, 255], [7, 8, 9]], [256, None, 9, 255]))  # uint16 indices
+    @example(case=(5, [[1, 3, 1], [2, 2, 2]], [1, 2, None, 1]))  # an example in 2 and 3 slots
     def test_keep_masks_and_counts_match_the_broadcast_compare(self, case):
         """The masks and counts train_many builds from the distinct excluded
-        examples are the per-run compare and its sum over the batch."""
+        examples are the per-run compare and its sum over the batch: a run
+        drops every slot its example fills."""
         N, batches, exclusions = case
         idx = np.array(batches, dtype=np.min_scalar_type(N - 1))
         excluded = np.array([N if e is None else e for e in exclusions])
@@ -820,6 +825,22 @@ class TestDrawBlocks:
         assert keep.shape == expected.shape and keep.dtype == bool
         np.testing.assert_array_equal(keep, expected)
         np.testing.assert_array_equal(count, expected.sum(axis=2, keepdims=True))
+
+    def test_kept_mean_of_flags_and_of_losses_skips_dropped_slots(self):
+        """One masked mean folds the hit flags and the losses of a block
+        (n, R, B): the dropped entries count for nothing, a nan among them
+        too, and each run divides by its kept count."""
+        keep = np.array([[[True, False, True, False], [True, True, True, True]],
+                         [[False, True, True, True], [True, False, False, False]]])
+        count = keep.sum(axis=2, keepdims=True)
+        hits = np.array([[[True, True, False, True], [False, True, True, True]],
+                         [[True, True, False, False], [True, True, True, True]]])
+        np.testing.assert_array_equal(_kept_mean(hits, keep, count), [[0.5, 0.75], [1 / 3, 1.0]])
+        losses = np.array([[[0.5, np.nan, 1.5, np.inf], [1.0, 2.0, 3.0, 4.0]],
+                           [[np.nan, 0.25, 0.5, 2.25], [7.0, np.nan, -np.inf, 0.0]]])
+        mean = _kept_mean(losses, keep, count)
+        assert mean.dtype == np.float64
+        np.testing.assert_array_equal(mean, [[1.0, 2.5], [1.0, 7.0]])
 
     @pytest.mark.parametrize("log_steps", [True, False])
     @pytest.mark.parametrize("runs", [1, 3])

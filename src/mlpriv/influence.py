@@ -38,6 +38,7 @@ from .trainer import (
     _check_labels,
     _forward_one,
     _is_int,
+    _one_hot,
     _softmax,
     _unpack,
 )
@@ -119,7 +120,7 @@ def _tracin_gram(X: np.ndarray, y: np.ndarray, cks: CheckpointSet, spec: ModelSp
         return V @ V.swapaxes(-1, -2)
 
     XT = X.reshape(G * L, -1).T
-    Y = np.eye(spec.num_classes)[:, None, y.reshape(-1)]  # (c, 1, G * L)
+    Y = _one_hot(spec.num_classes)[:, None, y.reshape(-1)]  # (c, 1, G * L)
     _, layers = _backward(spec, _unpack(spec, cks.thetas), XT, Y)
     return sum(np.einsum("k,gkij->gij", cks.etas, gram(d) * (gram(a) + 1.0)) for d, a in layers)
 

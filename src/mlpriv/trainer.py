@@ -40,6 +40,9 @@ CKPT_MAGIC = b"CKPT1"
 U32_MAX = 2**32 - 1  # CKPT1 stores the step and the parameter count as u32
 
 DRAW_BLOCK = 32  # steps whose batches are gathered and Gaussian noise drawn at once
+# steps whose batch draws _batch_schedule makes in one call: at B = 64 the
+# (2048, 127) int64 draws and their slot-major copy, 2.1 MB each, whatever T is
+SCHEDULE_CHUNK = 2048
 
 INIT_SCALE = 0.1  # standard deviation of the Gaussian initial parameters
 
@@ -308,6 +311,15 @@ def _backward(spec: ModelSpec, params: tuple, XT: np.ndarray, Y: np.ndarray):
     return probs, [(dZ, XT), (delta, A)]
 
 
+@lru_cache(maxsize=8)
+def _one_hot(c: int) -> np.ndarray:
+    """The read-only (c, c) identity, whose column k is class k's one-hot
+    label; shared by every call with the same class count."""
+    eye = np.eye(c)
+    eye.flags.writeable = False
+    return eye
+
+
 def _check_dataset(dataset: LabeledDataset, spec: ModelSpec) -> np.ndarray:
     """The dataset's labels, once its rows and labels fit the model."""
     if spec.input_dim != dataset.features.shape[1]:
@@ -424,13 +436,53 @@ def _batch_schedule(seed: int, N: int, B: int, T: int) -> np.ndarray:
     example indices, one ``choice(N, B, replace=False)`` per step from the
     stream spawned off ``seed``, drawn in step order. Read-only (T, B), in
     the smallest unsigned type that holds N - 1, and shared by every call
-    with the same key."""
+    with the same key.
+
+    For N <= 10,000 or B <= N // 50, numpy 2.4's ``choice`` is Floyd's
+    sampling, one bounded draw ``integers(0, j + 1)`` for each j = N - B,
+    ..., N - 1 (a value already taken becomes j), then a Fisher-Yates
+    shuffle, one ``integers(0, i + 1)`` for each i = B - 1, ..., 1 (swap
+    slots i and the draw). No bound depends on an earlier draw, so when
+    B <= 64 and T >= 2 (B + 1) the schedule makes every step's 2B - 1 draws
+    in one ``integers`` call per SCHEDULE_CHUNK steps, which reads the
+    generator as the per-step calls do, and applies both rules a slot at a
+    time to all of the chunk's steps at once (``_floyd_shuffle``). The rows
+    are the per-step calls' bytes. Smaller T or larger B keep one ``choice``
+    per step, which was the faster at those shapes; B <= 64 also keeps
+    numpy's other branch, a partial shuffle of range(N) for N > 10,000 and
+    B > N // 50 > 200, on the per-step path."""
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[0])
     schedule = np.empty((T, B), dtype=np.min_scalar_type(N - 1))
-    for row in schedule:
-        row[:] = rng.choice(N, size=B, replace=False)
+    if B > 64 or T < 2 * (B + 1):
+        for row in schedule:
+            row[:] = rng.choice(N, size=B, replace=False)
+    else:
+        bounds = np.r_[N - B + 1 : N + 1, B : 1 : -1]  # Floyd's j + 1, then the shuffle's i + 1
+        for start in range(0, T, SCHEDULE_CHUNK):
+            rows = schedule[start : start + SCHEDULE_CHUNK]
+            draws = rng.integers(0, np.broadcast_to(bounds, (len(rows), 2 * B - 1)))
+            rows[:] = _floyd_shuffle(draws, N)
     schedule.flags.writeable = False
     return schedule
+
+
+def _floyd_shuffle(draws: np.ndarray, N: int) -> np.ndarray:
+    """The (m, B) samples of m steps from their bounded draws (m, 2B - 1):
+    Floyd's picks from the first B columns, then the Fisher-Yates swaps of
+    the other B - 1, each rule applied one slot at a time to every step."""
+    m, B = len(draws), (draws.shape[1] + 1) // 2
+    draws = draws.T.copy()  # slot-major: each slot's m steps are one contiguous row
+    picks, swaps = draws[:B], draws[B:]
+    for k in range(1, B):  # Floyd: a value an earlier slot took becomes this slot's j
+        np.putmask(picks[k], (picks[:k] == picks[k]).any(axis=0), N - B + k)
+    swaps *= m
+    swaps += np.arange(m)  # each swap's partner as a flat position, slot * m + step
+    flat = picks.reshape(-1)
+    for i, partner in zip(range(B - 1, 0, -1), swaps):
+        swapped = flat[partner]
+        flat[partner] = picks[i]
+        picks[i] = swapped
+    return picks.T
 
 
 def _keep_and_count(idx: np.ndarray, excluded_u: np.ndarray,
@@ -528,20 +580,22 @@ def train_many(
     examples last, (n, R, B), so those sums and the softmax reduce over
     axis 0 through contiguous R * B slices, and the parameters stay (R, P).
     Each step does only the work that updates the parameters. The batches
-    are read from ``_batch_schedule``, drawn once per (seed, N, B, T), one
-    draw per step, and shared by every call with that key. At a block's
-    first step the loop gathers its DRAW_BLOCK batches, forms their keep
-    masks and kept counts from one lookup of the distinct excluded examples,
-    each run dropping every slot its example fills (``_keep_and_count``),
-    and draws its noise in the order one draw per step would take it; at its
-    last step one masked mean over the kept examples (``_kept_mean``) folds
-    the losses of the label probabilities and the hits its steps stored,
-    as it folds a diverging step's loss. With log_steps=False no step
-    stores them and every row's losses and accuracies are None; the
-    parameters, checkpoints, lrs and sigma keep their bytes, since the log
-    never feeds back into training. A step tests only its parameters: an
-    empty batch (its mean divides by 0) or a nan loss makes them non-finite
-    at the same step, and is then named, with or without the log.
+    are read from ``_batch_schedule``, drawn once per (seed, N, B, T) as the
+    stream of one ``choice(N, B, replace=False)`` per step, in one
+    vectorized pass where that is the faster, and shared by every call with
+    that key. At a block's first step the loop gathers its DRAW_BLOCK
+    batches, forms their keep masks and kept counts from one lookup of the
+    distinct excluded examples, each run dropping every slot its example
+    fills (``_keep_and_count``), and draws its noise in the order one draw
+    per step would take it; at its last step one masked mean over the kept
+    examples (``_kept_mean``) folds the losses of the label probabilities
+    and the hits its steps stored, as it folds a diverging step's loss. With
+    log_steps=False no step stores them and every row's losses and
+    accuracies are None; the parameters, checkpoints, lrs and sigma keep
+    their bytes, since the log never feeds back into training. A step tests
+    only its parameters: an empty batch (its mean divides by 0) or a nan
+    loss makes them non-finite at the same step, and is then named, with or
+    without the log.
     """
     for v in variants:
         if not isinstance(v, tuple) or len(v) > 3:
@@ -598,7 +652,7 @@ def train_many(
     # the rows with a ones column: the first layer's clipped weight and bias
     # sums are one product
     features_1 = np.hstack([dataset.features, np.ones((N, 1))])
-    one_hot = np.eye(spec.num_classes)
+    one_hot = _one_hot(spec.num_classes)
 
     state = OptimizerState.init(np.tile(init_theta(spec, seed=config.seed), (R, 1)))
     params = _unpack(spec, state.theta)  # views: optimizer_step updates state.theta in place

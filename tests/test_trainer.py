@@ -28,6 +28,7 @@ from mlpriv.trainer import (
     ADAM_BETA2,
     ADAM_EPS,
     DRAW_BLOCK,
+    SCHEDULE_CHUNK,
     Checkpoint,
     LabeledDataset,
     ModelSpec,
@@ -732,6 +733,7 @@ class TestWorkingMemory:
         exclusions = [None, *range(8)]
         variants = [(e, None, 0.0) for e in exclusions]
         variants += [(e, ns, s) for s in (0.5, 2.0) for e in exclusions for ns in range(10)]
+        _batch_schedule.cache_clear()  # the peak covers the cold draw, whatever ran before
         tracemalloc.start()
         try:
             rows = train_many(dataset, model, cfg, variants, **kwargs)
@@ -754,16 +756,33 @@ class TestWorkingMemory:
         assert peak < 3.08e6 - p_true_block
 
 
-def batch_stream(config):
-    """The generator of the batch stream train_many reads, spawned off config.seed."""
-    batch_ss, _ = np.random.SeedSequence(config.seed).spawn(2)
+def batch_stream(seed):
+    """The generator of the batch stream train_many reads, spawned off its config's seed."""
+    batch_ss, _ = np.random.SeedSequence(seed).spawn(2)
     return np.random.default_rng(batch_ss)
+
+
+def floyd_then_shuffle(rng, N, B):
+    """One step's batch, written out from bounded draws: Floyd's sampling,
+    one integers(0, j + 1) for each j = N - B, ..., N - 1, a value already
+    taken becoming j; then a Fisher-Yates shuffle, one integers(0, i + 1)
+    for each i = B - 1, ..., 1, swapping slots i and the draw. This is
+    numpy 2.4's choice(N, B, replace=False) unless N > 10,000 and B > N // 50."""
+    batch, taken = [], set()
+    for j in range(N - B, N):
+        v = int(rng.integers(0, j + 1))
+        batch.append(j if v in taken else v)
+        taken.add(batch[-1])
+    for i in range(B - 1, 0, -1):
+        k = int(rng.integers(0, i + 1))
+        batch[i], batch[k] = batch[k], batch[i]
+    return batch
 
 
 def first_draws(config, examples, steps):
     """Step (1-based) at which each example is first drawn into a batch, from
     the batch stream train_many reads; examples never drawn are absent."""
-    rng = batch_stream(config)
+    rng = batch_stream(config.seed)
     first = {}
     for step in range(1, steps + 1):
         for i in rng.choice(examples, size=config.batch_size, replace=False).tolist():
@@ -785,11 +804,21 @@ def batches_and_exclusions(draw):
     return N, batches, exclusions
 
 
+@st.composite
+def schedule_shapes(draw):
+    """(seed, N, B, T) on both sides of _batch_schedule's routing, which
+    draws in one pass for B <= 64 and T >= 2 (B + 1)."""
+    N = draw(st.integers(1, 200))
+    B = draw(st.integers(1, min(N, 70)))
+    T = draw(st.integers(1, 2 * (B + 1) + 16))
+    return draw(st.integers(0, 2**32 - 1)), N, B, T
+
+
 class TestDrawBlocks:
     """train_many reads its batches from one schedule per (seed, N, B, T),
-    one draw per step, and gathers the batches, keep masks and noise of
-    DRAW_BLOCK steps at once; outputs and error order are those of one draw
-    per step."""
+    the stream of one choice per step, and gathers the batches, keep masks
+    and noise of DRAW_BLOCK steps at once; outputs and error order are
+    those of one draw per step."""
 
     @pytest.mark.parametrize("examples", [5, 256, 257], ids=["N=B", "N=256", "N=257"])
     @pytest.mark.parametrize("steps", [1, DRAW_BLOCK - 1, DRAW_BLOCK, DRAW_BLOCK + 1,
@@ -799,12 +828,52 @@ class TestDrawBlocks:
         array is the one every later call with the same key gets."""
         cfg = TrainConfig(base_lr=0.1, total_steps=steps, batch_size=5, seed=3, warmup_steps=0)
         schedule = _batch_schedule(cfg.seed, examples, cfg.batch_size, steps)
-        rng = batch_stream(cfg)
+        rng = batch_stream(cfg.seed)
         replay = [rng.choice(examples, size=cfg.batch_size, replace=False) for _ in range(steps)]
         assert schedule.dtype == (np.uint8 if examples <= 256 else np.uint16)
         np.testing.assert_array_equal(schedule, np.array(replay))
         assert not schedule.flags.writeable
         assert _batch_schedule(cfg.seed, examples, cfg.batch_size, steps) is schedule
+
+    @staticmethod
+    def assert_schedule_is_the_stream(seed, N, B, T):
+        """The schedule's rows are the per-step choice calls and, on numpy's
+        Floyd branch, the stream written out from its bounded draws."""
+        schedule = _batch_schedule(seed, N, B, T)
+        rng = batch_stream(seed)
+        replay = [rng.choice(N, size=B, replace=False) for _ in range(T)]
+        np.testing.assert_array_equal(schedule, np.array(replay))
+        if N <= 10_000 or B <= N // 50:
+            rng = batch_stream(seed)
+            stream = [floyd_then_shuffle(rng, N, B) for _ in range(T)]
+            np.testing.assert_array_equal(schedule, np.array(stream))
+
+    @settings(max_examples=60, deadline=None)
+    @given(shape=schedule_shapes())
+    @example(shape=(0, 40, 40, 90))  # B = N
+    @example(shape=(1, 300, 1, 4))  # B = 1
+    @example(shape=(2, 1, 1, 9))  # N = 1: the one example every step
+    @example(shape=(3, 200, 64, 2 * 65))  # the largest B drawn in one pass
+    @example(shape=(4, 200, 64, 2 * 65 - 1))  # one step too few: a choice per step
+    @example(shape=(5, 200, 65, 200))  # one slot too many: a choice per step
+    def test_schedule_is_the_floyd_then_shuffle_stream(self, shape):
+        self.assert_schedule_is_the_stream(*shape)
+
+    @pytest.mark.parametrize("steps", [SCHEDULE_CHUNK - 1, SCHEDULE_CHUNK, SCHEDULE_CHUNK + 1,
+                                       2 * SCHEDULE_CHUNK + 1])
+    def test_schedule_is_the_stream_across_chunk_edges(self, steps):
+        """The draws of SCHEDULE_CHUNK steps at a time continue the generator exactly."""
+        self.assert_schedule_is_the_stream(7, 50, 3, steps)
+
+    @pytest.mark.parametrize("examples, size", [(10_001, 201), (20_000, 401)])
+    def test_numpy_partial_shuffle_branch_replays_per_step_choice(self, examples, size):
+        """For N > 10,000 and B > N // 50 numpy's choice partially shuffles
+        range(N), which is not the Floyd stream; the schedule still replays
+        it, with T past 2 (B + 1)."""
+        steps = 2 * (size + 1)
+        self.assert_schedule_is_the_stream(11, examples, size, steps)
+        floyd = floyd_then_shuffle(batch_stream(11), examples, size)
+        assert _batch_schedule(11, examples, size, steps)[0].tolist() != floyd
 
     @settings(max_examples=200, deadline=None)
     @given(case=batches_and_exclusions())

@@ -238,17 +238,19 @@ def _unpack(spec: ModelSpec, theta: np.ndarray):
     return tuple(views)
 
 
-def _hits(probs: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _hits(probs: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Whether each example's label is its most probable class, the lowest
-    index winning ties as in numpy's argmax: probs (c, ..., B), labels (B,)."""
-    return probs.argmax(axis=0) == y
+    index winning ties as in numpy's argmax: probs (c, ..., B), labels (B,);
+    written into ``out`` when one is given."""
+    return np.equal(probs.argmax(axis=0), y, out=out)
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    """Softmax over axis 0, the class axis of the (c, ..., B) layout. numpy
-    reduces an axis that is not innermost as a left fold over whole slices,
-    so each column of a stack has the bits of the same column alone."""
-    out = logits - np.maximum.reduce(logits)
+def _softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Softmax over axis 0, the class axis of the (c, ..., B) layout, into a
+    new array, or into ``out`` (which may be ``logits``). numpy reduces an
+    axis that is not innermost as a left fold over whole slices, so each
+    column of a stack has the bits of the same column alone."""
+    out = np.subtract(logits, np.maximum.reduce(logits), out=out)
     np.exp(out, out=out)
     out /= np.add.reduce(out)
     return out
@@ -277,15 +279,22 @@ def _forward_batch(spec: ModelSpec, params: tuple, XT: np.ndarray):
         np.tanh(A, out=A)
     logits = _dense(params[-2], XT if A is None else A)
     logits += params[-1].T[..., None]
-    return _softmax(logits), A
+    return _softmax(logits, out=logits), A
 
 
-def _forward_one(spec: ModelSpec, theta: np.ndarray, XT: np.ndarray) -> np.ndarray:
-    """Class probabilities (c, B) of one parameter vector (P,), as a stack of one."""
+def _one_theta(spec: ModelSpec, theta: np.ndarray) -> np.ndarray:
+    """theta as one float64 parameter vector (P,); any other shape raises ShapeMismatchError."""
     theta = np.asarray(theta, dtype=np.float64)
     if theta.shape != (spec.num_params,):
         raise ShapeMismatchError(f"theta has {theta.shape}, spec needs ({spec.num_params},)")
-    return _forward_batch(spec, _unpack(spec, theta[None]), XT)[0][:, 0]
+    return theta
+
+
+def _forward_one(spec: ModelSpec, theta: np.ndarray, XT: np.ndarray) -> np.ndarray:
+    """Class probabilities (c, B) of one parameter vector (P,), as a stack of
+    one; ``evaluate``'s forward pass. The event-probability readouts take
+    the per-run inputs of ``influence._event_probabilities`` instead."""
+    return _forward_batch(spec, _unpack(spec, _one_theta(spec, theta)[None]), XT)[0][:, 0]
 
 
 def _backward(spec: ModelSpec, params: tuple, XT: np.ndarray, Y: np.ndarray):
@@ -495,7 +504,9 @@ def _keep_and_count(idx: np.ndarray, excluded_u: np.ndarray,
     hit = idx[:, None, :] == excluded_u[:, None]
     keep = np.take(hit, u_of_run, axis=1)
     np.logical_not(keep, out=keep)
-    return keep, (idx.shape[1] - hit.sum(axis=2)[:, u_of_run])[..., None]
+    # float64 counts, exact for any batch: the step divides by them uncast
+    kept = idx.shape[1] - hit.sum(axis=2, dtype=np.float64)
+    return keep, kept[:, u_of_run, None]
 
 
 def _nll(p: np.ndarray) -> np.ndarray:
@@ -557,11 +568,19 @@ def train_many(
     matched byte for byte: at theorem1's sizes no row of stacks of 1 to 260
     runs differed from its lone run, since each run's logits and clipped
     sums are entries of matrix products these kernels round the same
-    wherever the run sits. A batch of one may not match: it takes a
-    matrix-vector path, and a lone run's sum over 8 or more units is then
+    wherever the run sits. A training batch of one may not match: it takes
+    a matrix-vector path, and a lone run's sum over 8 or more units is then
     numpy's pairwise sum along the innermost axis where a stack's is a left
-    fold. Forced onto its Haswell, Zen or Prescott kernels the stacked
-    losses differ, and on Nehalem a stacked linear run's θ too. All runs
+    fold. The readout of ``influence.loo_probabilities`` also forms one
+    example per run, but as each run's own (c, d) @ (d, 1) product with a
+    softmax over the class axis (``_dense``'s per-run branch), so a run's
+    entry there has the bytes of the same θ read alone (checked on the
+    SkylakeX, Haswell, Zen, Nehalem, Prescott and SandyBridge kernels).
+    Forced onto its Haswell, Zen or Prescott kernels the stacked losses
+    differ, and on Nehalem a stacked linear run's θ too; at d = 8, B = 6
+    or 16 and 8 noisy runs a stacked linear θ differed on all four. Row
+    r's θ and checkpoint parameters are row r of the call's (R, P) arrays,
+    views that share no memory with another row's. All runs
     share the initial parameters and one batch draw per step; a run's
     excluded example is masked out of each batch that holds it and its
     gradient mean divides by the examples it kept. A sigma = 0 run draws no
@@ -579,7 +598,9 @@ def train_many(
     layer is one matrix product. Activations are unit-major with the
     examples last, (n, R, B), so those sums and the softmax reduce over
     axis 0 through contiguous R * B slices, and the parameters stay (R, P).
-    Each step does only the work that updates the parameters. The batches
+    Each step does only the work that updates the parameters; it writes its
+    softmax, clip factors and clipped δ over its own temporaries, and its
+    hit flags straight into the block's buffer. The batches
     are read from ``_batch_schedule``, drawn once per (seed, N, B, T) as the
     stream of one ``choice(N, B, replace=False)`` per step, in one
     vectorized pass where that is the faster, and shared by every call with
@@ -694,7 +715,7 @@ def train_many(
         # p_y is the fold of p_y * 1 and the other classes' p * 0 = +0: its bits, or nan
         if log_steps:  # each example's probability of its label, and its hit
             np.add.reduce(probs * Y, out=p_true_block[j])
-            hit_block[j] = _hits(probs, y_block[j])
+            _hits(probs, y_block[j], out=hit_block[j])
 
         # (R, B) squared norms, each a fold over the unit slices; deeper
         # layers' inputs are per run
@@ -707,28 +728,31 @@ def train_many(
             d_sq = np.add.reduce(d * d)
             d_sq *= a_sq
             norm_sq += d_sq
-        np.sqrt(norm_sq, out=norm_sq)
-        scale = C / np.maximum(norm_sq, C)
+        scale = np.sqrt(norm_sq, out=norm_sq)
+        np.maximum(scale, C, out=scale)
+        np.divide(C, scale, out=scale)  # C / max(norm, C)
         scale *= keep
         for (d, a), (weights, bias) in zip(layers, grad_layers):
-            clipped = d * scale  # (n, R, B)
+            d *= scale  # clipped in place, (n, R, B): no later read needs d itself
             if a.ndim == 2:  # the shared batch: one product over every run's rows
                 # (d + 1, n * R); in this orientation OpenBLAS rounds a run's
                 # entries the same wherever the run sits in the stack
-                sums = X1.T @ clipped.reshape(-1, B).T
-                weights[...] = sums[:-1].T.reshape(weights.shape)
+                sums = X1.T @ d.reshape(-1, B).T
+                weights[...] = sums[:-1].reshape(-1, *bias.shape).transpose(1, 2, 0)
                 bias[...] = sums[-1].reshape(bias.shape)
             else:
-                np.matmul(clipped.transpose(1, 0, 2), a.transpose(1, 2, 0),
+                np.matmul(d.transpose(1, 0, 2), a.transpose(1, 2, 0),
                           out=weights.transpose(1, 0, 2))
-                clipped.sum(axis=2, out=bias)
+                d.sum(axis=2, out=bias)
         if pairs:
             grad[noise_rows] += noise[j].take(pair_of, axis=0)
         grad /= count
 
         eta = lrs[step - 1]
         optimizer_step(state, grad, eta, config)
-        if not np.isfinite(state.theta).all():
+        # a finite sum has only finite terms; a sum that overflowed tests each one
+        if (not math.isfinite(np.add.reduce(state.theta, axis=None))
+                and not np.isfinite(state.theta).all()):
             # an empty batch divides its clipped sum (0, or noise) by 0, and a nan probability
             # makes the loss nan (it is at most -log(tiny)): either makes the run's parameters
             # non-finite at this same step, even where eta = 0, so both are read only here,
@@ -751,10 +775,10 @@ def train_many(
         if step % config.checkpoint_interval == 0:
             snapshots.append((step, eta, state.theta.copy()))
 
-    return [
+    return [  # each run's θ and checkpoints are its own rows of the call's arrays
         TrainResult(
-            theta=state.theta[r].copy(),
-            checkpoints=[Checkpoint(step=s, theta=th[r].copy(), eta=eta) for s, eta, th in snapshots],
+            theta=state.theta[r],
+            checkpoints=[Checkpoint(step=s, theta=th[r], eta=eta) for s, eta, th in snapshots],
             sigma=sigmas[r],
             lrs=lrs,
             losses=losses[:, r] if log_steps else None,

@@ -2,6 +2,7 @@
 retraining oracle, and the interpretability margin."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -455,6 +456,35 @@ class TestLooInfluence:
             assert p == pytest.approx(event_probability(theta, self.MODEL, point, 1),
                                       rel=1e-12, abs=1e-12)
         assert len(set(probs.tolist())) == len(variants)
+
+    @pytest.mark.parametrize("hidden", [0, 6], ids=["linear", "tanh"])
+    @pytest.mark.parametrize("stack", ["mixed", "one"])
+    def test_stacked_readout_is_each_lone_event_probability_byte_for_byte(self, hidden, stack):
+        """Entry r has the bytes of event_probability of variant r trained
+        alone. The readout forms each run's logits as the product it has
+        alone; the lone and stacked θ agree byte for byte only where the
+        BLAS rounds a run's entries the same wherever it sits in the stack,
+        as numpy's bundled OpenBLAS 0.3.31 on its SkylakeX kernels does."""
+        rng = np.random.default_rng(12)
+        model = ModelSpec(input_dim=8, hidden_dim=hidden, num_classes=3)
+        dataset = LabeledDataset(features=rng.standard_normal((16, 8)),
+                                 labels=rng.integers(0, 3, size=16), languages=("en",) * 16)
+        cfg = TrainConfig(base_lr=0.1, total_steps=48, batch_size=6, seed=5, warmup_steps=4,
+                          noise_multiplier=0.5)
+        variants = [Variant(), (3,), (3, 11), (None, 11, 2.0), (5, None, 0.0), (3, 12, 2.0),
+                    (None, None, 0.0), (9, 11, 0.5)]
+        if stack == "one":
+            variants = variants[2:3]
+        point = rng.standard_normal(8)
+        probs = loo_probabilities(dataset, model, cfg, variants, point, 2)
+        for p, variant in zip(probs, variants, strict=True):
+            theta = train_many(dataset, model, cfg, [variant], log_steps=False)[0].theta
+            assert p.tobytes() == np.float64(event_probability(theta, model, point, 2)).tobytes()
+
+    @pytest.mark.parametrize("shape", [(0,), (5,), (7,), (1, 6)])
+    def test_event_probability_rejects_a_theta_that_is_not_one_vector(self, shape):
+        with pytest.raises(ShapeMismatchError, match=re.escape(f"theta has {shape}, spec needs (6,)")):
+            event_probability(np.zeros(shape), self.MODEL, np.zeros(2), 0)
 
     def test_duplicated_example_has_negligible_effect(self):
         # well-separated classes so the fit saturates: the remaining twin

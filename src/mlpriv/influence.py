@@ -36,10 +36,10 @@ from .trainer import (
     train_many,
     _backward,
     _check_labels,
-    _forward_batch,
     _is_int,
     _one_hot,
     _one_theta,
+    _probabilities,
     _softmax,
     _unpack,
 )
@@ -222,23 +222,13 @@ def _readout_input(spec: ModelSpec, eval_point: np.ndarray, event_class: int) ->
     return x[:, None]
 
 
-def _event_probabilities(spec: ModelSpec, thetas: np.ndarray, x: np.ndarray,
-                         event_class: int) -> np.ndarray:
-    """P(event_class at x), (R,), for each run of a parameter stack (R, P),
-    from one forward pass. The point x (input_dim, 1) is passed as every
-    run's own input, (input_dim, R, 1), so ``_dense`` forms each run's
-    logits as the (c, d) @ (d, 1) product it has alone: a run's entry has
-    the same bytes in any stack, a stack of one included."""
-    x_runs = np.broadcast_to(x[:, None, :], (len(x), len(thetas), 1))
-    return _forward_batch(spec, _unpack(spec, thetas), x_runs)[0][event_class, :, 0]
-
-
 def event_probability(
     theta: np.ndarray, spec: ModelSpec, eval_point: np.ndarray, event_class: int
 ) -> float:
-    """P(event_class at eval_point) under one parameter vector theta (P,)."""
+    """P(event_class at eval_point) under one parameter vector theta (P,):
+    ``trainer._probabilities`` of theta as a stack of one."""
     x = _readout_input(spec, eval_point, event_class)
-    return float(_event_probabilities(spec, _one_theta(spec, theta)[None], x, event_class)[0])
+    return float(_probabilities(spec, _one_theta(spec, theta)[None], x)[event_class, 0, 0])
 
 
 def loo_probabilities(
@@ -254,10 +244,11 @@ def loo_probabilities(
     ``event_probability`` of that run's final parameters, byte for byte.
     All runs are one ``train_many`` call on config's batch stream, so the
     variant is the only varying factor between them, and their final
-    parameters are stacked once and read in one forward pass."""
+    parameters are stacked once and read by one ``trainer._probabilities``
+    call, which gives each run the bytes it has alone."""
     x = _readout_input(spec, eval_point, event_class)  # checked before any retrain
     runs = train_many(dataset, spec, config, variants, log_steps=False)
-    return _event_probabilities(spec, np.stack([run.theta for run in runs]), x, event_class)
+    return _probabilities(spec, np.stack([run.theta for run in runs]), x)[event_class, :, 0]
 
 
 def interpretability_margin(p: float, p_d: float, p_2: float) -> float:

@@ -181,6 +181,8 @@ class LabeledDataset:
             raise ShapeMismatchError("features must be (N, d) and labels (N,)")
         if features.shape[0] == 0:
             raise ShapeMismatchError("dataset has no examples")
+        if labels.dtype.kind == "b":  # a bool is not a class index
+            raise ShapeMismatchError(f"labels must be integer class indices, got {labels.dtype}")
         if labels.dtype.kind not in "iu":
             labels = np.asarray(labels, dtype=np.float64)
             with np.errstate(invalid="ignore"):  # nan, inf and huge values fail the check
@@ -282,19 +284,22 @@ def _forward_batch(spec: ModelSpec, params: tuple, XT: np.ndarray):
     return _softmax(logits, out=logits), A
 
 
+def _probabilities(spec: ModelSpec, thetas: np.ndarray, XT: np.ndarray) -> np.ndarray:
+    """Class probabilities (c, R, n) of a parameter stack (R, P) at the points
+    XT (input_dim, n), the readout of every trained θ. The points are every
+    run's own input, (input_dim, R, n), so ``_dense`` forms each run's logits
+    as the (c, d) @ (d, n) product it has alone: a run's entries have the
+    same bytes in any stack, a stack of one included."""
+    XT_runs = np.broadcast_to(XT[:, None, :], (len(XT), len(thetas), XT.shape[1]))
+    return _forward_batch(spec, _unpack(spec, thetas), XT_runs)[0]
+
+
 def _one_theta(spec: ModelSpec, theta: np.ndarray) -> np.ndarray:
     """theta as one float64 parameter vector (P,); any other shape raises ShapeMismatchError."""
     theta = np.asarray(theta, dtype=np.float64)
     if theta.shape != (spec.num_params,):
         raise ShapeMismatchError(f"theta has {theta.shape}, spec needs ({spec.num_params},)")
     return theta
-
-
-def _forward_one(spec: ModelSpec, theta: np.ndarray, XT: np.ndarray) -> np.ndarray:
-    """Class probabilities (c, B) of one parameter vector (P,), as a stack of
-    one; ``evaluate``'s forward pass. The event-probability readouts take
-    the per-run inputs of ``influence._event_probabilities`` instead."""
-    return _forward_batch(spec, _unpack(spec, _one_theta(spec, theta)[None]), XT)[0][:, 0]
 
 
 def _backward(spec: ModelSpec, params: tuple, XT: np.ndarray, Y: np.ndarray):
@@ -571,10 +576,10 @@ def train_many(
     wherever the run sits. A training batch of one may not match: it takes
     a matrix-vector path, and a lone run's sum over 8 or more units is then
     numpy's pairwise sum along the innermost axis where a stack's is a left
-    fold. The readout of ``influence.loo_probabilities`` also forms one
-    example per run, but as each run's own (c, d) @ (d, 1) product with a
-    softmax over the class axis (``_dense``'s per-run branch), so a run's
-    entry there has the bytes of the same θ read alone (checked on the
+    fold. The readout ``_probabilities`` forms each run's logits as its own
+    (c, d) @ (d, n) product with a softmax over the class axis (``_dense``'s
+    per-run branch), so a run's entry there has the bytes of the same θ read
+    alone (checked at ``influence.loo_probabilities``' one point on the
     SkylakeX, Haswell, Zen, Nehalem, Prescott and SandyBridge kernels).
     Forced onto its Haswell, Zen or Prescott kernels the stacked losses
     differ, and on Nehalem a stacked linear run's θ too; at d = 8, B = 6
@@ -793,7 +798,7 @@ def evaluate(
 ) -> tuple[float, dict[str, float]]:
     """Accuracy (argmax, lowest index wins ties) and per-language mean loss."""
     labels = _check_dataset(dataset, spec)
-    probs = _forward_one(spec, theta, dataset.features.T)
+    probs = _probabilities(spec, _one_theta(spec, theta)[None], dataset.features.T)[:, 0]
     accuracy = float(_hits(probs, labels).mean())
     losses = _nll(probs[labels, np.arange(len(dataset))])
     per_language: dict[str, float] = {}

@@ -39,3 +39,11 @@ def test_dp_training_demo_runs():
     lines = proc.stdout.splitlines()
     table = lines[2:lines.index("")]  # after the header and its rule
     assert [row.split()[0] for row in table] == ["inf", "16.0", "8.0", "2.0", "0.5"]
+
+
+def test_experiments_demo_runs():
+    proc = run_demo("04_experiments.py")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.strip() for line in lines].count("verdict: PASS") == 2  # theorem2, fig2-correlation
+    assert "(skipping theorem1; pass --theorem1 to run it)" in lines

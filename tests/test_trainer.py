@@ -1151,6 +1151,20 @@ class TestEvaluate:
         assert accuracy == 1.0
         assert set(per_language) == {"en", "fr"}
 
+    @pytest.mark.parametrize("hidden", [0, 5])
+    def test_matches_the_per_example_reference(self, hidden):
+        dataset = make_dataset(n=40, d=3, c=4, seed=3, languages=("en", "fr", "de"))
+        model = ModelSpec(input_dim=3, hidden_dim=hidden, num_classes=4)
+        theta = 2.0 * np.random.default_rng(4).standard_normal(model.num_params)
+        accuracy, per_language = evaluate(theta, model, dataset)
+        losses, probs = zip(*(forward_loss(model, theta, x, y)
+                              for x, y in zip(dataset.features, dataset.labels)))
+        tags = np.array(dataset.languages)
+        assert list(per_language) == ["en", "fr", "de"]
+        for lang, loss in per_language.items():
+            assert abs(loss - np.mean(np.array(losses)[tags == lang])) <= 1e-12
+        assert accuracy == np.mean(np.argmax(probs, axis=1) == dataset.labels)
+
     def test_labels_outside_the_model_rejected(self):
         dataset = make_dataset(n=12, c=3)
         model = ModelSpec(input_dim=3, hidden_dim=0, num_classes=2)
@@ -1236,6 +1250,12 @@ class TestValidation:
     def test_non_finite_or_huge_label_rejected(self, bad):
         with pytest.raises(ShapeMismatchError, match="integer class indices"):
             LabeledDataset(features=np.zeros((2, 2)), labels=[0.0, bad], languages=("en", "fr"))
+
+    def test_bool_labels_rejected(self):
+        """A bool is not a class index, as in every other label check."""
+        with pytest.raises(ShapeMismatchError, match="integer class indices, got bool"):
+            LabeledDataset(features=np.zeros((4, 2)), labels=np.array([True, False, True, False]),
+                           languages=("en", "fr") * 2)
 
     def test_integer_valued_float_labels_accepted(self):
         dataset = LabeledDataset(features=np.zeros((2, 2)), labels=[0.0, 2.0],

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DomainError
 from .repr_store import EmbeddingSet
-from .trainer import LabeledDataset, _check_ints, _is_seed
+from .trainer import LabeledDataset, _check_ints, _is_real, _is_seed
 
 
 @dataclass(frozen=True)
@@ -31,14 +31,15 @@ class SynthSpec:
 
     def __post_init__(self):
         _check_ints(self, ("num_languages", "tuples", "dim", "classes"), DomainError)
-        if not 0.0 <= self.compression <= 1.0:
-            raise DomainError(f"compression must be in [0, 1], got {self.compression}")
+        if not (_is_real(self.compression) and 0.0 <= self.compression <= 1.0):
+            raise DomainError(f"compression must be in [0, 1], got {self.compression!r}")
         if self.num_languages < 2 or self.tuples < 2:
             raise DomainError("need >= 2 languages and >= 2 tuples")
         if self.dim < 2 or self.classes < 2:
             raise DomainError("need dim >= 2 and classes >= 2")
-        if not (math.isfinite(self.noise_scale) and self.noise_scale >= 0):
-            raise DomainError(f"noise_scale must be finite and >= 0, got {self.noise_scale}")
+        if not (_is_real(self.noise_scale) and math.isfinite(self.noise_scale)
+                and self.noise_scale >= 0):
+            raise DomainError(f"noise_scale must be finite and >= 0, got {self.noise_scale!r}")
         if not _is_seed(self.seed):
             raise DomainError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
@@ -64,6 +65,12 @@ def gen_parallel_set(spec: SynthSpec) -> tuple[EmbeddingSet, np.ndarray]:
     compression = 1 makes every language matrix bit-identical to the shared
     latents; compression = 0 gives each language its own random linear view
     plus offset and Gaussian noise.
+
+    Labels bin the tuples by rank along a random projection of the latents:
+    with m tuples and c classes, the tuple of rank r (0-based) gets class
+    #{k in 1..c-1 : (m - 1) k <= r c}, the count of class quantiles at or
+    below it, computed in integers. The counts differ by at most one, so
+    no class is empty when m >= c.
     """
     rng = np.random.default_rng(spec.seed)
     lam = spec.compression
@@ -71,12 +78,12 @@ def gen_parallel_set(spec: SynthSpec) -> tuple[EmbeddingSet, np.ndarray]:
 
     latents = rng.standard_normal((m, d))
 
-    # labels: the latent's projection binned at its class quantiles, near-equal
-    # counts; an edge that rounds onto a data point can leave a class empty
-    w = rng.standard_normal(d)
-    projection = latents @ w
-    edges = np.quantile(projection, np.linspace(0, 1, spec.classes + 1)[1:-1])
-    labels = np.searchsorted(edges, projection, side="right").astype(np.int64)
+    # labels: each tuple's rank along the latents' projection, binned at the
+    # class quantiles' rank positions (m - 1) k / c, with both sides times c
+    ranks = np.empty(m, dtype=np.int64)
+    ranks[np.argsort(latents @ rng.standard_normal(d), kind="stable")] = np.arange(m)
+    edges = (m - 1) * np.arange(1, spec.classes)
+    labels = np.searchsorted(edges, ranks * spec.classes, side="right").astype(np.int64)
 
     matrices = []
     for _ in range(L):
@@ -123,8 +130,8 @@ def plant_outlier(
     non-private run can memorize it; fewer classes must be present than
     there are dimensions, else DomainError.
     """
-    if not (math.isfinite(magnitude) and magnitude >= 0):
-        raise DomainError(f"magnitude must be finite and >= 0, got {magnitude}")
+    if not (_is_real(magnitude) and math.isfinite(magnitude) and magnitude >= 0):
+        raise DomainError(f"magnitude must be finite and >= 0, got {magnitude!r}")
     rng = np.random.default_rng(seed)
     index = int(rng.integers(len(dataset)))
     features = dataset.features.copy()

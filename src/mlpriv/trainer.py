@@ -457,17 +457,16 @@ def _batch_schedule(seed: int, N: int, B: int, T: int) -> np.ndarray:
     ..., N - 1 (a value already taken becomes j), then a Fisher-Yates
     shuffle, one ``integers(0, i + 1)`` for each i = B - 1, ..., 1 (swap
     slots i and the draw). No bound depends on an earlier draw, so when
-    B <= 64 and T >= 2 (B + 1) the schedule makes every step's 2B - 1 draws
-    in one ``integers`` call per SCHEDULE_CHUNK steps, which reads the
-    generator as the per-step calls do, and applies both rules a slot at a
-    time to all of the chunk's steps at once (``_floyd_shuffle``). The rows
-    are the per-step calls' bytes. Smaller T or larger B keep one ``choice``
-    per step, which was the faster at those shapes; B <= 64 also keeps
-    numpy's other branch, a partial shuffle of range(N) for N > 10,000 and
-    B > N // 50 > 200, on the per-step path."""
+    B <= 64 the schedule makes every step's 2B - 1 draws in one
+    ``integers`` call per SCHEDULE_CHUNK steps, which reads the generator as
+    the per-step calls do, and applies both rules a slot at a time to all of
+    the chunk's steps at once (``_floyd_shuffle``). The rows are the
+    per-step calls' bytes. B > 64 keeps one ``choice`` per step: it is the
+    faster there, and it alone follows numpy's other branch, a partial
+    shuffle of range(N) for N > 10,000 and B > N // 50 > 200."""
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[0])
     schedule = np.empty((T, B), dtype=np.min_scalar_type(N - 1))
-    if B > 64 or T < 2 * (B + 1):
+    if B > 64:
         for row in schedule:
             row[:] = rng.choice(N, size=B, replace=False)
     else:
@@ -593,10 +592,10 @@ def train_many(
     seed (their own, else a stream spawned off config.seed): runs that share
     a seed read the same draws, exactly as they would with a generator each.
     Each block's normals are scaled once per distinct (seed, sigma * C)
-    pair into a (DRAW_BLOCK, pairs, P) table, and a step adds each noised
-    run's pair row to its gradient row, through a slice when the noised
-    rows are contiguous and through their index otherwise. Per-example
-    gradients are never formed: for each (d, a) layer pair of
+    pair into a (DRAW_BLOCK, pairs + 1, P) table whose last row stays zero,
+    and a step adds to every gradient row its run's row of the table, the
+    zero row for a sigma = 0 run; a call with no noised run adds nothing.
+    Per-example gradients are never formed: for each (d, a) layer pair of
     ``_backward`` the gradient is outer(d, [a; 1]), whose norm is
     |d| * sqrt(|a|^2 + 1) (Goodfellow 2015, arXiv 1510.01799), so the clip
     factors come from per-unit sums of squares and the clipped sum of each
@@ -608,12 +607,12 @@ def train_many(
     hit flags straight into the block's buffer. The batches
     are read from ``_batch_schedule``, drawn once per (seed, N, B, T) as the
     stream of one ``choice(N, B, replace=False)`` per step, in one
-    vectorized pass where that is the faster, and shared by every call with
-    that key. At a block's first step the loop gathers its DRAW_BLOCK
-    batches, forms their keep masks and kept counts from one lookup of the
-    distinct excluded examples, each run dropping every slot its example
-    fills (``_keep_and_count``), and draws its noise in the order one draw
-    per step would take it; at its last step one masked mean over the kept
+    vectorized pass for B <= 64, and shared by every call with that key.
+    At a block's first step the loop gathers its DRAW_BLOCK batches, forms
+    their keep masks and kept counts from one lookup of the distinct
+    excluded examples, each run dropping every slot its example fills
+    (``_keep_and_count``), and draws its noise in the order one draw per
+    step would take it; at its last step one masked mean over the kept
     examples (``_kept_mean``) folds the losses of the label probabilities
     and the hits its steps stored, as it folds a diverging step's loss. With
     log_steps=False no step stores them and every row's losses and
@@ -649,26 +648,20 @@ def train_many(
 
     schedule = _batch_schedule(config.seed, N, B, T)
     _, noise_ss = np.random.SeedSequence(config.seed).spawn(2)
-    noised = np.flatnonzero(np.array(sigmas) > 0)  # an array: a list index is converted each step
-    # each distinct (effective noise seed, sigma * C) pair is one row of the
-    # block's noise table; runs with the same seed read one generator's draws
-    run_pairs = [(variants[r].noise_seed, sigmas[r] * C) for r in noised]
-    pairs = list(dict.fromkeys(run_pairs))
-    pair_of = np.array([pairs.index(p) for p in run_pairs], dtype=np.intp)
+    # each distinct (effective noise seed, sigma * C) pair of a run with
+    # sigma > 0 is one row of the block's noise table, and the table's last
+    # row stays zero for the runs with sigma = 0; runs with the same seed
+    # read one generator's draws
+    run_pairs = [(v.noise_seed, s * C) if s > 0 else None for v, s in zip(variants, sigmas)]
+    pairs = list(dict.fromkeys(filter(None, run_pairs)))
+    pair_of = np.array([pairs.index(p) if p else len(pairs) for p in run_pairs], dtype=np.intp)
     stream_pairs: dict = {}
     for q, (seed, scale) in enumerate(pairs):
         stream_pairs.setdefault(seed, []).append((q, scale))
     noise_streams = [(np.random.default_rng(noise_ss if seed is None else seed), scaled)
                      for seed, scaled in stream_pairs.items()]
     draws = np.empty((DRAW_BLOCK, P))
-    noise = np.empty((DRAW_BLOCK, len(pairs), P))
-    # the noised rows of grad: a view when they are contiguous (theorem1's
-    # stacks, a lone run), which took 4 % off theorem1-loo's wall time
-    # against the index in paired benchmark runs
-    if pairs and noised[-1] - noised[0] == len(noised) - 1:
-        noise_rows = slice(noised[0], noised[-1] + 1)
-    else:
-        noise_rows = noised
+    noise = np.zeros((DRAW_BLOCK, len(pairs) + 1, P))
     excluded_u, u_of_run = np.unique([N if v.exclude_index is None else v.exclude_index
                                       for v in variants], return_inverse=True)
     # the first layer's input is the batch itself, so its per-example |x|^2 + 1
@@ -750,7 +743,7 @@ def train_many(
                           out=weights.transpose(1, 0, 2))
                 d.sum(axis=2, out=bias)
         if pairs:
-            grad[noise_rows] += noise[j].take(pair_of, axis=0)
+            grad += noise[j].take(pair_of, axis=0)
         grad /= count
 
         eta = lrs[step - 1]

@@ -43,6 +43,19 @@ class TestSynthSpec:
         with pytest.raises(DomainError, match=f"^{field} must be an integer, got "):
             SynthSpec(**sizes)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("compression", True, r"compression must be in \[0, 1\], got True"),
+        ("compression", "0.5", r"compression must be in \[0, 1\], got '0.5'"),
+        ("compression", None, r"compression must be in \[0, 1\], got None"),
+        ("noise_scale", True, "noise_scale must be finite and >= 0, got True"),
+        ("noise_scale", "0.05", "noise_scale must be finite and >= 0, got '0.05'"),
+        ("noise_scale", None, "noise_scale must be finite and >= 0, got None"),
+    ])
+    def test_level_that_is_not_a_real_number_rejected(self, field, value, message):
+        """True used to pass as 1, and a string or None escaped as a bare TypeError."""
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            SynthSpec(num_languages=3, tuples=10, dim=4, **{field: value})
+
     def test_numpy_integer_sizes_accepted(self):
         spec = SynthSpec(num_languages=np.int64(2), tuples=np.int32(4), dim=np.uint8(3),
                          classes=np.int64(2))
@@ -82,6 +95,19 @@ class TestParallelSet:
         _, labels = gen_parallel_set(spec)
         counts = np.bincount(labels, minlength=3)
         assert counts.min() >= 90 // 3 - 2  # quantile bins are near-equal
+
+    @pytest.mark.parametrize("classes", [2, 3, 5, 7])
+    def test_rank_bins_leave_no_class_empty(self, classes):
+        """From as many tuples as classes on, every class holds the floor or
+        the ceiling of m / c tuples; at m = 6, c = 5 the float quantile edges
+        left class 3 empty, [1, 1, 2, 0, 2]."""
+        for tuples in range(classes, 4 * classes + 2):
+            for seed in range(3):
+                spec = SynthSpec(num_languages=2, tuples=tuples, dim=4, classes=classes, seed=seed)
+                counts = np.bincount(gen_parallel_set(spec)[1], minlength=classes)
+                assert len(counts) == classes
+                assert counts.min() == tuples // classes
+                assert counts.max() - counts.min() <= 1
 
     def test_language_views_preserve_rank(self):
         # each language view is rotation x diag(0.7..1.4), hence invertible:
@@ -142,16 +168,16 @@ class TestPlantOutlier:
 
     @pytest.mark.filterwarnings("error")
     def test_class_with_no_example_is_left_out_of_the_projection(self):
-        """Class 3 has no example: the direction clears the means of the four
-        classes present, which leave two of six dimensions free, and no mean
-        of an empty slice is taken."""
-        spec = SynthSpec(num_languages=2, tuples=6, dim=6, classes=5, seed=10)
+        """Four tuples for five classes leave class 2 with no example: the
+        direction clears the means of the four classes present, which leave
+        two of six dimensions free, and no mean of an empty slice is taken."""
+        spec = SynthSpec(num_languages=2, tuples=4, dim=6, classes=5, seed=10)
         dataset = gen_classification_data(spec)
-        assert np.bincount(dataset.labels, minlength=5).tolist() == [2, 2, 4, 0, 4]
+        assert np.bincount(dataset.labels, minlength=5).tolist() == [2, 2, 0, 2, 2]
         planted_set, index = plant_outlier(dataset, magnitude=5.0, seed=0, orthogonal=True)
         direction = planted_set.features[index] / 5.0
         assert np.linalg.norm(direction) == pytest.approx(1.0, abs=1e-12)
-        for c in (0, 1, 2, 4):
+        for c in (0, 1, 3, 4):
             mean = dataset.features[dataset.labels == c].mean(axis=0)
             assert abs(mean @ direction) < 1e-12
 
@@ -159,9 +185,9 @@ class TestPlantOutlier:
         """Four present classes in dim 4 leave no direction orthogonal to
         their means: the call names both counts instead of planting the
         normalised rounding residue. With nothing to project, it plants."""
-        spec = SynthSpec(num_languages=2, tuples=6, dim=4, classes=5, seed=10)
+        spec = SynthSpec(num_languages=2, tuples=4, dim=4, classes=5, seed=10)
         dataset = gen_classification_data(spec)
-        assert np.unique(dataset.labels).tolist() == [0, 1, 2, 4]
+        assert np.unique(dataset.labels).tolist() == [0, 1, 3, 4]
         with pytest.raises(DomainError, match="got 4 classes in dim 4$"):
             plant_outlier(dataset, magnitude=6.0, seed=1, orthogonal=True)
         for magnitude, orthogonal in ((0.0, True), (6.0, False)):
@@ -173,7 +199,8 @@ class TestPlantOutlier:
     def test_negative_magnitude_rejected(self):
         spec = SynthSpec(num_languages=2, tuples=10, dim=4, seed=4)
         dataset = gen_classification_data(spec)
-        for bad in (-1.0, math.nan, math.inf):
+        # a string or None used to escape as a bare TypeError, and True passed as 1
+        for bad in (-1.0, math.nan, math.inf, "x", "6.0", None, True):
             with pytest.raises(DomainError, match="^magnitude must be finite and >= 0"):
                 plant_outlier(dataset, magnitude=bad, seed=0)
 

@@ -671,9 +671,11 @@ class TestTrainMany:
 
 class TestNoiseTable:
     """Each block's normals are scaled once per distinct (noise seed,
-    sigma * C) pair; a step adds each noised run's pair row to its gradient
-    row, through a slice when the noised rows are contiguous, else through
-    their index. Every row must keep the bytes of its lone run."""
+    sigma * C) pair into a table with one more row, left zero; a step makes
+    one add over every gradient row, each run reading its pair's row and a
+    sigma = 0 run the zero row. Every row must keep the bytes of its lone
+    run, whether the noised rows are contiguous or interleaved with sigma = 0
+    rows."""
 
     @pytest.mark.parametrize("hidden", [0, 4], ids=["linear", "tanh"])
     def test_contiguous_and_interleaved_noised_rows_match_lone_runs(self, hidden):
@@ -827,7 +829,8 @@ def batches_and_exclusions(draw):
 @st.composite
 def schedule_shapes(draw):
     """(seed, N, B, T) on both sides of _batch_schedule's routing, which
-    draws in one pass for B <= 64 and T >= 2 (B + 1)."""
+    draws in one pass for B <= 64 and one choice per step for B > 64, with
+    runs from a single step to past 2 (B + 1) steps."""
     N = draw(st.integers(1, 200))
     B = draw(st.integers(1, min(N, 70)))
     T = draw(st.integers(1, 2 * (B + 1) + 16))
@@ -874,8 +877,9 @@ class TestDrawBlocks:
     @example(shape=(1, 300, 1, 4))  # B = 1
     @example(shape=(2, 1, 1, 9))  # N = 1: the one example every step
     @example(shape=(3, 200, 64, 2 * 65))  # the largest B drawn in one pass
-    @example(shape=(4, 200, 64, 2 * 65 - 1))  # one step too few: a choice per step
+    @example(shape=(4, 200, 64, 2 * 65 - 1))  # a short run, drawn in one pass too
     @example(shape=(5, 200, 65, 200))  # one slot too many: a choice per step
+    @example(shape=(6, 200, 64, 1))  # T = 1 at the largest B drawn in one pass
     def test_schedule_is_the_floyd_then_shuffle_stream(self, shape):
         self.assert_schedule_is_the_stream(*shape)
 
@@ -888,8 +892,8 @@ class TestDrawBlocks:
     @pytest.mark.parametrize("examples, size", [(10_001, 201), (20_000, 401)])
     def test_numpy_partial_shuffle_branch_replays_per_step_choice(self, examples, size):
         """For N > 10,000 and B > N // 50 numpy's choice partially shuffles
-        range(N), which is not the Floyd stream; the schedule still replays
-        it, with T past 2 (B + 1)."""
+        range(N), which is not the Floyd stream; B > 200 takes the
+        schedule's per-step path, which replays it."""
         steps = 2 * (size + 1)
         self.assert_schedule_is_the_stream(11, examples, size, steps)
         floyd = floyd_then_shuffle(batch_stream(11), examples, size)
@@ -1041,8 +1045,9 @@ class TestEmptyBatch:
     @pytest.mark.parametrize("optimizer", ["sgd", "adamw"])
     @pytest.mark.parametrize("layout", ["contiguous", "interleaved"])
     def test_empty_batch_in_a_mixed_stack_names_the_lone_runs_step(self, layout, optimizer):
-        """Noisy and noiseless rows, the noised ones contiguous (a slice) or
-        not (an index); a later empty batch of another run is not reached."""
+        """Noisy and noiseless rows, the noised ones contiguous or
+        interleaved with the noiseless ones; a later empty batch of another
+        run is not reached."""
         cfg = TrainConfig(base_lr=0.1, total_steps=3 * DRAW_BLOCK, batch_size=1, seed=5,
                           warmup_steps=0, noise_multiplier=1.0, optimizer=optimizer)
         excluded, step = self.first_drawn(cfg, in_block=1)
